@@ -25,7 +25,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 from .coefficients import CoefficientSet
 from .measures import MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, roughpath_checksum
-from .simulate import advance_states
+from .simulate import advance_states, check_finite
 from .streams import TAG_BACKWARD, substream
 
 __all__ = [
@@ -122,7 +122,8 @@ def solve_backward_fk(
 
     Requires a measure-free bundle: with measure dependence the backward
     problem stops being a per-path expectation and this representation is
-    wrong, so the solver refuses rather than silently drifting.
+    wrong, so the solver refuses rather than silently drifting.  Raises
+    ``NumericalBlowup`` at the first non-finite sampled state.
     """
     if not coeffs.measure_free:
         raise ValueError(
@@ -159,6 +160,7 @@ def solve_backward_fk(
                 states, coeffs, None, s_t, h,
                 rp.increment(s_t, t_t), rp.second(s_t, t_t), db,
             )
+            check_finite(states, t_t)
         vals = np.asarray(terminal(states), dtype=np.float64).reshape(P, M)
         u[row] = vals.mean(axis=1)
         se[row] = vals.std(axis=1, ddof=1) / np.sqrt(M)

@@ -149,17 +149,16 @@ class _Report:
         return EXIT_OK if passed else EXIT_INVARIANT
 
 
-def _csv_header(fh, ctx: RunContext) -> None:
-    if ctx.timestamp:
-        fh.write(
-            f"# generated {datetime.datetime.now(datetime.timezone.utc).isoformat()}\n"
-        )
-
-
 def _stamp(ctx: RunContext) -> str | None:
     if not ctx.timestamp:
         return None
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def _csv_header(fh, ctx: RunContext) -> None:
+    stamp = _stamp(ctx)
+    if stamp is not None:
+        fh.write(f"# generated {stamp}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +391,13 @@ def _run_duality(sc: Scenario, ctx: RunContext) -> int:
     axes = lattice_from_flow(flow, sc.x_points)
     t_idx = np.unique(np.round(np.linspace(0, grid.num_cells, sc.time_points)).astype(int))
     times = [float(grid.points[i]) for i in t_idx]
-    solution = solve_backward_fk(
-        coeffs, rp, terminal, axes, times, sc.backward_samples,
-        seed=_derive_seed(seed, 31), terminal_name=name,
-    )
+    try:
+        solution = solve_backward_fk(
+            coeffs, rp, terminal, axes, times, sc.backward_samples,
+            seed=_derive_seed(seed, 31), terminal_name=name,
+        )
+    except NumericalBlowup as exc:
+        return rep.finish(roughpath_checksum(rp), aborted_at=exc.time)
     report = duality_drift(flow, solution)
 
     delta = sc.horizon / sc.cells

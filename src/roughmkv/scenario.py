@@ -277,7 +277,7 @@ def _validate(sc: Scenario) -> None:
         raise bad("backward", "x_points", "must be >= 4")
     if sc.time_points < 2:
         raise bad("backward", "time_points", "must be >= 2")
-    if sc.initial[0] in ("gaussian", "uniform") and sc.initial[2] <= 0 and sc.initial[0] == "gaussian":
+    if sc.initial[0] == "gaussian" and sc.initial[2] <= 0:
         raise bad("particles", "initial", "gaussian std must be positive")
     if sc.initial[0] == "uniform" and sc.initial[1] >= sc.initial[2]:
         raise bad("particles", "initial", "uniform needs lo < hi")

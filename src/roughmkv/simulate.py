@@ -29,12 +29,13 @@ from .coefficients import CoefficientSet, area_coefficient
 from .grids import TimeGrid
 from .measures import EmpiricalMeasure, MeasureFlow
 from .roughpath import GridRoughPath, roughpath_checksum
-from .streams import TAG_INITIAL, TAG_PARTICLE, substream
+from .streams import TAG_INITIAL, TAG_PARTICLE, normal_rows, substream
 
 __all__ = [
     "SCHEME_FULL",
     "SCHEME_NO_LIFT",
     "NumericalBlowup",
+    "check_finite",
     "SimulationConfig",
     "ParticleEnsemble",
     "StepReport",
@@ -58,6 +59,12 @@ class NumericalBlowup(RuntimeError):
     def __init__(self, time: float):
         super().__init__(f"non-finite particle state at t={time!r}")
         self.time = float(time)
+
+
+def check_finite(states: np.ndarray, time: float) -> None:
+    """Raise ``NumericalBlowup(time)`` unless every state entry is finite."""
+    if not np.all(np.isfinite(states)):
+        raise NumericalBlowup(time)
 
 
 @dataclass(frozen=True)
@@ -133,12 +140,9 @@ def idiosyncratic_increments(
     Particle ``i`` consumes the stream keyed ``(seed, particle-tag, i)``; its
     draws do not depend on how many particles run alongside it.
     """
-    K = grid.num_cells
-    scale = np.sqrt(grid.dt)[:, None]
-    out = np.empty((n_particles, K, brownian_dim))
-    for i in range(n_particles):
-        rng = substream(seed, TAG_PARTICLE, i)
-        out[i] = rng.standard_normal((K, brownian_dim)) * scale
+    out = np.empty((n_particles, grid.num_cells, brownian_dim))
+    normal_rows(out, seed, TAG_PARTICLE)
+    out *= np.sqrt(grid.dt)[:, None]
     return out
 
 
@@ -277,8 +281,7 @@ def simulate(
         ens, _ = step_davie(
             ens, coeffs, rp, float(pts[k]), float(pts[k + 1]), scheme=config.scheme
         )
-        if not np.all(np.isfinite(ens.states)):
-            raise NumericalBlowup(float(pts[k + 1]))
+        check_finite(ens.states, float(pts[k + 1]))
         history[k + 1] = ens.states
     flow = MeasureFlow(
         grid=config.grid, states=history, driver_checksum=roughpath_checksum(rp)

@@ -14,7 +14,7 @@ from roughmkv.backward import (
 from roughmkv.coefficients import coefficient_set, constant_rough
 from roughmkv.grids import TimeGrid
 from roughmkv.roughpath import brownian_lift
-from roughmkv.simulate import SimulationConfig, simulate
+from roughmkv.simulate import NumericalBlowup, SimulationConfig, simulate
 
 
 def grid_and_driver(cells=16, seed=5, dim=1):
@@ -115,6 +115,22 @@ def test_tiny_mc_budget_is_refused():
     grid, rp, cs = shift_setup()
     with pytest.raises(ValueError):
         solve_backward_fk(cs, rp, lambda x: x[:, 0], (np.array([-1.0, 1.0]),), grid.points[[0]], 1, 1)
+
+
+def test_exploding_drift_raises_with_time_stamp():
+    grid, rp = grid_and_driver()
+    cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e3 * x**3)
+    axes = (np.linspace(-50.0, 50.0, 9),)
+    # noise-free dynamics: the outermost node follows x <- x + 1e3 x^3 h
+    x, k = 50.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(x):
+            x = x + 1e3 * np.float64(x) ** 3 * float(grid.dt[k])
+            k += 1
+        with pytest.raises(NumericalBlowup) as exc:
+            solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[[0, 8]], 4, 1)
+    assert 0 < k < grid.num_cells
+    assert exc.value.time == grid.points[k]
 
 
 def test_pairing_refuses_foreign_drivers():

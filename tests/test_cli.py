@@ -102,6 +102,37 @@ def test_numerical_abort_exits_three(tmp_path):
     assert 0.0 < summary["aborted_at"] <= 1.0
 
 
+def test_backward_blowup_exits_three(tmp_path):
+    # the forward cloud stays finite, but the backward lattice spans that
+    # whole cloud and its top node overflows on the seventh of eight cells
+    explosive = """
+[scenario]
+name = backward_boom
+experiment = duality
+[grid]
+cells = 8
+[driver]
+refinement = 4
+[coefficients]
+drift = linear 8e25
+sigma = none
+rough = none
+[particles]
+count = 8
+initial = point 1e-60
+[backward]
+samples = 4
+x_points = 5
+time_points = 2
+"""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, explosive, "backward_boom")
+    assert code == 3
+    summary = read_summary(out)
+    assert summary["passed"] is False
+    assert summary["aborted_at"] == 0.875
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 

@@ -22,7 +22,7 @@ from roughmkv.simulate import (
     simulate,
     step_davie,
 )
-from roughmkv.streams import TAG_DRIVER, TAG_PARTICLE, substream
+from roughmkv.streams import TAG_DRIVER, TAG_PARTICLE, substream, substream_keys
 
 
 def make_config(n=16, cells=8, seed=0, **kw):
@@ -56,6 +56,41 @@ def test_particle_streams_do_not_depend_on_ensemble_size():
     small = idiosyncratic_increments(3, 4, grid, 2)
     large = idiosyncratic_increments(3, 9, grid, 2)
     assert np.array_equal(small, large[:4])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70 + 3])
+def test_vectorised_keys_match_seed_sequence(seed):
+    # 2**70 + 3 spans three entropy words, so with the tag and the index the
+    # entropy outgrows the four-word pool and takes the second mixing loop.
+    idx = np.array([0, 1, 2, 130, 65535, 2**32 - 1])
+    keys = substream_keys(seed, TAG_PARTICLE, indices=idx)
+    want = np.array([
+        np.random.SeedSequence((seed, TAG_PARTICLE, int(i))).generate_state(2, np.uint64)
+        for i in idx
+    ])
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, want)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 5, 130])
+def test_increments_equal_per_particle_substreams(m, n):
+    grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 1.0]))
+    scale = np.sqrt(grid.dt)[:, None]
+    want = np.stack([
+        substream(11, TAG_PARTICLE, i).standard_normal((grid.num_cells, m)) * scale
+        for i in range(n)
+    ])
+    assert np.array_equal(idiosyncratic_increments(11, n, grid, m), want)
+
+
+def test_negative_seed_is_refused_like_seed_sequence():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence((-1, TAG_PARTICLE, 0))
+    with pytest.raises(ValueError):
+        substream_keys(-1, TAG_PARTICLE, indices=np.arange(3))
+    with pytest.raises(ValueError):
+        idiosyncratic_increments(-1, 3, TimeGrid.uniform(1.0, 4), 1)
 
 
 def test_coarsen_increments_sums_pairs():
