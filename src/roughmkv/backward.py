@@ -37,6 +37,11 @@ __all__ = [
     "save_backward_csv",
 ]
 
+# Sampled states advance through each grid cell this many rows at a time, so
+# the one-step map's per-point temporaries stay cache-sized; the draws do not
+# depend on it.
+_BLOCK_ROWS = 16384
+
 
 @dataclass(frozen=True, eq=False)
 class BackwardSolution:
@@ -147,6 +152,9 @@ def solve_backward_fk(
     P = lattice.shape[0]
     M = int(mc_samples)
 
+    rows = P * M
+    block = min(_BLOCK_ROWS, rows)
+    db = np.empty((block, coeffs.brownian_dim))                 # reused draw buffer
     u = np.empty((len(t_idx), P))
     se = np.empty((len(t_idx), P))
     for row, start in enumerate(t_idx):
@@ -154,13 +162,18 @@ def solve_backward_fk(
         states = np.repeat(lattice, M, axis=0)                  # (P*M, d)
         for k in range(start, grid.num_cells):
             h = float(grid.dt[k])
-            db = rng.standard_normal((states.shape[0], coeffs.brownian_dim)) * np.sqrt(h)
             s_t, t_t = float(pts[k]), float(pts[k + 1])
-            states, _ = advance_states(
-                states, coeffs, None, s_t, h,
-                rp.increment(s_t, t_t), rp.second(s_t, t_t), db,
-            )
-            check_finite(states, t_t)
+            dw, area = rp.increment(s_t, t_t), rp.second(s_t, t_t)
+            # Blocks walk the rows in order, so the stream is consumed exactly
+            # as one (P*M, m) draw would consume it.
+            for lo in range(0, rows, block):
+                hi = min(lo + block, rows)
+                buf = db[: hi - lo]
+                rng.standard_normal(out=buf)
+                buf *= np.sqrt(h)
+                new, _ = advance_states(states[lo:hi], coeffs, None, s_t, h, dw, area, buf)
+                check_finite(new, t_t)
+                states[lo:hi] = new
         vals = np.asarray(terminal(states), dtype=np.float64).reshape(P, M)
         u[row] = vals.mean(axis=1)
         se[row] = vals.std(axis=1, ddof=1) / np.sqrt(M)

@@ -77,8 +77,6 @@ class RoughFamily:
     lions: Callable           # (t, x, mu, v) -> (A, B, d, d, n)
     mixing: Callable          # (t, x, mu) -> (A, d, n, n)
     measure_free: bool
-    certified: bool = False   # True only for built-ins with verified bounds
-    bound: float | None = None
     lions_lip: float | None = None
 
 
@@ -93,7 +91,6 @@ class CoefficientSet:
     diffusion: Callable       # (t, x, mu) -> (A, d, m)
     rough: RoughFamily
     measure_free: bool
-    certified: bool
 
 
 def _zero_drift(dim: int) -> Callable:
@@ -119,7 +116,6 @@ def coefficient_set(
     rough: RoughFamily | None = None,
     drift_measure_free: bool = True,
     diffusion_measure_free: bool = True,
-    certified: bool = False,
 ) -> CoefficientSet:
     if rough is None:
         rough = zero_rough(dim, driver_dim)
@@ -138,7 +134,6 @@ def coefficient_set(
         measure_free=bool(
             drift_measure_free and diffusion_measure_free and rough.measure_free
         ),
-        certified=bool(certified and rough.certified),
     )
 
 
@@ -168,8 +163,6 @@ def measure_free_family(
     fun: Callable,
     dx_fun: Callable,
     prime: Callable | None = None,
-    certified: bool = False,
-    bound: float | None = None,
 ) -> RoughFamily:
     """Signal coefficient ignoring the measure; derivative is the zero tensor."""
 
@@ -195,8 +188,6 @@ def measure_free_family(
         lions=_zeros_like_lions(dim, channels),
         mixing=_zeros_like_mixing(dim, channels),
         measure_free=True,
-        certified=certified,
-        bound=bound,
         lions_lip=0.0,
     )
 
@@ -208,7 +199,7 @@ def zero_rough(dim: int, channels: int) -> RoughFamily:
     def dx_fun(t, x):
         return np.zeros((x.shape[0], dim, dim, channels))
 
-    return measure_free_family(dim, channels, fun, dx_fun, certified=True, bound=0.0)
+    return measure_free_family(dim, channels, fun, dx_fun)
 
 
 def constant_rough(matrix: np.ndarray) -> RoughFamily:
@@ -222,8 +213,7 @@ def constant_rough(matrix: np.ndarray) -> RoughFamily:
     def dx_fun(t, x):
         return np.zeros((x.shape[0], d, d, n))
 
-    return measure_free_family(d, n, fun, dx_fun, certified=True,
-                               bound=float(np.max(np.abs(c))))
+    return measure_free_family(d, n, fun, dx_fun)
 
 
 def moment_family(
@@ -233,8 +223,6 @@ def moment_family(
     dx_phi: Callable,
     dm_phi: Callable,
     prime: Callable | None = None,
-    certified: bool = False,
-    bound: float | None = None,
     lions_lip: float | None = None,
 ) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = phi(t, x, mean(mu))``.
@@ -278,8 +266,6 @@ def moment_family(
         lions=lions_,
         mixing=mixing_,
         measure_free=False,
-        certified=certified,
-        bound=bound,
         lions_lip=lions_lip,
     )
 
@@ -291,8 +277,6 @@ def convolution_family(
     dx_g: Callable,
     dy_g: Callable,
     g_prime: Callable | None = None,
-    certified: bool = False,
-    bound: float | None = None,
     lions_lip: float | None = None,
 ) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = avg_y g(t, x, y)`` over the cloud.
@@ -342,8 +326,6 @@ def convolution_family(
         lions=lions_,
         mixing=mixing_,
         measure_free=False,
-        certified=certified,
-        bound=bound,
         lions_lip=lions_lip,
     )
 

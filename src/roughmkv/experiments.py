@@ -271,11 +271,7 @@ def _run_residual_scan(sc: Scenario, ctx: RunContext) -> int:
         return rep.finish(None, aborted_at=exc.time)
 
     scan = residual_order_scan(runs, default_bank(sc.dim), coeffs, replicates=replicates)
-    with open(rep.path("residuals.csv"), "w", encoding="utf-8") as fh:
-        _csv_header(fh, ctx)
-        fh.write("phi,level,delta,max_residual,noise_floor\n")
-        for name, level, delta, stat, floor in scan.table:
-            fh.write(f"{name},{level},{delta!r},{stat!r},{floor!r}\n")
+    save_residual_csv(scan, rep.path("residuals.csv"), stamp=_stamp(ctx))
 
     target = 3.0 * sc.alpha * 0.8
     if sc.sigma[0] == "none":

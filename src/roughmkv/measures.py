@@ -260,10 +260,15 @@ _FLOW_MAGIC = "# roughmkv-flow v1"
 
 
 def save_flow_csv(flow: MeasureFlow, path: str, stamp: str | None = None) -> None:
-    """Rows ``t, particle, x_1..x_d`` with repr-exact floats."""
+    """Rows ``t, particle, x_1..x_d`` with repr-exact floats.
+
+    The magic line carries ``driver=<checksum>`` when the flow has one, so a
+    reloaded flow can still be paired with a backward solution.
+    """
     d = flow.dim
+    driver = "" if flow.driver_checksum is None else f" driver={flow.driver_checksum}"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_FLOW_MAGIC} dim={d} particles={flow.num_particles}\n")
+        fh.write(f"{_FLOW_MAGIC} dim={d} particles={flow.num_particles}{driver}\n")
         if stamp is not None:
             fh.write(f"# generated {stamp}\n")
         fh.write(",".join(["t", "particle"] + [f"x_{a + 1}" for a in range(d)]) + "\n")
@@ -280,7 +285,7 @@ def load_flow_csv(path: str) -> MeasureFlow:
         header = fh.readline().strip()
         if not header.startswith(_FLOW_MAGIC):
             raise ValueError(f"{path}: not a flow file (bad magic line)")
-        meta = dict(tok.split("=") for tok in header.split()[3:])
+        meta = dict(tok.split("=", 1) for tok in header.split()[3:])
         d, N = int(meta["dim"]), int(meta["particles"])
         line = fh.readline()
         if line.startswith("# generated"):
@@ -288,4 +293,4 @@ def load_flow_csv(path: str) -> MeasureFlow:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     times = data[::N, 0]
     states = data[:, 2:].reshape(times.size, N, d)
-    return MeasureFlow(TimeGrid(times), states)
+    return MeasureFlow(TimeGrid(times), states, driver_checksum=meta.get("driver"))

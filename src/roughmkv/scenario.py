@@ -424,10 +424,10 @@ def _rough_family(sc: Scenario) -> RoughFamily | None:
             dx_fun = lambda t, x: np.broadcast_to(
                 c * diag, (x.shape[0], d, d, n)
             ).copy()
-            return measure_free_family(d, n, fun, dx_fun, certified=False)
+            return measure_free_family(d, n, fun, dx_fun)
         fun = lambda t, x: c * np.sin(x)[:, :, None] * np.eye(d, n)[None, :, :]
         dx_fun = lambda t, x: c * np.cos(x)[:, :, None, None] * diag[None, :, :, :]
-        return measure_free_family(d, n, fun, dx_fun, certified=True, bound=abs(c))
+        return measure_free_family(d, n, fun, dx_fun)
     if kind == "moment_sin":
         a, b = sc.rough[1], sc.rough[2]
 
@@ -441,10 +441,7 @@ def _rough_family(sc: Scenario) -> RoughFamily | None:
             sech2 = 1.0 / np.cosh(m[0]) ** 2
             return (b * np.cos(x) * sech2)[:, :, None, None]
 
-        return moment_family(
-            1, 1, phi, dx_phi, dm_phi,
-            certified=True, bound=abs(a) + abs(b), lions_lip=abs(b),
-        )
+        return moment_family(1, 1, phi, dx_phi, dm_phi, lions_lip=abs(b))
     if kind == "convolution_gauss":
         a, w = sc.rough[1], sc.rough[2]
         w2 = w * w
@@ -460,10 +457,7 @@ def _rough_family(sc: Scenario) -> RoughFamily | None:
             r = (x - y) / w2
             return (r * a * np.exp(-0.5 * (x - y) ** 2 / w2))[:, :, :, None, None]
 
-        return convolution_family(
-            1, 1, g, dx_g, dy_g,
-            certified=True, bound=abs(a), lions_lip=abs(a) / w2 * 2.0,
-        )
+        return convolution_family(1, 1, g, dx_g, dy_g, lions_lip=abs(a) / w2 * 2.0)
     raise AssertionError(kind)
 
 

@@ -380,13 +380,14 @@ def residual_order_scan(
     return ResidualScan(table=table, slopes=slopes, exact=exact)
 
 
-def save_residual_csv(scan: ResidualScan, path: str) -> None:
+def save_residual_csv(scan: ResidualScan, path: str, stamp: str | None = None) -> None:
+    """Rows ``phi, level, delta, max_residual, noise_floor`` with repr-exact floats."""
     with open(path, "w", encoding="utf-8") as fh:
+        if stamp is not None:
+            fh.write(f"# generated {stamp}\n")
         fh.write("phi,level,delta,max_residual,noise_floor\n")
         for name, level, delta, stat, floor in scan.table:
-            fh.write(
-                f"{name},{level},{delta!r},{stat!r},{floor!r}\n"
-            )
+            fh.write(f"{name},{level},{delta!r},{stat!r},{floor!r}\n")
 
 
 # ---------------------------------------------------------------------------

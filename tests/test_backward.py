@@ -3,18 +3,27 @@
 import numpy as np
 import pytest
 
-from conftest import mean_coupled_sin_family
+from conftest import linear_signal_family, mean_coupled_sin_family
 
+from roughmkv import backward
 from roughmkv.backward import (
     duality_drift,
     lattice_from_flow,
     save_backward_csv,
     solve_backward_fk,
 )
-from roughmkv.coefficients import coefficient_set, constant_rough
+from roughmkv.coefficients import coefficient_set, constant_rough, measure_free_family
 from roughmkv.grids import TimeGrid
+from roughmkv.measures import load_flow_csv, save_flow_csv
 from roughmkv.roughpath import brownian_lift
-from roughmkv.simulate import NumericalBlowup, SimulationConfig, simulate
+from roughmkv.simulate import (
+    NumericalBlowup,
+    SimulationConfig,
+    advance_states,
+    check_finite,
+    simulate,
+)
+from roughmkv.streams import TAG_BACKWARD, substream
 
 
 def grid_and_driver(cells=16, seed=5, dim=1):
@@ -98,6 +107,100 @@ def test_stderr_shrinks_like_sqrt_mc_budget():
     big = solve_backward_fk(cs, rp, lambda x: x[:, 0] ** 2, axes, times, 2048, 9)
     ratio = float(big.stderr[0, 0] / small.stderr[0, 0])
     assert abs(ratio - 0.5) <= 0.15  # 4x samples, about half the error
+
+
+# ---------------------------------------------------------------------------
+# row blocking changes no number
+
+
+def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
+    """Oracle: every sampled state advanced as one batch, one draw per cell."""
+    grid, pts = rp.grid, rp.grid.points
+    mesh = np.meshgrid(*axes, indexing="ij")
+    lattice = np.stack([m.ravel() for m in mesh], axis=1)
+    P, M = lattice.shape[0], mc_samples
+    u, se = [], []
+    for t in times:
+        start = grid.index_of(float(t))
+        rng = substream(seed, TAG_BACKWARD, start)
+        states = np.repeat(lattice, M, axis=0)
+        for k in range(start, grid.num_cells):
+            h = float(grid.dt[k])
+            db = rng.standard_normal((states.shape[0], coeffs.brownian_dim)) * np.sqrt(h)
+            s_t, t_t = float(pts[k]), float(pts[k + 1])
+            states, _ = advance_states(
+                states, coeffs, None, s_t, h, rp.increment(s_t, t_t), rp.second(s_t, t_t), db
+            )
+            check_finite(states, t_t)
+        vals = terminal(states).reshape(P, M)
+        u.append(vals.mean(axis=1))
+        se.append(vals.std(axis=1, ddof=1) / np.sqrt(M))
+    return np.array(u), np.array(se)
+
+
+def scalar_bundle():
+    """d = m = n = 1 with a state-dependent signal term, so the area acts."""
+    grid, rp = grid_and_driver(cells=8)
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: (0.4 + 0.1 * np.sin(x))[:, :, None],
+        rough=linear_signal_family(0.5),
+    )
+    return rp, cs, (np.linspace(-1.0, 1.0, 5),), 6           # 30 rows
+
+
+def planar_bundle():
+    """d = m = 2, one signal channel, measure-free; 12 lattice points."""
+    grid = TimeGrid.uniform(1.0, 8)
+    rp = brownian_lift(12, 1, grid, refinement_factor=4)
+    sel = np.array([1.0, 0.0])
+
+    def fun(t, x):
+        return 0.3 * np.sin(x)[:, :, None] * sel[None, :, None]
+
+    def dx_fun(t, x):
+        return 0.3 * (np.cos(x) * sel)[:, :, None, None] * np.eye(2)[None, :, :, None]
+
+    cs = coefficient_set(
+        2, 2, 1,
+        drift=lambda t, x, mu: -0.2 * x[:, ::-1],
+        diffusion=lambda t, x, mu: np.einsum("ai,ij->aij", 1.0 + 0.1 * x**2, 0.3 * np.eye(2)),
+        rough=measure_free_family(2, 1, fun, dx_fun),
+    )
+    return rp, cs, (np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 4)), 5   # 60 rows
+
+
+@pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
+@pytest.mark.parametrize("block", ["above", "exact", "ragged"])
+def test_blocked_sampler_equals_one_shot_draw(monkeypatch, bundle, block):
+    rp, cs, axes, M = bundle()
+    rows = M * int(np.prod([a.size for a in axes]))
+    size = {"above": rows + 4, "exact": rows, "ragged": 7}[block]
+    assert block != "ragged" or rows % size != 0
+    monkeypatch.setattr(backward, "_BLOCK_ROWS", size)
+    times = rp.grid.points[[0, 5, 8]]
+    terminal = lambda x: np.sum(x**2, axis=1)
+    sol = solve_backward_fk(cs, rp, terminal, axes, times, M, 17)
+    u, se = one_shot_reference(cs, rp, terminal, axes, times, M, 17)
+    assert np.array_equal(sol.u, u)
+    assert np.array_equal(sol.stderr, se)
+
+
+def test_blowup_in_a_later_block_keeps_its_time(monkeypatch):
+    grid, rp = grid_and_driver()
+    cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e3 * x**3)
+    # 16 rows in blocks of 5: only the node at 50 explodes, in rows 12..15
+    axes = (np.array([0.0, 1e-3, 2e-3, 50.0]),)
+    monkeypatch.setattr(backward, "_BLOCK_ROWS", 5)
+    times = grid.points[[0, 8]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBlowup) as want:
+            one_shot_reference(cs, rp, lambda x: x[:, 0], axes, times, 4, 1)
+        with pytest.raises(NumericalBlowup) as got:
+            solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, times, 4, 1)
+    assert 0.0 < want.value.time < grid.horizon
+    assert got.value.time == want.value.time
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +302,18 @@ def test_lattice_covers_the_flow_with_padding():
     assert ax[0] < float(flow.states[:, :, 0].min())
     assert ax[-1] > float(flow.states[:, :, 0].max())
     assert np.all(np.diff(ax) > 0)
+
+
+def test_reloaded_flow_pairs_with_its_backward_solution(tmp_path):
+    grid, rp, cs = shift_setup(c=0.9)
+    flow, _ = simulate(SimulationConfig(32, grid, 6, 1, 1, 1), cs, rp)
+    path = str(tmp_path / "flow.csv")
+    save_flow_csv(flow, path)
+    back = load_flow_csv(path)
+    assert back.driver_checksum == flow.driver_checksum
+    axes = lattice_from_flow(flow, 17)
+    sol = solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[[0, 8, 16]], 8, 3)
+    assert duality_drift(back, sol).drift == duality_drift(flow, sol).drift
 
 
 def test_backward_csv_layout(tmp_path):

@@ -17,7 +17,6 @@ from roughmkv.coefficients import (
     lions_taylor_remainder,
     measure_free_family,
     moment_family,
-    zero_rough,
 )
 from roughmkv.measures import EmpiricalMeasure
 
@@ -213,4 +212,3 @@ def test_zero_family_and_defaults():
     assert np.all(cs.diffusion(0.0, x, None) == 0.0)
     assert np.all(cs.rough.eval(0.0, x, None) == 0.0)
     assert cs.measure_free
-    assert zero_rough(2, 3).certified

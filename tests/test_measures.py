@@ -204,3 +204,16 @@ def test_flow_csv_round_trip(tmp_path):
     back = load_flow_csv(path)
     assert np.array_equal(back.states, flow.states)
     assert np.array_equal(back.grid.points, flow.grid.points)
+    assert back.driver_checksum == "test"
+
+
+def test_flow_csv_without_driver_token_loads(tmp_path):
+    flow = little_flow(seed=4, cells=3, n=5)
+    bare = MeasureFlow(grid=flow.grid, states=flow.states)
+    path = str(tmp_path / "flow.csv")
+    save_flow_csv(bare, path, stamp="then")
+    with open(path, encoding="utf-8") as fh:
+        assert "driver=" not in fh.readline()
+    back = load_flow_csv(path)
+    assert back.driver_checksum is None
+    assert np.array_equal(back.states, flow.states)
