@@ -10,24 +10,11 @@ import argparse
 
 import numpy as np
 
-from roughmkv.coefficients import coefficient_set, moment_family
+from roughmkv.coefficients import coefficient_set, moment_sin_family
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import EmpiricalMeasure, wasserstein2_1d
 from roughmkv.roughpath import brownian_lift
 from roughmkv.simulate import SimulationConfig, simulate
-
-
-def mean_coupled_sin(a, b):
-    def phi(t, x, m):
-        return (a * np.sin(x) + b * np.cos(x) * np.tanh(m[0]))[:, :, None]
-
-    def dxp(t, x, m):
-        return (a * np.cos(x) - b * np.sin(x) * np.tanh(m[0]))[:, :, None, None]
-
-    def dmp(t, x, m):
-        return (b * np.cos(x) / np.cosh(m[0]) ** 2)[:, :, None, None]
-
-    return moment_family(1, 1, phi, dxp, dmp)
 
 
 def mix(*parts):
@@ -46,7 +33,7 @@ def main():
         1, 1, 1,
         drift=lambda t, x, mu: -0.3 * x,
         diffusion=lambda t, x, mu: 0.5 * np.ones((x.shape[0], 1, 1)),
-        rough=mean_coupled_sin(0.5, 0.4),
+        rough=moment_sin_family(0.5, 0.4),
     )
     grid = TimeGrid.uniform(1.0, args.cells)
 

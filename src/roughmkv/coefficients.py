@@ -42,6 +42,7 @@ __all__ = [
     "measure_free_family",
     "constant_rough",
     "moment_family",
+    "moment_sin_family",
     "convolution_family",
     "zero_rough",
     "area_coefficient",
@@ -268,6 +269,22 @@ def moment_family(
         measure_free=False,
         lions_lip=lions_lip,
     )
+
+
+def moment_sin_family(a: float, b: float) -> RoughFamily:
+    """``f(x, mu) = a sin(x) + b cos(x) tanh(mean(mu))``, one dim, one channel."""
+
+    def phi(t, x, m):
+        return (a * np.sin(x) + b * np.cos(x) * np.tanh(m[0]))[:, :, None]
+
+    def dx_phi(t, x, m):
+        return (a * np.cos(x) - b * np.sin(x) * np.tanh(m[0]))[:, :, None, None]
+
+    def dm_phi(t, x, m):
+        sech2 = 1.0 / np.cosh(m[0]) ** 2
+        return (b * np.cos(x) * sech2)[:, :, None, None]
+
+    return moment_family(1, 1, phi, dx_phi, dm_phi, lions_lip=abs(b))
 
 
 def convolution_family(

@@ -161,6 +161,22 @@ def _csv_header(fh, ctx: RunContext) -> None:
         fh.write(f"# generated {stamp}\n")
 
 
+def _simulation_config(
+    sc: Scenario, grid: TimeGrid, seed: int, particle_count: int
+) -> SimulationConfig:
+    """The scenario's particle system on ``grid`` with particle seed ``seed``."""
+    return SimulationConfig(
+        particle_count=particle_count,
+        grid=grid,
+        seed=seed,
+        dim=sc.dim,
+        brownian_dim=sc.brownian_dim,
+        driver_dim=sc.driver_dim,
+        scheme=sc.scheme,
+        initial_sampler=build_initial_sampler(sc),
+    )
+
+
 # ---------------------------------------------------------------------------
 # lift_checks
 
@@ -231,7 +247,6 @@ def _coupled_runs(sc: Scenario, seed: int, base_cells: int):
     fine_grid = TimeGrid.uniform(sc.horizon, base_cells * finest_factor)
     fine_rp = build_driver(sc, fine_grid, driver_seed=_derive_seed(seed, sc.driver_seed))
     coeffs = build_coefficients(sc)
-    sampler = build_initial_sampler(sc)
     fine_incs = idiosyncratic_increments(
         seed, sc.particles, fine_grid, sc.brownian_dim
     )
@@ -240,16 +255,7 @@ def _coupled_runs(sc: Scenario, seed: int, base_cells: int):
         factor = 2 ** (sc.levels - 1 - level)
         grid = fine_grid.coarsen(factor) if factor > 1 else fine_grid
         rp = restrict(fine_rp, grid) if factor > 1 else fine_rp
-        config = SimulationConfig(
-            particle_count=sc.particles,
-            grid=grid,
-            seed=seed,
-            dim=sc.dim,
-            brownian_dim=sc.brownian_dim,
-            driver_dim=sc.driver_dim,
-            scheme=sc.scheme,
-            initial_sampler=sampler,
-        )
+        config = _simulation_config(sc, grid, seed, sc.particles)
         incs = coarsen_increments(fine_incs, factor) if factor > 1 else fine_incs
         flow, _ = simulate(config, coeffs, rp, brownian=incs)
         runs.append((flow, rp))
@@ -294,19 +300,9 @@ def _run_chaos_scan(sc: Scenario, ctx: RunContext) -> int:
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
     rp = build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
     coeffs = build_coefficients(sc)
-    sampler = build_initial_sampler(sc)
 
     def one_run(count: int, copy: int):
-        config = SimulationConfig(
-            particle_count=count,
-            grid=grid,
-            seed=_derive_seed(seed, count, copy),
-            dim=sc.dim,
-            brownian_dim=sc.brownian_dim,
-            driver_dim=sc.driver_dim,
-            scheme=sc.scheme,
-            initial_sampler=sampler,
-        )
+        config = _simulation_config(sc, grid, _derive_seed(seed, count, copy), count)
         flow, _ = simulate(config, coeffs, rp)
         return EmpiricalMeasure(flow.states[-1])
 
@@ -368,16 +364,7 @@ def _run_duality(sc: Scenario, ctx: RunContext) -> int:
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
     rp = build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
     coeffs = build_coefficients(sc)
-    config = SimulationConfig(
-        particle_count=sc.particles,
-        grid=grid,
-        seed=seed,
-        dim=sc.dim,
-        brownian_dim=sc.brownian_dim,
-        driver_dim=sc.driver_dim,
-        scheme=sc.scheme,
-        initial_sampler=build_initial_sampler(sc),
-    )
+    config = _simulation_config(sc, grid, seed, sc.particles)
     try:
         flow, _ = simulate(config, coeffs, rp)
     except NumericalBlowup as exc:
@@ -431,16 +418,7 @@ def _run_diagnostics(sc: Scenario, ctx: RunContext) -> int:
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
     rp = build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
     coeffs = build_coefficients(sc)
-    config = SimulationConfig(
-        particle_count=sc.particles,
-        grid=grid,
-        seed=seed,
-        dim=sc.dim,
-        brownian_dim=sc.brownian_dim,
-        driver_dim=sc.driver_dim,
-        scheme=sc.scheme,
-        initial_sampler=build_initial_sampler(sc),
-    )
+    config = _simulation_config(sc, grid, seed, sc.particles)
     try:
         flow, _ = simulate(config, coeffs, rp)
     except NumericalBlowup as exc:

@@ -30,7 +30,7 @@ from .coefficients import (
     constant_rough,
     convolution_family,
     measure_free_family,
-    moment_family,
+    moment_sin_family,
 )
 from .grids import TimeGrid
 from .roughpath import GridRoughPath, brownian_lift, lift_piecewise_linear
@@ -429,19 +429,7 @@ def _rough_family(sc: Scenario) -> RoughFamily | None:
         dx_fun = lambda t, x: c * np.cos(x)[:, :, None, None] * diag[None, :, :, :]
         return measure_free_family(d, n, fun, dx_fun)
     if kind == "moment_sin":
-        a, b = sc.rough[1], sc.rough[2]
-
-        def phi(t, x, m):
-            return (a * np.sin(x) + b * np.cos(x) * np.tanh(m[0]))[:, :, None]
-
-        def dx_phi(t, x, m):
-            return (a * np.cos(x) - b * np.sin(x) * np.tanh(m[0]))[:, :, None, None]
-
-        def dm_phi(t, x, m):
-            sech2 = 1.0 / np.cosh(m[0]) ** 2
-            return (b * np.cos(x) * sech2)[:, :, None, None]
-
-        return moment_family(1, 1, phi, dx_phi, dm_phi, lions_lip=abs(b))
+        return moment_sin_family(sc.rough[1], sc.rough[2])
     if kind == "convolution_gauss":
         a, w = sc.rough[1], sc.rough[2]
         w2 = w * w

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet, area_coefficient, diffusion_square
-from .measures import EmpiricalMeasure, MeasureFlow, pairing, symmetric_mean
+from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath
 
 __all__ = [
@@ -208,21 +208,117 @@ def gradient_consistency(phi: TestFunction, points: np.ndarray, h: float = 1e-5)
 
 
 # ---------------------------------------------------------------------------
-# operators paired against the empirical measure
+# node-curve engine: operators paired against the empirical measure
+
+# Particle rows evaluated per block of grid nodes.  It bounds the stacked node
+# tensors and probe derivatives held at once (a whole flow would raise peak
+# memory); every reduction is per node, so the block length changes no number.
+_BLOCK_POINTS = 16384
+
+
+@dataclass(frozen=True, eq=False)
+class _NodeCurves:
+    """Pairings of every probe of a bank with the measures at a run of nodes.
+
+    For probe ``p`` and node ``k``: ``value[p, k] = <mu_k, phi>``,
+    ``generator[p, k] = <mu_k, L phi>``, ``first[p, k, kap] = <mu_k, G_kap phi>``
+    and ``second[p, k, kap, lam]`` the second-order pairing of the channel
+    pair, all with the coefficients frozen at the node time.
+    """
+
+    value: np.ndarray       # (P, K)
+    generator: np.ndarray   # (P, K)
+    first: np.ndarray       # (P, K, n)
+    second: np.ndarray      # (P, K, n, n)
+
+
+def _node_tensors(
+    coeffs: CoefficientSet, t: float, cloud: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Probe-independent tensors at one node: ``b``, ``sigma sigma^T``, ``f``, area."""
+    mu = EmpiricalMeasure(cloud)
+    x = mu.points
+    marg = None if coeffs.measure_free else mu
+    return (
+        coeffs.drift(t, x, marg),
+        diffusion_square(coeffs, t, x, marg),
+        coeffs.rough.eval(t, x, marg),
+        area_coefficient(coeffs, t, x, marg),
+    )
+
+
+def _node_curves(
+    times: np.ndarray,
+    states: np.ndarray,
+    bank: Sequence[TestFunction],
+    coeffs: CoefficientSet,
+) -> _NodeCurves:
+    """Node curves of ``bank`` along the clouds ``states[k]`` at ``times[k]``.
+
+    The coefficient tensors are evaluated once per node (the callables take a
+    scalar time and the node's measure); each probe's value, gradient and
+    Hessian are evaluated once per block on the stacked particle rows.  The
+    integrands are written once, here, as
+
+        generator:  0.5 a:Hess phi + b . grad phi,    a = sigma sigma^T,
+        first:      grad phi . f_kap,
+        second:     f^i_kap f^j_lam Hess_ij phi + area[., kap, lam] . grad phi,
+
+    the last through the area tensor so it matches the one-step scheme
+    identically.  Each node row is reduced by ``symmetric_mean``.
+    """
+    K, N, d = states.shape
+    n = coeffs.driver_dim
+    P = len(bank)
+    curves = _NodeCurves(
+        value=np.empty((P, K)),
+        generator=np.empty((P, K)),
+        first=np.empty((P, K, n)),
+        second=np.empty((P, K, n, n)),
+    )
+
+    def node_mean(integrand: np.ndarray) -> np.ndarray:
+        return symmetric_mean(integrand.reshape(-1, N), axis=1)
+
+    per_block = max(1, _BLOCK_POINTS // N)
+    for lo in range(0, K, per_block):
+        hi = min(lo + per_block, K)
+        b, a, f, area = (
+            np.concatenate(parts)
+            for parts in zip(
+                *(_node_tensors(coeffs, float(times[k]), states[k]) for k in range(lo, hi))
+            )
+        )
+        x = states[lo:hi].reshape(-1, d)
+        for p, phi in enumerate(bank):
+            grad, hess = phi.grad(x), phi.hess(x)
+            curves.value[p, lo:hi] = node_mean(phi.value(x))
+            curves.generator[p, lo:hi] = node_mean(
+                0.5 * np.einsum("aij,aij->a", a, hess) + np.einsum("ai,ai->a", b, grad)
+            )
+            for kap in range(n):
+                curves.first[p, lo:hi, kap] = node_mean(
+                    np.einsum("ai,ai->a", grad, f[:, :, kap])
+                )
+                for lam in range(n):
+                    curves.second[p, lo:hi, kap, lam] = node_mean(
+                        np.einsum("ai,aj,aij->a", f[:, :, kap], f[:, :, lam], hess)
+                        + np.einsum("ai,ai->a", area[:, :, kap, lam], grad)
+                    )
+    return curves
+
+
+def _at_node(
+    mu: EmpiricalMeasure, t: float, phi: TestFunction, coeffs: CoefficientSet
+) -> _NodeCurves:
+    return _node_curves(np.array([t]), mu.points[None], [phi], coeffs)
 
 
 def op_generator(
     mu: EmpiricalMeasure, t: float, phi: TestFunction, coeffs: CoefficientSet
 ) -> float:
     """``<mu, 0.5 a:Hess phi + b . grad phi>`` with ``a = sigma sigma^T``."""
-    x = mu.points
-    marg = None if coeffs.measure_free else mu
-    a = diffusion_square(coeffs, t, x, marg)
-    b = coeffs.drift(t, x, marg)
-    integrand = 0.5 * np.einsum("aij,aij->a", a, phi.hess(x)) + np.einsum(
-        "ai,ai->a", b, phi.grad(x)
-    )
-    return float(symmetric_mean(integrand))
+    return float(_at_node(mu, t, phi, coeffs).generator[0, 0])
 
 
 def op_rough(
@@ -230,10 +326,7 @@ def op_rough(
     coeffs: CoefficientSet,
 ) -> float:
     """``<mu, grad phi . f_kappa>``, the first-order signal pairing."""
-    x = mu.points
-    marg = None if coeffs.measure_free else mu
-    f = coeffs.rough.eval(t, x, marg)
-    return float(symmetric_mean(np.einsum("ai,ai->a", phi.grad(x), f[:, :, kappa])))
+    return float(_at_node(mu, t, phi, coeffs).first[0, 0, kappa])
 
 
 def op_rough_second(
@@ -248,26 +341,7 @@ def op_rough_second(
 
         <mu, f^i_kap f^j_lam Hess_ij phi + area[., kap, lam] . grad phi>.
     """
-    x = mu.points
-    marg = None if coeffs.measure_free else mu
-    f = coeffs.rough.eval(t, x, marg)
-    area = area_coefficient(coeffs, t, x, marg)
-    integrand = np.einsum(
-        "ai,aj,aij->a", f[:, :, kappa], f[:, :, lam], phi.hess(x)
-    ) + np.einsum("ai,ai->a", area[:, :, kappa, lam], phi.grad(x))
-    return float(symmetric_mean(integrand))
-
-
-def _generator_curve(
-    flow: MeasureFlow, phi: TestFunction, coeffs: CoefficientSet, i: int, j: int
-) -> np.ndarray:
-    pts = flow.grid.points
-    return np.array(
-        [
-            op_generator(flow.measure(k), float(pts[k]), phi, coeffs)
-            for k in range(i, j + 1)
-        ]
-    )
+    return float(_at_node(mu, t, phi, coeffs).second[0, 0, kappa, lam])
 
 
 def weak_residual(
@@ -278,29 +352,56 @@ def weak_residual(
     s: float,
     t: float,
 ) -> float:
-    """Defect of the weak-form expansion over the grid span ``[s, t]``."""
+    """Defect of the weak-form expansion over the grid span ``[s, t]``.
+
+    The time integral is the trapezoid rule over the span's nodes; the first-
+    and second-order signal terms are frozen at ``s``.
+    """
     i, j = flow.grid.span_indices(s, t)
     if i == j:
         return 0.0
-    mu_s, mu_t = flow.measure(i), flow.measure(j)
-    lhs = pairing(mu_t, phi.value) - pairing(mu_s, phi.value)
-
-    gen = _generator_curve(flow, phi, coeffs, i, j)
-    dt = np.diff(flow.grid.points[i : j + 1])
-    time_part = float(np.sum(0.5 * dt * (gen[:-1] + gen[1:])))
+    pts = flow.grid.points[i : j + 1]
+    curves = _node_curves(pts, flow.states[i : j + 1], [phi], coeffs)
+    value, gen = curves.value[0], curves.generator[0]
+    first, second = curves.first[0, 0], curves.second[0, 0]
+    lhs = value[-1] - value[0]
+    time_part = float(np.sum(0.5 * np.diff(pts) * (gen[:-1] + gen[1:])))
 
     dw = rp.increment(s, t)
     ww = rp.second(s, t)
     n = rp.dim
-    first = sum(
-        op_rough(mu_s, float(s), phi, k, coeffs) * dw[k] for k in range(n)
-    )
-    second = sum(
-        op_rough_second(mu_s, float(s), phi, k, l, coeffs) * ww[k, l]
-        for k in range(n)
-        for l in range(n)
-    )
-    return float(lhs - time_part - first - second)
+    first_part = sum(first[k] * dw[k] for k in range(n))
+    second_part = sum(second[k, l] * ww[k, l] for k in range(n) for l in range(n))
+    return float(lhs - time_part - first_part - second_part)
+
+
+def _cell_residuals(
+    flow: MeasureFlow, rp: GridRoughPath, bank: Sequence[TestFunction],
+    coeffs: CoefficientSet,
+) -> np.ndarray:
+    """``weak_residual`` of every probe on every single cell, shape ``(P, K)``."""
+    pts = flow.grid.points
+    curves = _node_curves(pts, flow.states, bank, coeffs)
+    value, gen = curves.value, curves.generator
+    lhs = value[:, 1:] - value[:, :-1]
+    time_part = 0.5 * np.diff(pts) * (gen[:, :-1] + gen[:, 1:])
+
+    # cell increments and second levels, as GridRoughPath.increment / .second
+    # compute them from the cached prefix for the span [t_k, t_k+1]
+    w = rp.values
+    dw = w[1:] - w[:-1]                                   # (K, n)
+    ww = rp._prefix[1:] - rp._prefix[:-1] - (w[:-1] - w[0])[:, :, None] * dw[:, None, :]
+    n = rp.dim
+    first = curves.first[:, :-1]                          # signal terms at s = t_k
+    second = curves.second[:, :-1]
+    first_part = 0.0
+    for k in range(n):
+        first_part = first_part + first[:, :, k] * dw[:, k]
+    second_part = 0.0
+    for k in range(n):
+        for l in range(n):
+            second_part = second_part + second[:, :, k, l] * ww[:, k, l]
+    return lhs - time_part - first_part - second_part
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +445,20 @@ def residual_order_scan(
         if len(reps) != len(runs):
             raise ValueError("every replicate needs one run per level")
 
-    def level_stat(flow: MeasureFlow, rp: GridRoughPath, phi: TestFunction) -> float:
-        pts = flow.grid.points
-        return max(
-            abs(weak_residual(flow, rp, phi, coeffs, float(pts[k]), float(pts[k + 1])))
-            for k in range(flow.grid.num_cells)
-        )
+    def level_stats(flow: MeasureFlow, rp: GridRoughPath) -> np.ndarray:
+        return np.max(np.abs(_cell_residuals(flow, rp, bank, coeffs)), axis=1)
+
+    main = [level_stats(flow, rp) for flow, rp in runs]
+    reps = [[level_stats(f, r) for f, r in rep_runs] for rep_runs in replicates]
 
     table: list[tuple[str, int, float, float, float]] = []
     slopes: dict[str, float] = {}
     exact: dict[str, bool] = {}
-    for phi in bank:
-        deltas, stats, floors = [], [], []
-        for level, (flow, rp) in enumerate(runs):
-            stat = level_stat(flow, rp, phi)
-            rep_stats = [level_stat(f, r, phi) for reps in replicates for (f, r) in [reps[level]]]
+    for p, phi in enumerate(bank):
+        deltas, stats = [], []
+        for level, (flow, _) in enumerate(runs):
+            stat = float(main[level][p])
+            rep_stats = [float(rep[level][p]) for rep in reps]
             floor = 0.0
             if rep_stats:
                 allstats = rep_stats + [stat]
@@ -367,7 +467,6 @@ def residual_order_scan(
             table.append((phi.name, level, delta, stat, floor))
             deltas.append(delta)
             stats.append(stat)
-            floors.append(floor)
         if max(stats) < _MACHINE_FLOOR:
             exact[phi.name] = True
             slopes[phi.name] = float("inf")
@@ -411,16 +510,8 @@ def controlled_pairing_check(
     """
     pts = flow.grid.points
     K1 = pts.size
-    n = rp.dim
-    first = np.empty((K1, n))
-    second = np.empty((K1, n, n))
-    for k in range(K1):
-        mu = flow.measure(k)
-        tk = float(pts[k])
-        for kap in range(n):
-            first[k, kap] = op_rough(mu, tk, phi, kap, coeffs)
-            for lam in range(n):
-                second[k, kap, lam] = op_rough_second(mu, tk, phi, kap, lam, coeffs)
+    curves = _node_curves(pts, flow.states, [phi], coeffs)
+    first, second = curves.first[0], curves.second[0]
     q_second = 0.0
     q_rem = 0.0
     for i in range(K1 - 1):

@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
-from conftest import linear_signal_family, ornstein_uhlenbeck_set
+from conftest import linear_signal_family, mean_coupled_sin_family, ornstein_uhlenbeck_set
 
-from roughmkv.coefficients import coefficient_set, constant_rough
+from roughmkv import weakcheck
+from roughmkv.coefficients import (
+    area_coefficient,
+    coefficient_set,
+    constant_rough,
+    diffusion_square,
+    measure_free_family,
+)
 from roughmkv.grids import TimeGrid
-from roughmkv.measures import EmpiricalMeasure
-from roughmkv.roughpath import brownian_lift, lift_piecewise_linear
+from roughmkv.measures import EmpiricalMeasure, pairing, symmetric_mean
+from roughmkv.roughpath import brownian_lift, lift_piecewise_linear, restrict
 from roughmkv.simulate import SimulationConfig, simulate
 from roughmkv.weakcheck import (
+    ResidualScan,
     TestFunction,
     constant_function,
     controlled_pairing_check,
@@ -255,3 +263,269 @@ def test_scan_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("phi,level,delta,max_residual,noise_floor")
     assert len(lines) == 1 + len(scan.table)
+
+
+# ---------------------------------------------------------------------------
+# node-curve engine against the per-cell reference
+#
+# The reference below is the weak-form check as it was written before the
+# node-curve engine: one operator call per node, cell and probe, and the scan
+# as a loop of single-cell residuals.  The engine evaluates the same
+# integrands with the same per-node reductions, so every number must be equal.
+
+
+def ref_op_generator(mu, t, phi, coeffs):
+    x = mu.points
+    marg = None if coeffs.measure_free else mu
+    a = diffusion_square(coeffs, t, x, marg)
+    b = coeffs.drift(t, x, marg)
+    integrand = 0.5 * np.einsum("aij,aij->a", a, phi.hess(x)) + np.einsum(
+        "ai,ai->a", b, phi.grad(x)
+    )
+    return float(symmetric_mean(integrand))
+
+
+def ref_op_rough(mu, t, phi, kappa, coeffs):
+    x = mu.points
+    marg = None if coeffs.measure_free else mu
+    f = coeffs.rough.eval(t, x, marg)
+    return float(symmetric_mean(np.einsum("ai,ai->a", phi.grad(x), f[:, :, kappa])))
+
+
+def ref_op_rough_second(mu, t, phi, kappa, lam, coeffs):
+    x = mu.points
+    marg = None if coeffs.measure_free else mu
+    f = coeffs.rough.eval(t, x, marg)
+    area = area_coefficient(coeffs, t, x, marg)
+    integrand = np.einsum(
+        "ai,aj,aij->a", f[:, :, kappa], f[:, :, lam], phi.hess(x)
+    ) + np.einsum("ai,ai->a", area[:, :, kappa, lam], phi.grad(x))
+    return float(symmetric_mean(integrand))
+
+
+def ref_weak_residual(flow, rp, phi, coeffs, s, t):
+    i, j = flow.grid.span_indices(s, t)
+    if i == j:
+        return 0.0
+    mu_s, mu_t = flow.measure(i), flow.measure(j)
+    lhs = pairing(mu_t, phi.value) - pairing(mu_s, phi.value)
+    pts = flow.grid.points
+    gen = np.array(
+        [ref_op_generator(flow.measure(k), float(pts[k]), phi, coeffs) for k in range(i, j + 1)]
+    )
+    dt = np.diff(pts[i : j + 1])
+    time_part = float(np.sum(0.5 * dt * (gen[:-1] + gen[1:])))
+    dw = rp.increment(s, t)
+    ww = rp.second(s, t)
+    n = rp.dim
+    first = sum(ref_op_rough(mu_s, float(s), phi, k, coeffs) * dw[k] for k in range(n))
+    second = sum(
+        ref_op_rough_second(mu_s, float(s), phi, k, l, coeffs) * ww[k, l]
+        for k in range(n)
+        for l in range(n)
+    )
+    return float(lhs - time_part - first - second)
+
+
+def ref_residual_order_scan(runs, bank, coeffs, replicates=()):
+    def level_stat(flow, rp, phi):
+        pts = flow.grid.points
+        return max(
+            abs(ref_weak_residual(flow, rp, phi, coeffs, float(pts[k]), float(pts[k + 1])))
+            for k in range(flow.grid.num_cells)
+        )
+
+    table, slopes, exact = [], {}, {}
+    for phi in bank:
+        deltas, stats = [], []
+        for level, (flow, rp) in enumerate(runs):
+            stat = level_stat(flow, rp, phi)
+            rep_stats = [level_stat(f, r, phi) for reps in replicates for (f, r) in [reps[level]]]
+            floor = 0.0
+            if rep_stats:
+                allstats = rep_stats + [stat]
+                floor = 0.5 * (max(allstats) - min(allstats))
+            delta = float(np.max(flow.grid.dt))
+            table.append((phi.name, level, delta, stat, floor))
+            deltas.append(delta)
+            stats.append(stat)
+        if max(stats) < 1e-13:
+            exact[phi.name] = True
+            slopes[phi.name] = float("inf")
+        else:
+            exact[phi.name] = False
+            clipped = np.maximum(stats, 1e-300)
+            slopes[phi.name] = float(np.polyfit(np.log(deltas), np.log(clipped), 1)[0])
+    return ResidualScan(table=table, slopes=slopes, exact=exact)
+
+
+def ref_pairing_curves(flow, rp, phi, coeffs):
+    pts = flow.grid.points
+    n = rp.dim
+    first = np.empty((pts.size, n))
+    second = np.empty((pts.size, n, n))
+    for k in range(pts.size):
+        mu = flow.measure(k)
+        for kap in range(n):
+            first[k, kap] = ref_op_rough(mu, float(pts[k]), phi, kap, coeffs)
+            for lam in range(n):
+                second[k, kap, lam] = ref_op_rough_second(mu, float(pts[k]), phi, kap, lam, coeffs)
+    return first, second
+
+
+def ref_controlled_pairing_check(flow, rp, phi, coeffs):
+    pts = flow.grid.points
+    first, second = ref_pairing_curves(flow, rp, phi, coeffs)
+    q_second = 0.0
+    q_rem = 0.0
+    for i in range(pts.size - 1):
+        gap = pts[i + 1 :] - pts[i]
+        dsec = second[i + 1 :] - second[i]
+        q_second = max(
+            q_second,
+            float(np.max(np.max(np.abs(dsec.reshape(len(gap), -1)), axis=1) / gap**rp.alpha)),
+        )
+        dw = rp.values[i + 1 :] - rp.values[i]
+        pred = np.einsum("ek,je->jk", second[i], dw)
+        rem = np.abs(first[i + 1 :] - first[i] - pred)
+        q_rem = max(q_rem, float(np.max(np.max(rem, axis=1) / gap ** (2 * rp.alpha))))
+    return q_second, q_rem
+
+
+def moment_bundle():
+    """d = m = n = 1, measure-dependent signal coefficient, diffusion on."""
+    return coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: 0.3 * np.tanh(x),
+        diffusion=lambda t, x, mu: 0.3 * np.ones((x.shape[0], 1, 1)),
+        rough=mean_coupled_sin_family(0.5, 0.4),
+    )
+
+
+def planar_bundle():
+    """d = m = n = 2, measure-free affine signal coefficient with a time control."""
+    A = np.array([[0.6, -0.2], [0.1, 0.5]])                      # (d, n)
+    B = 0.3 * np.array([[[0.4, -0.1], [0.2, 0.3]],
+                        [[-0.5, 0.2], [0.1, 0.6]]])              # (d, d, n)
+    C = 0.1 * np.array([[[0.3, -0.7], [0.5, 0.2]],
+                        [[-0.4, 0.1], [0.9, -0.2]]])             # (d, n, n)
+    S = np.array([[0.4, 0.1], [0.0, 0.3]])
+
+    def fun(t, x):
+        return A + np.einsum("ijk,aj->aik", B, x)
+
+    def dx_fun(t, x):
+        return np.broadcast_to(B, (x.shape[0],) + B.shape).copy()
+
+    def prime(t, x):
+        return np.broadcast_to(C, (x.shape[0],) + C.shape).copy()
+
+    return coefficient_set(
+        2, 2, 2,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: np.broadcast_to(S, (x.shape[0], 2, 2)).copy(),
+        rough=measure_free_family(2, 2, fun, dx_fun, prime),
+    )
+
+
+BUNDLES = {"moment": moment_bundle, "planar": planar_bundle}
+
+
+def bundle_runs(coeffs, levels=3, base_cells=4, particles=24, seed=5):
+    """Flows on dyadic refinements of one Brownian signal."""
+    fine = TimeGrid.uniform(1.0, base_cells * 2 ** (levels - 1))
+    fine_rp = brownian_lift(11, coeffs.driver_dim, fine, 8, alpha=0.45)
+    runs = []
+    for level in range(levels):
+        factor = 2 ** (levels - 1 - level)
+        grid = fine.coarsen(factor) if factor > 1 else fine
+        rp = restrict(fine_rp, grid) if factor > 1 else fine_rp
+        config = SimulationConfig(
+            particles, grid, seed, coeffs.dim, coeffs.brownian_dim, coeffs.driver_dim
+        )
+        flow, _ = simulate(config, coeffs, rp)
+        runs.append((flow, rp))
+    return runs
+
+
+def assert_same_scan(scan, ref):
+    assert scan.table == ref.table
+    assert scan.slopes == ref.slopes
+    assert scan.exact == ref.exact
+
+
+@pytest.mark.parametrize("bundle", sorted(BUNDLES))
+def test_scan_equals_per_cell_reference(bundle):
+    coeffs = BUNDLES[bundle]()
+    runs = bundle_runs(coeffs)
+    bank = default_bank(coeffs.dim)
+    assert_same_scan(residual_order_scan(runs, bank, coeffs), ref_residual_order_scan(runs, bank, coeffs))
+
+
+def test_scan_with_replicates_equals_per_cell_reference():
+    coeffs = moment_bundle()
+    runs = bundle_runs(coeffs)
+    replicates = [bundle_runs(coeffs, seed=s) for s in (6, 7)]
+    bank = default_bank(1)
+    scan = residual_order_scan(runs, bank, coeffs, replicates=replicates)
+    assert all(row[4] > 0 for row in scan.table)
+    assert_same_scan(scan, ref_residual_order_scan(runs, bank, coeffs, replicates=replicates))
+
+
+# block lengths relative to the particle count N: one node per block from
+# below and at N, and four nodes per block, which divides none of the 5, 9
+# and 17 node counts of the three levels
+@pytest.mark.parametrize("block", [lambda N: N - 1, lambda N: N, lambda N: 4 * N + 3],
+                         ids=["below", "exact", "ragged"])
+@pytest.mark.parametrize("bundle", sorted(BUNDLES))
+def test_node_block_length_changes_no_number(bundle, block, monkeypatch):
+    coeffs = BUNDLES[bundle]()
+    runs = bundle_runs(coeffs)
+    bank = default_bank(coeffs.dim)
+    ref = ref_residual_order_scan(runs, bank, coeffs)
+    flow, rp = runs[-1]
+    monkeypatch.setattr(weakcheck, "_BLOCK_POINTS", block(flow.num_particles))
+    assert_same_scan(residual_order_scan(runs, bank, coeffs), ref)
+    phi = bank[2]
+    assert controlled_pairing_check(flow, rp, phi, coeffs) == ref_controlled_pairing_check(
+        flow, rp, phi, coeffs
+    )
+
+
+@pytest.mark.parametrize("bundle", sorted(BUNDLES))
+def test_multi_cell_residual_equals_reference(bundle):
+    coeffs = BUNDLES[bundle]()
+    flow, rp = bundle_runs(coeffs)[-1]
+    pts = flow.grid.points
+    for phi in default_bank(coeffs.dim):
+        for i, j in [(0, pts.size - 1), (3, 11), (5, 6), (7, 7)]:
+            s, t = float(pts[i]), float(pts[j])
+            assert weak_residual(flow, rp, phi, coeffs, s, t) == ref_weak_residual(
+                flow, rp, phi, coeffs, s, t
+            )
+
+
+@pytest.mark.parametrize("bundle", sorted(BUNDLES))
+def test_controlled_pairing_check_equals_reference(bundle):
+    coeffs = BUNDLES[bundle]()
+    flow, rp = bundle_runs(coeffs)[-1]
+    for phi in default_bank(coeffs.dim):
+        assert controlled_pairing_check(flow, rp, phi, coeffs) == ref_controlled_pairing_check(
+            flow, rp, phi, coeffs
+        )
+
+
+@pytest.mark.parametrize("bundle", sorted(BUNDLES))
+def test_one_node_operators_equal_reference(bundle):
+    coeffs = BUNDLES[bundle]()
+    flow, _ = bundle_runs(coeffs, levels=1)[0]
+    mu, t = flow.measure(2), float(flow.grid.points[2])
+    n = coeffs.driver_dim
+    for phi in default_bank(coeffs.dim):
+        assert op_generator(mu, t, phi, coeffs) == ref_op_generator(mu, t, phi, coeffs)
+        for k in range(n):
+            assert op_rough(mu, t, phi, k, coeffs) == ref_op_rough(mu, t, phi, k, coeffs)
+            for l in range(n):
+                assert op_rough_second(mu, t, phi, k, l, coeffs) == ref_op_rough_second(
+                    mu, t, phi, k, l, coeffs
+                )
