@@ -11,20 +11,10 @@ import argparse
 
 import numpy as np
 
-from roughmkv.coefficients import coefficient_set, measure_free_family
+from roughmkv.coefficients import coefficient_set, linear_state_family
 from roughmkv.grids import TimeGrid
 from roughmkv.roughpath import brownian_lift, restrict
 from roughmkv.simulate import SimulationConfig, simulate
-
-
-def linear_signal(c):
-    def ev(t, x):
-        return c * x[:, :, None]
-
-    def dx(t, x):
-        return np.broadcast_to(c * np.eye(1)[:, :, None], (x.shape[0], 1, 1, 1)).copy()
-
-    return measure_free_family(1, 1, ev, dx)
 
 
 def main():
@@ -36,7 +26,7 @@ def main():
     args = ap.parse_args()
 
     cells = [16 * 2**l for l in range(args.levels)]
-    coeffs = coefficient_set(1, 1, 1, rough=linear_signal(1.0))
+    coeffs = coefficient_set(1, 1, 1, rough=linear_state_family(1.0, 1, 1))
     rel = np.empty((args.drivers, len(cells)))
     for s in range(args.drivers):
         fine = brownian_lift(

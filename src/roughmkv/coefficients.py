@@ -41,6 +41,7 @@ __all__ = [
     "coefficient_set",
     "measure_free_family",
     "constant_rough",
+    "linear_state_family",
     "moment_family",
     "moment_sin_family",
     "convolution_family",
@@ -213,6 +214,21 @@ def constant_rough(matrix: np.ndarray) -> RoughFamily:
 
     def dx_fun(t, x):
         return np.zeros((x.shape[0], d, d, n))
+
+    return measure_free_family(d, n, fun, dx_fun)
+
+
+def linear_state_family(c: float, d: int, n: int) -> RoughFamily:
+    """``f(x)^i_kap = c x_i`` when ``i == kap``, else 0: channel kap is driven
+    by state coordinate kap alone."""
+    sel = np.eye(d, n)
+    diag = np.eye(d)[:, :, None] * sel[None, :, :]   # (d, d, n) selector
+
+    def fun(t, x):
+        return c * x[:, :, None] * sel[None, :, :]
+
+    def dx_fun(t, x):
+        return np.broadcast_to(c * diag, (x.shape[0], d, d, n)).copy()
 
     return measure_free_family(d, n, fun, dx_fun)
 

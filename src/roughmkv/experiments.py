@@ -55,11 +55,11 @@ from .scenario import (
 from .simulate import (
     NumericalBlowup,
     SimulationConfig,
+    StepReport,
     coarsen_increments,
     controlled_diagnostics,
     idiosyncratic_increments,
     simulate,
-    step_davie,
 )
 from .weakcheck import default_bank, residual_order_scan, save_residual_csv
 
@@ -419,32 +419,25 @@ def _run_diagnostics(sc: Scenario, ctx: RunContext) -> int:
     rp = build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
     coeffs = build_coefficients(sc)
     config = _simulation_config(sc, grid, seed, sc.particles)
+    steps: list[StepReport] = []
     try:
-        flow, _ = simulate(config, coeffs, rp)
+        flow, _ = simulate(config, coeffs, rp, observer=steps.append)
     except NumericalBlowup as exc:
         return rep.finish(roughpath_checksum(rp), aborted_at=exc.time)
 
     save_flow_csv(flow, rep.path("flow.csv"), stamp=_stamp(ctx))
 
-    # per-step magnitude trace, replayed with reports switched on
-    from .simulate import initial_ensemble
-
-    ens = initial_ensemble(config)
+    # per-step magnitude trace, as observed during the run
     with open(rep.path("steps.csv"), "w", encoding="utf-8") as fh:
         _csv_header(fh, ctx)
         fh.write("t,drift,brownian,signal,area\n")
-        for k in range(grid.num_cells):
-            ens, step = step_davie(
-                ens, coeffs, rp, float(grid.points[k]), float(grid.points[k + 1]),
-                scheme=sc.scheme, want_report=True,
-            )
+        for step in steps:
             fh.write(
                 f"{step.time!r},{step.drift_part!r},{step.brownian_part!r},"
                 f"{step.signal_part!r},{step.area_part!r}\n"
             )
 
-    ctrl2 = controlled_diagnostics(flow, rp, coeffs, p=2)
-    ctrl4 = controlled_diagnostics(flow, rp, coeffs, p=4)
+    ctrl2, ctrl4 = controlled_diagnostics(flow, rp, coeffs, powers=(2, 4))
     dual_lip = flow_holder_diagnostic(flow, lip_const=1.0, alpha=rp.alpha)
     rows = [
         ("increment_quotient_p2", ctrl2.increment_quotient),

@@ -263,21 +263,22 @@ def save_flow_csv(flow: MeasureFlow, path: str, stamp: str | None = None) -> Non
     """Rows ``t, particle, x_1..x_d`` with repr-exact floats.
 
     The magic line carries ``driver=<checksum>`` when the flow has one, so a
-    reloaded flow can still be paired with a backward solution.
+    reloaded flow can still be paired with a backward solution.  Each grid
+    node is formatted and written as one block; ``tolist`` yields Python
+    floats, whose ``repr`` is the shortest round-tripping text.
     """
     d = flow.dim
     driver = "" if flow.driver_checksum is None else f" driver={flow.driver_checksum}"
+    idx = [str(i) for i in range(flow.num_particles)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_FLOW_MAGIC} dim={d} particles={flow.num_particles}{driver}\n")
         if stamp is not None:
             fh.write(f"# generated {stamp}\n")
         fh.write(",".join(["t", "particle"] + [f"x_{a + 1}" for a in range(d)]) + "\n")
-        for k, t in enumerate(flow.grid.points):
-            for i in range(flow.num_particles):
-                row = [repr(float(t)), str(i)] + [
-                    repr(float(v)) for v in flow.states[k, i]
-                ]
-                fh.write(",".join(row) + "\n")
+        for t, node in zip(flow.grid.points.tolist(), flow.states):
+            cols = [map(repr, col.tolist()) for col in node.T]
+            fh.write("\n".join(map(",".join, zip(itertools.repeat(repr(t)), idx, *cols))))
+            fh.write("\n")
 
 
 def load_flow_csv(path: str) -> MeasureFlow:

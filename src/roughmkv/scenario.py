@@ -29,6 +29,7 @@ from .coefficients import (
     coefficient_set,
     constant_rough,
     convolution_family,
+    linear_state_family,
     measure_free_family,
     moment_sin_family,
 )
@@ -414,17 +415,12 @@ def _rough_family(sc: Scenario) -> RoughFamily | None:
         return None
     if kind == "constant":
         return constant_rough(sc.rough[1] * np.eye(d, n))
-    if kind in ("linear_state", "sin_state"):
+    if kind == "linear_state":
+        return linear_state_family(sc.rough[1], d, n)
+    if kind == "sin_state":
         c = sc.rough[1]
         # channel kap is driven by state coordinate kap alone
         diag = np.eye(d)[:, :, None] * np.eye(d, n)[None, :, :]   # (d, d, n) selector
-
-        if kind == "linear_state":
-            fun = lambda t, x: c * x[:, :, None] * np.eye(d, n)[None, :, :]
-            dx_fun = lambda t, x: np.broadcast_to(
-                c * diag, (x.shape[0], d, d, n)
-            ).copy()
-            return measure_free_family(d, n, fun, dx_fun)
         fun = lambda t, x: c * np.sin(x)[:, :, None] * np.eye(d, n)[None, :, :]
         dx_fun = lambda t, x: c * np.cos(x)[:, :, None, None] * diag[None, :, :, :]
         return measure_free_family(d, n, fun, dx_fun)

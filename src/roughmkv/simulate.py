@@ -252,14 +252,17 @@ def simulate(
     coeffs: CoefficientSet,
     rp: GridRoughPath,
     brownian: np.ndarray | None = None,
+    observer: Callable[[StepReport], None] | None = None,
 ) -> tuple[MeasureFlow, np.ndarray]:
     """Run the scheme over the whole grid.
 
     Returns the measure flow and the raw trajectory block ``(K+1, N, d)``.
     Pass ``brownian`` to override the materialised private increments (the
     coupled-refinement experiments do, with sums of finer draws); shape must
-    be ``(N, K, m)``.  Raises ``NumericalBlowup`` at the first non-finite
-    state.
+    be ``(N, K, m)``.  With an ``observer``, every step computes its
+    ``StepReport`` and passes it to ``observer`` in grid order, before the
+    step's finiteness check, so the step that blew up is observed too.
+    Raises ``NumericalBlowup`` at the first non-finite state.
     """
     if rp.grid is not config.grid and not np.array_equal(
         rp.grid.points, config.grid.points
@@ -278,9 +281,12 @@ def simulate(
     history[0] = ens.states
     pts = config.grid.points
     for k in range(K):
-        ens, _ = step_davie(
-            ens, coeffs, rp, float(pts[k]), float(pts[k + 1]), scheme=config.scheme
+        ens, report = step_davie(
+            ens, coeffs, rp, float(pts[k]), float(pts[k + 1]), scheme=config.scheme,
+            want_report=observer is not None,
         )
+        if observer is not None:
+            observer(report)
         check_finite(ens.states, float(pts[k + 1]))
         history[k + 1] = ens.states
     flow = MeasureFlow(
@@ -306,8 +312,8 @@ def controlled_diagnostics(
     flow: MeasureFlow,
     rp: GridRoughPath,
     coeffs: CoefficientSet,
-    p: int = 2,
-) -> ControlledReport:
+    powers: tuple[int, ...] = (2,),
+) -> tuple[ControlledReport, ...]:
     """Estimate the two quotients behind the controlled-path ansatz.
 
     The candidate derivative of a trajectory at time ``s`` is the signal
@@ -315,9 +321,13 @@ def controlled_diagnostics(
     ``dX - f(s, X_s, mu_s) dW(s, t)``.  Its cross-particle average stands in
     for the conditional expectation given the shared signal; the quotient
     divides by ``|t-s|^(2 alpha)``.  Quadratic in the node count.
+
+    Returns one report per entry of ``powers`` (each 2 or 4), in that order;
+    one pass over the spans serves every power, and the remainder quotient,
+    which does not depend on the power, is shared.
     """
-    if p not in (2, 4):
-        raise ValueError(f"p must be 2 or 4, got {p}")
+    if not powers or any(p not in (2, 4) for p in powers):
+        raise ValueError(f"powers must be a non-empty tuple of 2 and 4, got {powers!r}")
     X = flow.states                                 # (K+1, N, d)
     pts = flow.grid.points
     K1 = pts.size
@@ -326,13 +336,16 @@ def controlled_diagnostics(
         mu = None if coeffs.measure_free else flow.measure(k)
         fvals[k] = coeffs.rough.eval(float(pts[k]), X[k], mu)
     w = rp.values
-    q_inc, q_rem = 0.0, 0.0
+    q_inc = [0.0] * len(powers)
+    q_rem = 0.0
     for i in range(K1 - 1):
         gap = pts[i + 1 :] - pts[i]
         dX = X[i + 1 :] - X[i]                      # (J, N, d)
         norms = np.linalg.norm(dX, axis=2)
-        lp = np.mean(norms**p, axis=1) ** (1.0 / p)
-        q_inc = max(q_inc, float(np.max(lp / gap**rp.alpha)))
+        gap_a = gap**rp.alpha
+        for j, p in enumerate(powers):
+            lp = np.mean(norms**p, axis=1) ** (1.0 / p)
+            q_inc[j] = max(q_inc[j], float(np.max(lp / gap_a)))
         dw = w[i + 1 :] - w[i]                      # (J, n)
         resid = dX - np.einsum("aik,jk->jai", fvals[i], dw)
         avg = resid.mean(axis=1)                    # (J, d)
@@ -340,4 +353,7 @@ def controlled_diagnostics(
             q_rem,
             float(np.max(np.linalg.norm(avg, axis=1) / gap ** (2 * rp.alpha))),
         )
-    return ControlledReport(increment_quotient=q_inc, remainder_quotient=q_rem, p=p)
+    return tuple(
+        ControlledReport(increment_quotient=q, remainder_quotient=q_rem, p=p)
+        for q, p in zip(q_inc, powers)
+    )

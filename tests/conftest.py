@@ -5,23 +5,14 @@ import numpy as np
 from roughmkv.coefficients import (
     CoefficientSet,
     coefficient_set,
-    measure_free_family,
+    linear_state_family,
     moment_family,
 )
 
 
 def linear_signal_family(c: float):
     """Measure-free one channel coefficient f(x) = c x in one dimension."""
-
-    def ev(t, x):
-        return c * x[:, :, None]
-
-    def dx(t, x):
-        return np.broadcast_to(
-            c * np.eye(1)[:, :, None], (x.shape[0], 1, 1, 1)
-        ).copy()
-
-    return measure_free_family(1, 1, ev, dx)
+    return linear_state_family(c, 1, 1)
 
 
 def mean_coupled_sin_family(a: float, b: float):

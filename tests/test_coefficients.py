@@ -15,6 +15,7 @@ from roughmkv.coefficients import (
     diffusion_square,
     lions_fd_check,
     lions_taylor_remainder,
+    linear_state_family,
     measure_free_family,
     moment_family,
 )
@@ -212,3 +213,32 @@ def test_zero_family_and_defaults():
     assert np.all(cs.diffusion(0.0, x, None) == 0.0)
     assert np.all(cs.rough.eval(0.0, x, None) == 0.0)
     assert cs.measure_free
+
+
+def test_linear_state_family_equals_the_one_dimensional_hand_written_family():
+    c = 0.7
+
+    def ev(t, x):
+        return c * x[:, :, None]
+
+    def dx(t, x):
+        return np.broadcast_to(c * np.eye(1)[:, :, None], (x.shape[0], 1, 1, 1)).copy()
+
+    fam = linear_state_family(c, 1, 1)
+    x = np.array([[-0.0], [5e-324], [0.1 + 0.2], [-3.5], [1e300]])
+    assert np.array_equal(fam.eval(0.0, x, None), ev(0.0, x))
+    assert np.array_equal(fam.dx(0.0, x, None), dx(0.0, x))
+    assert fam.measure_free
+
+
+def test_linear_state_family_drives_channel_kap_by_coordinate_kap():
+    fam = linear_state_family(2.0, 3, 2)
+    x = np.array([[1.0, -2.0, 5.0]])
+    expect = np.array([[[2.0, 0.0], [0.0, -4.0], [0.0, 0.0]]])
+    assert np.array_equal(fam.eval(0.0, x, None), expect)
+    jac = fam.dx(0.0, x, None)
+    assert jac.shape == (1, 3, 3, 2)
+    for i in range(3):
+        for j in range(3):
+            for k in range(2):
+                assert jac[0, i, j, k] == (2.0 if i == j == k else 0.0)

@@ -217,3 +217,45 @@ def test_flow_csv_without_driver_token_loads(tmp_path):
     back = load_flow_csv(path)
     assert back.driver_checksum is None
     assert np.array_equal(back.states, flow.states)
+
+
+def ref_save_flow_csv(flow, path, stamp=None):
+    """The per-row writer the bulk writer replaced; kept as a byte reference."""
+    d = flow.dim
+    driver = "" if flow.driver_checksum is None else f" driver={flow.driver_checksum}"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# roughmkv-flow v1 dim={d} particles={flow.num_particles}{driver}\n")
+        if stamp is not None:
+            fh.write(f"# generated {stamp}\n")
+        fh.write(",".join(["t", "particle"] + [f"x_{a + 1}" for a in range(d)]) + "\n")
+        for k, t in enumerate(flow.grid.points):
+            for i in range(flow.num_particles):
+                row = [repr(float(t)), str(i)] + [
+                    repr(float(v)) for v in flow.states[k, i]
+                ]
+                fh.write(",".join(row) + "\n")
+
+
+def awkward_flow(d: int, n: int, driver: str | None) -> MeasureFlow:
+    """A flow whose states include -0.0, subnormals, huge and inexact values."""
+    rng = np.random.default_rng(17 + d + n)
+    grid = TimeGrid(np.array([0.0, 0.1, 0.1 + 0.2, 1.0 / 3.0, 1.0]))
+    states = rng.standard_normal((grid.num_cells + 1, n, d))
+    special = np.array([-0.0, 5e-324, -2.2250738585072014e-309, 1e300, 0.1 + 0.2, 1.0])
+    flat = states.reshape(-1)
+    flat[: min(special.size, flat.size)] = special[: flat.size]
+    return MeasureFlow(grid=grid, states=states, driver_checksum=driver)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 9), (2, 1), (2, 7)])
+@pytest.mark.parametrize("driver", [None, "0123abcd"])
+@pytest.mark.parametrize("stamp", [None, "2026-01-01T00:00:00+00:00"])
+def test_flow_csv_bytes_equal_per_row_reference(tmp_path, d, n, driver, stamp):
+    flow = awkward_flow(d, n, driver)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_flow_csv(flow, str(new), stamp=stamp)
+    ref_save_flow_csv(flow, str(ref), stamp=stamp)
+    assert new.read_text(encoding="utf-8") == ref.read_text(encoding="utf-8")
+    back = load_flow_csv(str(new))
+    assert np.array_equal(back.states, flow.states)
+    assert np.array_equal(np.signbit(back.states), np.signbit(flow.states))

@@ -283,13 +283,13 @@ def test_controlled_quotients_for_constant_coefficient():
     cfg = make_config(n=6, cells=10, seed=12)
     rp = brownian_lift(6, 1, cfg.grid, 8)
     flow, _ = simulate(cfg, cs, rp)
-    rep = controlled_diagnostics(flow, rp, cs, p=2)
+    (rep,) = controlled_diagnostics(flow, rp, cs, powers=(2,))
     assert rep.remainder_quotient <= 1e-12  # increments are exactly c dW
     span = rp.grid.points[-1] - rp.grid.points[0]
     dw_full = abs(rp.values[-1, 0] - rp.values[0, 0])
     assert rep.increment_quotient >= c * dw_full / span**rp.alpha - 1e-12
     with pytest.raises(ValueError):
-        controlled_diagnostics(flow, rp, cs, p=3)
+        controlled_diagnostics(flow, rp, cs, powers=(3,))
 
 
 def test_controlled_quotients_track_moments():
@@ -297,7 +297,100 @@ def test_controlled_quotients_track_moments():
     cfg = make_config(n=64, cells=16, seed=5)
     rp = brownian_lift(9, 1, cfg.grid, 4)
     flow, _ = simulate(cfg, cs, rp)
-    r2 = controlled_diagnostics(flow, rp, cs, p=2)
-    r4 = controlled_diagnostics(flow, rp, cs, p=4)
+    r2, r4 = controlled_diagnostics(flow, rp, cs, powers=(2, 4))
     assert np.isfinite(r2.increment_quotient) and np.isfinite(r4.increment_quotient)
     assert r4.increment_quotient >= r2.increment_quotient  # moment monotonicity
+
+
+def ref_controlled_diagnostics(flow, rp, coeffs, p=2):
+    """The one-power diagnostics the shared span loop replaced; a reference."""
+    X = flow.states
+    pts = flow.grid.points
+    K1 = pts.size
+    fvals = np.empty(X.shape[:2] + (coeffs.dim, coeffs.driver_dim))
+    for k in range(K1):
+        mu = None if coeffs.measure_free else flow.measure(k)
+        fvals[k] = coeffs.rough.eval(float(pts[k]), X[k], mu)
+    w = rp.values
+    q_inc, q_rem = 0.0, 0.0
+    for i in range(K1 - 1):
+        gap = pts[i + 1 :] - pts[i]
+        dX = X[i + 1 :] - X[i]
+        norms = np.linalg.norm(dX, axis=2)
+        lp = np.mean(norms**p, axis=1) ** (1.0 / p)
+        q_inc = max(q_inc, float(np.max(lp / gap**rp.alpha)))
+        dw = w[i + 1 :] - w[i]
+        resid = dX - np.einsum("aik,jk->jai", fvals[i], dw)
+        avg = resid.mean(axis=1)
+        q_rem = max(
+            q_rem,
+            float(np.max(np.linalg.norm(avg, axis=1) / gap ** (2 * rp.alpha))),
+        )
+    return q_inc, q_rem
+
+
+def test_one_call_controlled_diagnostics_equal_two_reference_calls():
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: 0.4 * np.ones((x.shape[0], 1, 1)),
+        rough=mean_coupled_sin_family(0.5, 0.4),
+    )
+    cfg = make_config(n=40, cells=12, seed=8)
+    rp = brownian_lift(21, 1, cfg.grid, 4)
+    flow, _ = simulate(cfg, cs, rp)
+    r2, r4 = controlled_diagnostics(flow, rp, cs, powers=(2, 4))
+    assert (r2.p, r4.p) == (2, 4)
+    assert (r2.increment_quotient, r2.remainder_quotient) == ref_controlled_diagnostics(
+        flow, rp, cs, p=2
+    )
+    assert (r4.increment_quotient, r4.remainder_quotient) == ref_controlled_diagnostics(
+        flow, rp, cs, p=4
+    )
+    (only4,) = controlled_diagnostics(flow, rp, cs, powers=(4,))
+    assert only4 == r4
+    with pytest.raises(ValueError):
+        controlled_diagnostics(flow, rp, cs, powers=())
+    with pytest.raises(ValueError):
+        controlled_diagnostics(flow, rp, cs, powers=(2, 3))
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
+def test_observer_sees_the_reports_of_a_step_davie_replay(scheme):
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.2 * x,
+        diffusion=lambda t, x, mu: 0.3 * np.ones((x.shape[0], 1, 1)),
+        rough=mean_coupled_sin_family(0.6, 0.3),
+    )
+    cfg = make_config(n=25, cells=9, seed=4, scheme=scheme)
+    rp = brownian_lift(13, 1, cfg.grid, 4)
+    plain, hist_plain = simulate(cfg, cs, rp)
+    reports = []
+    observed, hist_obs = simulate(cfg, cs, rp, observer=reports.append)
+    assert np.array_equal(observed.states, plain.states)
+    assert np.array_equal(hist_obs, hist_plain)
+    assert observed.driver_checksum == plain.driver_checksum
+
+    ens = initial_ensemble(cfg)
+    replay = []
+    pts = cfg.grid.points
+    for k in range(cfg.grid.num_cells):
+        ens, rep = step_davie(
+            ens, cs, rp, float(pts[k]), float(pts[k + 1]), scheme=scheme, want_report=True
+        )
+        replay.append(rep)
+    assert len(reports) == cfg.grid.num_cells
+    assert reports == replay
+
+
+def test_observer_sees_the_step_that_blew_up():
+    cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e8 * x**3)
+    cfg = make_config(n=4, cells=16, initial_sampler=lambda r, m: np.ones((m, 1)))
+    rp = brownian_lift(1, 1, cfg.grid, 2)
+    reports = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBlowup) as exc:
+            simulate(cfg, cs, rp, observer=reports.append)
+    assert reports and not np.isfinite(reports[-1].drift_part)
+    assert exc.value.time == float(cfg.grid.points[len(reports)])
