@@ -42,6 +42,9 @@ __all__ = [
 # depend on it.
 _BLOCK_ROWS = 16384
 
+_LATTICE_TAIL = 1e-4
+_LATTICE_PAD_SIGMAS = 4.0
+
 
 @dataclass(frozen=True, eq=False)
 class BackwardSolution:
@@ -89,12 +92,7 @@ class DualityReport:
     drift: float
 
 
-def lattice_from_flow(
-    flow: MeasureFlow,
-    points_per_dim: int,
-    pad_sigmas: float = 4.0,
-    tail: float = 1e-4,
-) -> tuple[np.ndarray, ...]:
+def lattice_from_flow(flow: MeasureFlow, points_per_dim: int) -> tuple[np.ndarray, ...]:
     """Axes spanning the flow's quantile envelope, padded by whole stds.
 
     The padding keeps interpolation local for lattice-free particles in the
@@ -105,8 +103,8 @@ def lattice_from_flow(
     axes = []
     for j in range(flow.dim):
         coord = flow.states[:, :, j].ravel()
-        lo, hi = np.quantile(coord, [tail, 1.0 - tail])
-        pad = pad_sigmas * float(np.std(coord))
+        lo, hi = np.quantile(coord, [_LATTICE_TAIL, 1.0 - _LATTICE_TAIL])
+        pad = _LATTICE_PAD_SIGMAS * float(np.std(coord))
         if hi - lo + 2 * pad <= 0:
             pad = max(pad, 1.0)
         axes.append(np.linspace(lo - pad, hi + pad, points_per_dim))
@@ -188,17 +186,13 @@ def solve_backward_fk(
     )
 
 
-def duality_drift(
-    flow: MeasureFlow, solution: BackwardSolution, interpolation: str = "cubic"
-) -> DualityReport:
+def duality_drift(flow: MeasureFlow, solution: BackwardSolution) -> DualityReport:
     """Drift of ``<mu_t, u_t>`` along the shared time points.
 
     Both inputs must have been produced against the same signal; the stored
     checksums are compared and a mismatch is an error, because a constant
     pairing is only meaningful under one common signal realisation.
     """
-    if interpolation != "cubic":
-        raise ValueError(f"unknown interpolation {interpolation!r}")
     if flow.driver_checksum is None or solution.driver_checksum != flow.driver_checksum:
         raise ValueError("flow and backward solution were driven by different signals")
     pairings = np.empty(solution.times.size)

@@ -153,6 +153,8 @@ def _zeros_like_lions(dim: int, channels: int) -> Callable:
 
 
 def _zeros_like_mixing(dim: int, channels: int) -> Callable:
+    """The zero ``(A, d, n, n)`` tensor; also the zero time-control ``prime``."""
+
     def mixing(t, x, mu):
         return np.zeros((_as_batch(x).shape[0], dim, channels, channels))
 
@@ -175,8 +177,7 @@ def measure_free_family(
         return dx_fun(t, _as_batch(x))
 
     if prime is None:
-        def prime_(t, x, mu):
-            return np.zeros((_as_batch(x).shape[0], dim, channels, channels))
+        prime_ = _zeros_like_mixing(dim, channels)
     else:
         def prime_(t, x, mu):
             return prime(t, _as_batch(x))
@@ -268,8 +269,7 @@ def moment_family(
         return np.einsum("aijl,jk->aikl", grad, fbar)
 
     if prime is None:
-        def prime_(t, x, mu):
-            return np.zeros((_as_batch(x).shape[0], dim, channels, channels))
+        prime_ = _zeros_like_mixing(dim, channels)
     else:
         def prime_(t, x, mu):
             return prime(t, _as_batch(x), mu.mean())
@@ -343,8 +343,7 @@ def convolution_family(
         return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
 
     if g_prime is None:
-        def prime_(t, x, mu):
-            return np.zeros((_as_batch(x).shape[0], dim, channels, channels))
+        prime_ = _zeros_like_mixing(dim, channels)
     else:
         def prime_(t, x, mu):
             xa, yb = _pair(x, mu.points)

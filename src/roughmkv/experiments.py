@@ -34,6 +34,7 @@ from .measures import (
     wasserstein2_exact_small,
 )
 from .roughpath import (
+    GridRoughPath,
     chen_residual,
     holder_norms,
     ito_from_stratonovich,
@@ -94,6 +95,11 @@ def _effective_seed(sc: Scenario, ctx: RunContext) -> int:
     return sc.seed if ctx.seed_override is None else int(ctx.seed_override)
 
 
+def _driver(sc: Scenario, grid: TimeGrid, seed: int) -> GridRoughPath:
+    """The scenario's signal on ``grid``, its seed mixed with the run seed."""
+    return build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
+
+
 class _Report:
     """Accumulates invariants and artifact names for summary.json."""
 
@@ -140,7 +146,7 @@ class _Report:
         if aborted_at is not None:
             summary["aborted_at"] = aborted_at
         if self.ctx.timestamp:
-            summary["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            summary["generated"] = _stamp(self.ctx)
         with open(os.path.join(self.ctx.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -185,7 +191,7 @@ def _run_lift_checks(sc: Scenario, ctx: RunContext) -> int:
     rep = _Report(sc, ctx)
     seed = _effective_seed(sc, ctx)
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
+    rp = _driver(sc, grid, seed)
 
     # deterministic triple sample across the grid
     rng = np.random.default_rng(_derive_seed(seed, 7))
@@ -245,7 +251,7 @@ def _coupled_runs(sc: Scenario, seed: int, base_cells: int):
     """
     finest_factor = 2 ** (sc.levels - 1)
     fine_grid = TimeGrid.uniform(sc.horizon, base_cells * finest_factor)
-    fine_rp = build_driver(sc, fine_grid, driver_seed=_derive_seed(seed, sc.driver_seed))
+    fine_rp = _driver(sc, fine_grid, seed)
     coeffs = build_coefficients(sc)
     fine_incs = idiosyncratic_increments(
         seed, sc.particles, fine_grid, sc.brownian_dim
@@ -298,7 +304,7 @@ def _run_chaos_scan(sc: Scenario, ctx: RunContext) -> int:
     rep = _Report(sc, ctx)
     seed = _effective_seed(sc, ctx)
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
+    rp = _driver(sc, grid, seed)
     coeffs = build_coefficients(sc)
 
     def one_run(count: int, copy: int):
@@ -362,7 +368,7 @@ def _run_duality(sc: Scenario, ctx: RunContext) -> int:
     rep = _Report(sc, ctx)
     seed = _effective_seed(sc, ctx)
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
+    rp = _driver(sc, grid, seed)
     coeffs = build_coefficients(sc)
     config = _simulation_config(sc, grid, seed, sc.particles)
     try:
@@ -416,7 +422,7 @@ def _run_diagnostics(sc: Scenario, ctx: RunContext) -> int:
     rep = _Report(sc, ctx)
     seed = _effective_seed(sc, ctx)
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
+    rp = _driver(sc, grid, seed)
     coeffs = build_coefficients(sc)
     config = _simulation_config(sc, grid, seed, sc.particles)
     steps: list[StepReport] = []

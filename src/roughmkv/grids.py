@@ -11,10 +11,11 @@ without worrying about the last ulp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["TimeGrid"]
+__all__ = ["TimeGrid", "span_sup"]
 
 # Absolute slack used when matching a float time to a grid node.  Generous
 # enough to survive text round trips, far below any sane grid spacing.
@@ -97,6 +98,11 @@ class TimeGrid:
             raise ValueError(f"need s <= t, got s={s!r} > t={t!r}")
         return i, j
 
+    def spans(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Each start node ``i < K`` with the widths ``t[i+1:] - t[i]`` of its spans."""
+        for i in range(self.num_cells):
+            yield i, self.points[i + 1 :] - self.points[i]
+
     # -- refinement --------------------------------------------------------
 
     def refine(self, factor: int) -> "TimeGrid":
@@ -128,3 +134,17 @@ class TimeGrid:
         except ValueError:
             return False
         return True
+
+
+def span_sup(rows: Iterable[Sequence[np.ndarray]]) -> tuple[float, ...]:
+    """Column-wise sup of per-start-node quotient rows over all spans ``i < j``.
+
+    Each row holds one array of the caller's quotients per column.  Pass a
+    generator: its frame keeps a row's temporaries alive until the next row,
+    which measured faster than a per-row callback that frees them on return.
+    The fold starts at 0 with ``np.maximum``, so a NaN makes its column NaN.
+    """
+    sup = 0.0
+    for row in rows:
+        sup = np.maximum(sup, [np.max(q) for q in row])
+    return tuple(sup.tolist())

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .grids import TimeGrid
+from .grids import TimeGrid, span_sup
 
 __all__ = [
     "EmpiricalMeasure",
@@ -37,6 +37,7 @@ __all__ = [
 
 _EXACT_W2_MAX = 512
 _BRUTE_MAX = 8
+_BANK_MAX_FREQUENCY = 3
 
 
 def symmetric_mean(a: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -185,7 +186,7 @@ def wasserstein2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float
 
 
 def lipschitz_bank(
-    lip_const: float, dim: int, max_frequency: int = 3
+    lip_const: float, dim: int
 ) -> list[tuple[str, Callable[[np.ndarray], np.ndarray]]]:
     """Deterministic bank of test functions with Lipschitz constant <= R.
 
@@ -197,7 +198,7 @@ def lipschitz_bank(
     R = float(lip_const)
     bank: list[tuple[str, Callable]] = []
     for axis in range(dim):
-        for freq in range(1, max_frequency + 1):
+        for freq in range(1, _BANK_MAX_FREQUENCY + 1):
             for shift, tag in ((0.0, "sin"), (0.5 * np.pi, "cos")):
                 k = np.zeros(dim)
                 k[axis] = freq
@@ -225,17 +226,12 @@ def flow_holder_diagnostic(
     Lipschitz metric.
     """
     bank = lipschitz_bank(lip_const, flow.dim)
-    pts = flow.grid.points
-    K1 = pts.size
-    vals = np.empty((len(bank), K1))
-    for b, (_, phi) in enumerate(bank):
-        for k in range(K1):
-            vals[b, k] = pairing(flow.measure(k), phi)
-    worst = 0.0
-    for i in range(K1 - 1):
-        gap = (pts[i + 1 :] - pts[i]) ** alpha
-        diffs = np.abs(vals[:, i + 1 :] - vals[:, i : i + 1])
-        worst = max(worst, float(np.max(diffs / gap[None, :])))
+    vals = np.array([[pairing(flow.measure(k), phi) for k in range(len(flow.grid))]
+                     for _, phi in bank])
+    (worst,) = span_sup(
+        (np.abs(vals[:, i + 1 :] - vals[:, i : i + 1]) / gap[None, :] ** alpha,)
+        for i, gap in flow.grid.spans()
+    )
     return worst
 
 
@@ -243,13 +239,12 @@ def flow_w2_holder(flow: MeasureFlow, alpha: float) -> float:
     """sup over grid spans of ``W2(mu_s, mu_t) / |t-s|^a`` (d=1 flows)."""
     if flow.dim != 1:
         raise ValueError("transport-quotient diagnostic implemented for d=1")
-    pts = flow.grid.points
     sorted_states = np.sort(flow.states[:, :, 0], axis=1)    # (K+1, N)
-    worst = 0.0
-    for i in range(pts.size - 1):
-        gap = (pts[i + 1 :] - pts[i]) ** alpha
-        d = np.sqrt(np.mean((sorted_states[i + 1 :] - sorted_states[i]) ** 2, axis=1))
-        worst = max(worst, float(np.max(d / gap)))
+    (worst,) = span_sup(
+        (np.sqrt(np.mean((sorted_states[i + 1 :] - sorted_states[i]) ** 2, axis=1))
+         / gap**alpha,)
+        for i, gap in flow.grid.spans()
+    )
     return worst
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import TimeGrid
+from .grids import TimeGrid, span_sup
 from .streams import TAG_DRIVER, substream
 
 __all__ = [
@@ -257,18 +257,15 @@ def holder_norms(rp: GridRoughPath) -> tuple[float, float]:
     Euclidean norm on the first level, Frobenius on the second.  Quadratic in
     the node count; meant for grids up to a few thousand nodes.
     """
-    pts = rp.grid.points
-    P = pts.size
-    w0 = rp.values - rp.values[0]
-    q1 = 0.0
-    q2 = 0.0
-    for i in range(P - 1):
-        gap = (pts[i + 1 :] - pts[i]) ** rp.alpha                    # (P-i-1,)
-        dv = rp.values[i + 1 :] - rp.values[i]
-        q1 = max(q1, float(np.max(np.linalg.norm(dv, axis=1) / gap)))
-        ww = rp._prefix[i + 1 :] - rp._prefix[i] - _outer(w0[i], dv)
-        q2 = max(q2, float(np.max(np.linalg.norm(ww, axis=(1, 2)) / gap**2)))
-    return q1, q2
+
+    def rows():
+        for i, gap in rp.grid.spans():
+            gap = gap**rp.alpha
+            dv = rp.values[i + 1 :] - rp.values[i]
+            ww = rp._prefix[i + 1 :] - rp._prefix[i] - _outer(rp.values[i] - rp.values[0], dv)
+            yield np.linalg.norm(dv, axis=1) / gap, np.linalg.norm(ww, axis=(1, 2)) / gap**2
+
+    return span_sup(rows())
 
 
 # ---------------------------------------------------------------------------

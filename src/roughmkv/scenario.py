@@ -34,7 +34,7 @@ from .coefficients import (
     moment_sin_family,
 )
 from .grids import TimeGrid
-from .roughpath import GridRoughPath, brownian_lift, lift_piecewise_linear
+from .roughpath import GridRoughPath, brownian_lift, ito_from_stratonovich, lift_piecewise_linear
 
 __all__ = [
     "EXPERIMENTS",
@@ -377,8 +377,6 @@ def build_driver(
         )
     rp = lift_piecewise_linear(grid, samples, alpha=sc.alpha)
     if sc.convention == "ito":
-        from .roughpath import ito_from_stratonovich
-
         rp = ito_from_stratonovich(rp)
     return rp
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CoefficientSet, area_coefficient
-from .grids import TimeGrid
+from .grids import TimeGrid, span_sup
 from .measures import EmpiricalMeasure, MeasureFlow
 from .roughpath import GridRoughPath, roughpath_checksum
 from .streams import TAG_INITIAL, TAG_PARTICLE, normal_rows, substream
@@ -330,29 +330,23 @@ def controlled_diagnostics(
         raise ValueError(f"powers must be a non-empty tuple of 2 and 4, got {powers!r}")
     X = flow.states                                 # (K+1, N, d)
     pts = flow.grid.points
-    K1 = pts.size
     fvals = np.empty(X.shape[:2] + (coeffs.dim, coeffs.driver_dim))
-    for k in range(K1):
+    for k in range(pts.size):
         mu = None if coeffs.measure_free else flow.measure(k)
         fvals[k] = coeffs.rough.eval(float(pts[k]), X[k], mu)
-    w = rp.values
-    q_inc = [0.0] * len(powers)
-    q_rem = 0.0
-    for i in range(K1 - 1):
-        gap = pts[i + 1 :] - pts[i]
-        dX = X[i + 1 :] - X[i]                      # (J, N, d)
-        norms = np.linalg.norm(dX, axis=2)
-        gap_a = gap**rp.alpha
-        for j, p in enumerate(powers):
-            lp = np.mean(norms**p, axis=1) ** (1.0 / p)
-            q_inc[j] = max(q_inc[j], float(np.max(lp / gap_a)))
-        dw = w[i + 1 :] - w[i]                      # (J, n)
-        resid = dX - np.einsum("aik,jk->jai", fvals[i], dw)
-        avg = resid.mean(axis=1)                    # (J, d)
-        q_rem = max(
-            q_rem,
-            float(np.max(np.linalg.norm(avg, axis=1) / gap ** (2 * rp.alpha))),
-        )
+
+    def rows():
+        for i, gap in flow.grid.spans():
+            dX = X[i + 1 :] - X[i]                      # (J, N, d)
+            norms = np.linalg.norm(dX, axis=2)
+            gap_a = gap**rp.alpha
+            inc = [np.mean(norms**p, axis=1) ** (1.0 / p) / gap_a for p in powers]
+            dw = rp.values[i + 1 :] - rp.values[i]      # (J, n)
+            resid = dX - np.einsum("aik,jk->jai", fvals[i], dw)
+            avg = resid.mean(axis=1)                    # (J, d)
+            yield *inc, np.linalg.norm(avg, axis=1) / gap ** (2 * rp.alpha)
+
+    *q_inc, q_rem = span_sup(rows())
     return tuple(
         ControlledReport(increment_quotient=q, remainder_quotient=q_rem, p=p)
         for q, p in zip(q_inc, powers)

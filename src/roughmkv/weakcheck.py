@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet, area_coefficient, diffusion_square
+from .grids import span_sup
 from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath
 
@@ -508,25 +509,19 @@ def controlled_pairing_check(
     pairing.  Both finite means the flow carries the controlled structure the
     expansion assumes.
     """
-    pts = flow.grid.points
-    K1 = pts.size
-    curves = _node_curves(pts, flow.states, [phi], coeffs)
+    curves = _node_curves(flow.grid.points, flow.states, [phi], coeffs)
     first, second = curves.first[0], curves.second[0]
-    q_second = 0.0
-    q_rem = 0.0
-    for i in range(K1 - 1):
-        gap = pts[i + 1 :] - pts[i]
-        dsec = second[i + 1 :] - second[i]
-        q_second = max(
-            q_second,
-            float(np.max(np.max(np.abs(dsec.reshape(len(gap), -1)), axis=1) / gap**rp.alpha)),
-        )
-        dw = rp.values[i + 1 :] - rp.values[i]             # (J, n)
-        # predicted response of the first-order pairing along channel kap is
-        # sum_eta second[eta, kap] dW^eta
-        pred = np.einsum("ek,je->jk", second[i], dw)
-        rem = np.abs(first[i + 1 :] - first[i] - pred)
-        q_rem = max(
-            q_rem, float(np.max(np.max(rem, axis=1) / gap ** (2 * rp.alpha)))
-        )
-    return q_second, q_rem
+
+    def rows():
+        for i, gap in flow.grid.spans():
+            dsec = second[i + 1 :] - second[i]
+            # predicted response of the first-order pairing along channel kap
+            # is sum_eta second[eta, kap] dW^eta
+            pred = np.einsum("ek,je->jk", second[i], rp.values[i + 1 :] - rp.values[i])
+            rem = np.abs(first[i + 1 :] - first[i] - pred)
+            yield (
+                np.max(np.abs(dsec.reshape(len(gap), -1)), axis=1) / gap**rp.alpha,
+                np.max(rem, axis=1) / gap ** (2 * rp.alpha),
+            )
+
+    return span_sup(rows())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughmkv.grids import TimeGrid
+from roughmkv.grids import TimeGrid, span_sup
 
 
 def test_uniform_layout():
@@ -81,3 +81,21 @@ def test_refine_coarsen_round_trip_property(cells, horizon, factor):
     assert np.array_equal(g.refine(factor).coarsen(factor).points, g.points)
     for k in range(cells + 1):
         assert g.index_of(float(g.points[k])) == k
+
+
+def test_spans_enumerate_every_pair_once():
+    g = TimeGrid(np.array([0.0, 0.5, 0.6, 2.0]))
+    seen = [(i, i + 1 + k, w) for i, gap in g.spans() for k, w in enumerate(gap)]
+    assert [(i, j) for i, j, _ in seen] == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    assert all(w == g.points[j] - g.points[i] for i, j, w in seen)
+
+
+def test_span_sup_folds_each_column_and_keeps_nan():
+    rows = [
+        (np.array([1.0, 3.0]), np.array([[0.5], [0.25]])),
+        (np.array([2.0]), np.array([[np.nan]])),
+        (np.array([0.0]), np.array([[7.0]])),
+    ]
+    q0, q1 = span_sup(iter(rows))
+    assert q0 == 3.0 and type(q0) is float
+    assert np.isnan(q1)  # a later, larger row does not replace the NaN

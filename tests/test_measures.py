@@ -183,6 +183,66 @@ def test_flow_regularity_quotients_are_finite_and_scale():
     assert np.isfinite(lower) and lower <= q * (1 + 1e-9)
 
 
+def ref_flow_holder_diagnostic(flow, lip_const, alpha):
+    """The hand-written span loop ``span_sup`` replaced; a reference."""
+    bank = lipschitz_bank(lip_const, flow.dim)
+    pts = flow.grid.points
+    K1 = pts.size
+    vals = np.empty((len(bank), K1))
+    for b, (_, phi) in enumerate(bank):
+        for k in range(K1):
+            vals[b, k] = pairing(flow.measure(k), phi)
+    worst = 0.0
+    for i in range(K1 - 1):
+        gap = (pts[i + 1 :] - pts[i]) ** alpha
+        diffs = np.abs(vals[:, i + 1 :] - vals[:, i : i + 1])
+        worst = max(worst, float(np.max(diffs / gap[None, :])))
+    return worst
+
+
+def ref_flow_w2_holder(flow, alpha):
+    """The hand-written span loop ``span_sup`` replaced; a reference."""
+    pts = flow.grid.points
+    sorted_states = np.sort(flow.states[:, :, 0], axis=1)
+    worst = 0.0
+    for i in range(pts.size - 1):
+        gap = (pts[i + 1 :] - pts[i]) ** alpha
+        d = np.sqrt(np.mean((sorted_states[i + 1 :] - sorted_states[i]) ** 2, axis=1))
+        worst = max(worst, float(np.max(d / gap)))
+    return worst
+
+
+SPAN_GRIDS = {
+    "uniform": TimeGrid.uniform(1.0, 9),
+    "nonuniform": TimeGrid(np.concatenate([[0.0], np.cumsum([0.3, 0.01, 0.2, 0.07, 0.4, 0.05])])),
+    "one_cell": TimeGrid.uniform(0.7, 1),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SPAN_GRIDS))
+@pytest.mark.parametrize("d", [1, 2])
+def test_flow_quotients_equal_span_loop_reference(grid, d):
+    grid = SPAN_GRIDS[grid]
+    rng = np.random.default_rng(31 + d)
+    states = np.cumsum(rng.standard_normal((len(grid), 13, d)), axis=0)
+    flow = MeasureFlow(grid=grid, states=states, driver_checksum="test")
+    assert flow_holder_diagnostic(flow, 1.3, 0.45) == ref_flow_holder_diagnostic(flow, 1.3, 0.45)
+    if d == 1:
+        assert flow_w2_holder(flow, 0.45) == ref_flow_w2_holder(flow, 0.45)
+
+
+def test_w2_quotient_of_a_flow_with_a_nan_state_is_nan(tmp_path):
+    # a NaN read back from a flow file reaches every span that starts at its
+    # node; the quotient must not fall back to the spans that avoid it
+    flow = little_flow()
+    states = flow.states.copy()
+    states[0, 0, 0] = np.nan
+    path = str(tmp_path / "flow.csv")
+    save_flow_csv(MeasureFlow(grid=flow.grid, states=states, driver_checksum="test"), path)
+    assert np.isfinite(flow_w2_holder(flow, 0.45))
+    assert np.isnan(flow_w2_holder(load_flow_csv(path), 0.45))
+
+
 def test_dual_lipschitz_quotient_stable_under_refinement():
     # same trajectories sampled twice as finely: the probe quotient moves
     # but stays within a factor comparable to the added resolution

@@ -184,6 +184,41 @@ def test_dilation_scales_levels_homogeneously(seed, lam):
     assert np.isclose(s2, lam**2 * n2, rtol=1e-9)
 
 
+def ref_holder_norms(rp):
+    """The hand-written span loop ``span_sup`` replaced; a reference."""
+    pts = rp.grid.points
+    w0 = rp.values - rp.values[0]
+    q1 = 0.0
+    q2 = 0.0
+    for i in range(pts.size - 1):
+        gap = (pts[i + 1 :] - pts[i]) ** rp.alpha
+        dv = rp.values[i + 1 :] - rp.values[i]
+        q1 = max(q1, float(np.max(np.linalg.norm(dv, axis=1) / gap)))
+        ww = rp._prefix[i + 1 :] - rp._prefix[i] - np.einsum("a,jb->jab", w0[i], dv)
+        q2 = max(q2, float(np.max(np.linalg.norm(ww, axis=(1, 2)) / gap**2)))
+    return q1, q2
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.linspace(0.0, 1.0, 17),
+        np.concatenate([[0.0], np.cumsum([0.3, 0.01, 0.2, 0.07, 0.4, 0.05])]),
+        np.array([0.0, 0.7]),
+    ],
+    ids=["uniform", "nonuniform", "one_cell"],
+)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_holder_norms_equal_span_loop_reference(points, dim):
+    grid = TimeGrid(points)
+    rng = np.random.default_rng(dim)
+    vals = np.cumsum(rng.standard_normal((len(grid), dim)), axis=0)
+    # generic (non-geometric) cell tensors make every second-level entry count
+    areas = rng.standard_normal((grid.num_cells, dim, dim))
+    rp = GridRoughPath(grid, vals, areas, alpha=0.42)
+    assert holder_norms(rp) == ref_holder_norms(rp)
+
+
 def test_holder_norms_of_straight_line():
     grid = TimeGrid.uniform(2.0, 16)
     c, alpha = 0.7, 0.45

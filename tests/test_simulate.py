@@ -7,7 +7,7 @@ from conftest import linear_signal_family, mean_coupled_sin_family, ornstein_uhl
 
 from roughmkv.coefficients import area_coefficient, coefficient_set, constant_rough
 from roughmkv.grids import TimeGrid
-from roughmkv.measures import EmpiricalMeasure
+from roughmkv.measures import EmpiricalMeasure, MeasureFlow
 from roughmkv.roughpath import brownian_lift, lift_piecewise_linear
 from roughmkv.simulate import (
     SCHEME_FULL,
@@ -336,23 +336,38 @@ def test_one_call_controlled_diagnostics_equal_two_reference_calls():
         diffusion=lambda t, x, mu: 0.4 * np.ones((x.shape[0], 1, 1)),
         rough=mean_coupled_sin_family(0.5, 0.4),
     )
-    cfg = make_config(n=40, cells=12, seed=8)
-    rp = brownian_lift(21, 1, cfg.grid, 4)
-    flow, _ = simulate(cfg, cs, rp)
-    r2, r4 = controlled_diagnostics(flow, rp, cs, powers=(2, 4))
-    assert (r2.p, r4.p) == (2, 4)
-    assert (r2.increment_quotient, r2.remainder_quotient) == ref_controlled_diagnostics(
-        flow, rp, cs, p=2
-    )
-    assert (r4.increment_quotient, r4.remainder_quotient) == ref_controlled_diagnostics(
-        flow, rp, cs, p=4
-    )
+    for cells in (1, 12):
+        cfg = make_config(n=40, cells=cells, seed=8)
+        rp = brownian_lift(21, 1, cfg.grid, 4)
+        flow, _ = simulate(cfg, cs, rp)
+        r2, r4 = controlled_diagnostics(flow, rp, cs, powers=(2, 4))
+        assert (r2.p, r4.p) == (2, 4)
+        assert (r2.increment_quotient, r2.remainder_quotient) == ref_controlled_diagnostics(
+            flow, rp, cs, p=2
+        )
+        assert (r4.increment_quotient, r4.remainder_quotient) == ref_controlled_diagnostics(
+            flow, rp, cs, p=4
+        )
     (only4,) = controlled_diagnostics(flow, rp, cs, powers=(4,))
     assert only4 == r4
     with pytest.raises(ValueError):
         controlled_diagnostics(flow, rp, cs, powers=())
     with pytest.raises(ValueError):
         controlled_diagnostics(flow, rp, cs, powers=(2, 3))
+
+
+def test_controlled_quotients_of_a_flow_with_a_nan_state_are_nan():
+    # spans from node 0 see the NaN; the quotients must not fall back to
+    # the spans that avoid it
+    cs = coefficient_set(1, 1, 1, rough=linear_signal_family(0.5))
+    cfg = make_config(n=20, cells=8, seed=4)
+    rp = brownian_lift(3, 1, cfg.grid, 4)
+    flow, _ = simulate(cfg, cs, rp)
+    states = flow.states.copy()
+    states[0, 0, 0] = np.nan
+    bad = MeasureFlow(grid=flow.grid, states=states, driver_checksum=flow.driver_checksum)
+    for rep in controlled_diagnostics(bad, rp, cs, powers=(2, 4)):
+        assert np.isnan(rep.increment_quotient) and np.isnan(rep.remainder_quotient)
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])

@@ -14,7 +14,7 @@ from roughmkv.coefficients import (
     measure_free_family,
 )
 from roughmkv.grids import TimeGrid
-from roughmkv.measures import EmpiricalMeasure, pairing, symmetric_mean
+from roughmkv.measures import EmpiricalMeasure, MeasureFlow, pairing, symmetric_mean
 from roughmkv.roughpath import brownian_lift, lift_piecewise_linear, restrict
 from roughmkv.simulate import SimulationConfig, simulate
 from roughmkv.weakcheck import (
@@ -193,6 +193,28 @@ def test_pairing_curves_finite_for_diffusive_flow():
     q_second, q_rem = controlled_pairing_check(flow, rp, phi, cs)
     assert np.isfinite(q_second) and q_second > 0
     assert np.isfinite(q_rem)
+
+
+def test_pairing_quotients_with_a_nan_curve_node_are_nan():
+    # at a finite but huge state the signal coefficient's square overflows,
+    # and against a linear probe's zero Hessian the second-order curve is NaN
+    # at node 0; the quotients must not fall back to the spans that avoid it
+    cs = coefficient_set(1, 1, 1, rough=linear_signal_family(0.5))
+    grid = TimeGrid.uniform(1.0, 8)
+    rp = brownian_lift(3, 1, grid, 4)
+    flow, _ = simulate(SimulationConfig(20, grid, 4, 1, 1, 1), cs, rp)
+    phi = linear_function(np.array([1.0]))
+    assert all(np.isfinite(controlled_pairing_check(flow, rp, phi, cs)))
+    states = flow.states.copy()
+    states[0, 0, 0] = 1e200
+    huge = MeasureFlow(grid=grid, states=states, driver_checksum=flow.driver_checksum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert all(np.isnan(controlled_pairing_check(huge, rp, phi, cs)))
+    # a NaN state itself is rejected where the node's measure is built
+    states[0, 0, 0] = np.nan
+    bad = MeasureFlow(grid=grid, states=states, driver_checksum=flow.driver_checksum)
+    with pytest.raises(ValueError, match="finite"):
+        controlled_pairing_check(bad, rp, phi, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +530,12 @@ def test_multi_cell_residual_equals_reference(bundle):
 @pytest.mark.parametrize("bundle", sorted(BUNDLES))
 def test_controlled_pairing_check_equals_reference(bundle):
     coeffs = BUNDLES[bundle]()
-    flow, rp = bundle_runs(coeffs)[-1]
-    for phi in default_bank(coeffs.dim):
-        assert controlled_pairing_check(flow, rp, phi, coeffs) == ref_controlled_pairing_check(
-            flow, rp, phi, coeffs
-        )
+    one_cell = bundle_runs(coeffs, levels=1, base_cells=1)[0]
+    for flow, rp in (bundle_runs(coeffs)[-1], one_cell):
+        for phi in default_bank(coeffs.dim):
+            assert controlled_pairing_check(flow, rp, phi, coeffs) == ref_controlled_pairing_check(
+                flow, rp, phi, coeffs
+            )
 
 
 @pytest.mark.parametrize("bundle", sorted(BUNDLES))
