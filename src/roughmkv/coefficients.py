@@ -62,13 +62,15 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 class RoughFamily:
     """Common-signal coefficient with its derivative package.
 
-    ``mixing(t, x, mu)`` returns the cloud-averaged pairing of the measure
-    derivative against the coefficient itself,
+    ``mixing(t, x, mu, fz)`` returns the cloud-averaged pairing of the
+    measure derivative against the coefficient itself,
 
         mixing[a, i, kap, lam] = avg_z sum_j D_mu f^i_lam(x_a)(Z_z)_j f^j_kap(Z_z),
 
     which is what second-order expansions consume; families implement it
     directly so the mean-functional case stays linear in the cloud size.
+    ``fz = eval(t, mu.points, mu)`` is the coefficient at the cloud's own
+    points, passed in because the callers already hold it.
     """
 
     dim: int
@@ -77,7 +79,7 @@ class RoughFamily:
     dx: Callable              # (t, x, mu) -> (A, d, d, n)
     prime: Callable           # (t, x, mu) -> (A, d, n, n)
     lions: Callable           # (t, x, mu, v) -> (A, B, d, d, n)
-    mixing: Callable          # (t, x, mu) -> (A, d, n, n)
+    mixing: Callable          # (t, x, mu, fz) -> (A, d, n, n)
     measure_free: bool
     lions_lip: float | None = None
 
@@ -153,9 +155,10 @@ def _zeros_like_lions(dim: int, channels: int) -> Callable:
 
 
 def _zeros_like_mixing(dim: int, channels: int) -> Callable:
-    """The zero ``(A, d, n, n)`` tensor; also the zero time-control ``prime``."""
+    """The zero ``(A, d, n, n)`` tensor: the zero mixing, which ignores
+    ``fz``, and the zero time-control ``prime``."""
 
-    def mixing(t, x, mu):
+    def mixing(t, x, mu, fz=None):
         return np.zeros((_as_batch(x).shape[0], dim, channels, channels))
 
     return mixing
@@ -263,9 +266,9 @@ def moment_family(
         B = _as_batch(v).shape[0]
         return np.broadcast_to(grad[:, None], (grad.shape[0], B) + grad.shape[1:]).copy()
 
-    def mixing_(t, x, mu):
+    def mixing_(t, x, mu, fz):
         grad = dm_phi(t, _as_batch(x), mu.mean())            # (A, d, d, n)
-        fbar = symmetric_mean(eval_(t, mu.points, mu), axis=0)   # (d, n)
+        fbar = symmetric_mean(fz, axis=0)                    # (d, n)
         return np.einsum("aijl,jk->aikl", grad, fbar)
 
     if prime is None:
@@ -336,8 +339,7 @@ def convolution_family(
         xa, vb = _pair(x, v)
         return dy_g(t, xa, vb)
 
-    def mixing_(t, x, mu):
-        fz = eval_(t, mu.points, mu)                     # (B, d, n)
+    def mixing_(t, x, mu, fz):
         xa, zb = _pair(x, mu.points)
         grads = dy_g(t, xa, zb)                          # (A, B, d, d, n)
         return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
@@ -383,11 +385,25 @@ def area_coefficient(
     """
     fam = coeffs.rough
     x = _as_batch(x)
-    f = fam.eval(t, x, mu)
+    fz = None if fam.measure_free else fam.eval(t, mu.points, mu)
+    return _area_tensor(fam, t, x, mu, fam.eval(t, x, mu), fz)
+
+
+def _area_tensor(
+    fam: RoughFamily,
+    t: float,
+    x: np.ndarray,
+    mu: EmpiricalMeasure | None,
+    f: np.ndarray,
+    fz: np.ndarray | None,
+) -> np.ndarray:
+    """``area_coefficient`` from the coefficient ``f`` at ``x`` and ``fz`` at
+    ``mu.points`` (None for measure-free families); a caller whose ``x`` is
+    the cloud of ``mu`` passes the same array twice."""
     dxf = fam.dx(t, x, mu)
     out = np.einsum("aijl,ajk->aikl", dxf, f)
     if not fam.measure_free:
-        out = out + fam.mixing(t, x, mu)
+        out = out + fam.mixing(t, x, mu, fz)
     out = out + np.swapaxes(fam.prime(t, x, mu), -1, -2)
     return out
 

@@ -11,7 +11,7 @@ order).  That property is what makes exchangeability tests exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +50,7 @@ class EmpiricalMeasure:
     """Uniform point cloud; ``points`` has shape ``(N, d)``."""
 
     points: np.ndarray
+    _mean: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
@@ -72,7 +73,13 @@ class EmpiricalMeasure:
         return self.points.shape[1]
 
     def mean(self) -> np.ndarray:
-        return symmetric_mean(self.points, axis=0)
+        """Order-invariant cloud mean, computed on first use and kept
+        (read-only, as the points are)."""
+        if self._mean is None:
+            m = symmetric_mean(self.points, axis=0)
+            m.setflags(write=False)
+            object.__setattr__(self, "_mean", m)
+        return self._mean
 
 
 def pairing(mu: EmpiricalMeasure, phi: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -7,9 +7,9 @@ One step of the scheme advances every particle by
 with all coefficients frozen at the left endpoint and the current empirical
 cloud, ``dB`` the particle's private Brownian increment, ``dW`` and ``WW``
 the shared signal increment and its cell tensor, and ``area`` the tensor from
-``coefficients.area_coefficient``.  Dropping the ``area : WW`` term gives the
-first-order variant, which loses the second-level information and is kept
-around as a control.
+``coefficients.area_coefficient``, built from the same ``f`` that drives
+``f dW``.  Dropping the ``area : WW`` term gives the first-order variant,
+which loses the second-level information and is kept around as a control.
 
 Private randomness is materialised up front as one increment block per
 particle drawn from a counter-based stream keyed ``(seed, particle)``, so a
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientSet, area_coefficient
+from .coefficients import CoefficientSet, _area_tensor
 from .grids import TimeGrid, span_sup
 from .measures import EmpiricalMeasure, MeasureFlow
 from .roughpath import GridRoughPath, roughpath_checksum
@@ -123,10 +123,6 @@ class StepReport:
     signal_part: float
     area_part: float
 
-    @property
-    def max_increment(self) -> float:
-        return max(self.drift_part, self.brownian_part, self.signal_part, self.area_part)
-
 
 # ---------------------------------------------------------------------------
 # randomness
@@ -192,13 +188,19 @@ def advance_states(
     db: np.ndarray,
     want_report: bool = False,
 ) -> tuple[np.ndarray, StepReport | None]:
-    """One-step map on raw state arrays; shared by forward and backward runs."""
+    """One-step map on raw state arrays; shared by forward and backward runs.
+
+    ``mu`` is the cloud of ``states`` (or None for a measure-free bundle), so
+    the signal coefficient is evaluated once and serves ``f dW``, the area
+    tensor and its cloud average.
+    """
     drift = coeffs.drift(t0, states, mu) * h
     brown = np.einsum("ail,al->ai", coeffs.diffusion(t0, states, mu), db)
-    sig = np.einsum("aik,k->ai", coeffs.rough.eval(t0, states, mu), dw)
+    f = coeffs.rough.eval(t0, states, mu)
+    sig = np.einsum("aik,k->ai", f, dw)
     if area is not None:
         areapart = np.einsum(
-            "aikl,kl->ai", area_coefficient(coeffs, t0, states, mu), area
+            "aikl,kl->ai", _area_tensor(coeffs.rough, t0, states, mu, f, f), area
         )
     else:
         areapart = np.zeros_like(states)
@@ -335,15 +337,30 @@ def controlled_diagnostics(
         mu = None if coeffs.measure_free else flow.measure(k)
         fvals[k] = coeffs.rough.eval(float(pts[k]), X[k], mu)
 
+    # Buffers sized for the longest span; start node i uses the first J rows.
+    # The reductions are np.linalg.norm and np.mean spelled out in place.
+    K, N = X.shape[0] - 1, X.shape[1]
+    dX_buf, work_buf = np.empty((2, K) + X.shape[1:])
+    norms_buf, pow_buf = np.empty((2, K, N))
+
     def rows():
         for i, gap in flow.grid.spans():
-            dX = X[i + 1 :] - X[i]                      # (J, N, d)
-            norms = np.linalg.norm(dX, axis=2)
+            J = gap.size
+            dX, work, norms, pw = dX_buf[:J], work_buf[:J], norms_buf[:J], pow_buf[:J]
+            np.subtract(X[i + 1 :], X[i], out=dX)          # (J, N, d)
+            np.add.reduce(np.multiply(dX, dX, out=work), axis=2, out=norms)
+            np.sqrt(norms, out=norms)
             gap_a = gap**rp.alpha
-            inc = [np.mean(norms**p, axis=1) ** (1.0 / p) / gap_a for p in powers]
-            dw = rp.values[i + 1 :] - rp.values[i]      # (J, n)
-            resid = dX - np.einsum("aik,jk->jai", fvals[i], dw)
-            avg = resid.mean(axis=1)                    # (J, d)
+            inc = []
+            for p in powers:
+                if p == 2:
+                    np.square(norms, out=pw)
+                else:
+                    np.power(norms, 4, out=pw)
+                inc.append((np.add.reduce(pw, axis=1) / N) ** (1.0 / p) / gap_a)
+            dw = rp.values[i + 1 :] - rp.values[i]         # (J, n)
+            np.einsum("aik,jk->jai", fvals[i], dw, out=work)
+            avg = np.add.reduce(np.subtract(dX, work, out=work), axis=1) / N   # (J, d)
             yield *inc, np.linalg.norm(avg, axis=1) / gap ** (2 * rp.alpha)
 
     *q_inc, q_rem = span_sup(rows())

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet, area_coefficient, diffusion_square
+from .coefficients import CoefficientSet, _area_tensor, diffusion_square
 from .grids import span_sup
 from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath
@@ -240,11 +240,12 @@ def _node_tensors(
     mu = EmpiricalMeasure(cloud)
     x = mu.points
     marg = None if coeffs.measure_free else mu
+    f = coeffs.rough.eval(t, x, marg)
     return (
         coeffs.drift(t, x, marg),
         diffusion_square(coeffs, t, x, marg),
-        coeffs.rough.eval(t, x, marg),
-        area_coefficient(coeffs, t, x, marg),
+        f,
+        _area_tensor(coeffs.rough, t, x, marg, f, f),
     )
 
 

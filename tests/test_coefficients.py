@@ -5,43 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_signal_family, mean_coupled_sin_family
+from conftest import gauss_kernel_family, linear_signal_family, mean_coupled_sin_family
 
 from roughmkv.coefficients import (
+    _area_tensor,
     area_coefficient,
     coefficient_set,
     constant_rough,
-    convolution_family,
     diffusion_square,
     lions_fd_check,
     lions_taylor_remainder,
     linear_state_family,
     measure_free_family,
     moment_family,
+    moment_sin_family,
 )
 from roughmkv.measures import EmpiricalMeasure
-
-
-def gauss_kernel_family(amp: float, width: float, lions_lip: float | None = None):
-    """f(x, mu) = amp * avg_y exp(-(x - y)^2 / (2 width^2)), one dim."""
-    w2 = width * width
-
-    def core(x, y):
-        u = (x - y)[..., 0]
-        return u, amp * np.exp(-(u**2) / (2 * w2))
-
-    def g(t, x, y):
-        return core(x, y)[1][..., None, None]
-
-    def dx_g(t, x, y):
-        u, c = core(x, y)
-        return (-(u / w2) * c)[..., None, None, None]
-
-    def dy_g(t, x, y):
-        u, c = core(x, y)
-        return ((u / w2) * c)[..., None, None, None]
-
-    return convolution_family(1, 1, g, dx_g, dy_g, lions_lip=lions_lip)
 
 
 def cloud(seed: int, n: int, d: int = 1) -> EmpiricalMeasure:
@@ -82,8 +61,9 @@ def test_family_outputs_are_permutation_exact(seed, n):
         a = fam.eval(0.0, x, EmpiricalMeasure(pts))
         b = fam.eval(0.0, x, EmpiricalMeasure(pts[perm]))
         assert np.array_equal(a, b)
-        ma = fam.mixing(0.0, x, EmpiricalMeasure(pts))
-        mb = fam.mixing(0.0, x, EmpiricalMeasure(pts[perm]))
+        mu_a, mu_b = EmpiricalMeasure(pts), EmpiricalMeasure(pts[perm])
+        ma = fam.mixing(0.0, x, mu_a, fam.eval(0.0, mu_a.points, mu_a))
+        mb = fam.mixing(0.0, x, mu_b, fam.eval(0.0, mu_b.points, mu_b))
         assert np.array_equal(ma, mb)
 
 
@@ -116,7 +96,7 @@ def test_measure_free_family_has_zero_measure_response():
     mu = cloud(0, 12)
     x = np.array([[0.4]])
     assert np.all(fam.lions(0.0, x, mu, mu.points) == 0.0)
-    assert np.all(fam.mixing(0.0, x, mu) == 0.0)
+    assert np.all(fam.mixing(0.0, x, mu, fam.eval(0.0, mu.points, mu)) == 0.0)
     assert fam.measure_free
 
 
@@ -193,6 +173,34 @@ def test_area_tensor_includes_measure_response():
     mu = EmpiricalMeasure(np.array([[0.5], [1.5]]))
     area = area_coefficient(cs, 0.0, np.array([[9.9]]), mu)
     assert np.isclose(area[0, 0, 0, 0], 1.0, rtol=1e-14)  # mean of the cloud
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        mean_coupled_sin_family(0.5, 0.4),
+        moment_sin_family(0.5, 0.4),
+        gauss_kernel_family(1.3, 0.9),
+        linear_state_family(0.7, 2, 2),
+    ],
+    ids=["mean_coupled_sin", "moment_sin", "gauss_kernel", "linear_state"],
+)
+def test_area_tensor_from_the_held_coefficient_equals_area_coefficient(fam):
+    cs = coefficient_set(fam.dim, 1, fam.channels, rough=fam)
+    mu = cloud(11, 9, fam.dim)
+    marg = None if fam.measure_free else mu
+    f = fam.eval(0.3, mu.points, marg)
+    held = _area_tensor(fam, 0.3, mu.points, marg, f, f)
+    assert np.array_equal(held, area_coefficient(cs, 0.3, mu.points, marg))
+
+    # away from the cloud the wrapper still averages the measure response
+    # against the coefficient at the cloud's own points
+    x = np.random.default_rng(12).standard_normal((4, fam.dim))
+    want = np.einsum("aijl,ajk->aikl", fam.dx(0.3, x, marg), fam.eval(0.3, x, marg))
+    if not fam.measure_free:
+        response = np.einsum("azijl,zjk->aikl", fam.lions(0.3, x, mu, mu.points), f)
+        want = want + response / mu.size
+    assert np.allclose(area_coefficient(cs, 0.3, x, marg), want, rtol=1e-13, atol=1e-15)
 
 
 def test_diffusion_square_symmetric_exact():

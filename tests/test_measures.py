@@ -39,6 +39,16 @@ def test_symmetric_mean_is_permutation_exact(seed, n):
     assert np.array_equal(symmetric_mean(a), symmetric_mean(a[perm]))
 
 
+def test_cloud_mean_is_computed_once_and_read_only():
+    mu = cloud(6, 33, 2)
+    m = mu.mean()
+    assert mu.mean() is m
+    assert np.array_equal(m, symmetric_mean(mu.points, axis=0))
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0] = 1.0
+
+
 @settings(deadline=None, max_examples=50)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 64))
 def test_pairing_mass_and_permutation(seed, n):

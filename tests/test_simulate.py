@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from conftest import linear_signal_family, mean_coupled_sin_family, ornstein_uhlenbeck_set
+from conftest import (
+    gauss_kernel_family,
+    linear_signal_family,
+    mean_coupled_sin_family,
+    ornstein_uhlenbeck_set,
+)
 
-from roughmkv.coefficients import area_coefficient, coefficient_set, constant_rough
+from roughmkv.coefficients import (
+    area_coefficient,
+    coefficient_set,
+    constant_rough,
+    linear_state_family,
+)
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import EmpiricalMeasure, MeasureFlow
 from roughmkv.roughpath import brownian_lift, lift_piecewise_linear
@@ -239,6 +249,76 @@ def test_scheme_difference_is_the_area_term():
     assert rep_full.area_part == np.max(np.abs(areaterm))
     assert rep_plain.area_part == 0.0
     assert rep_full.signal_part == rep_plain.signal_part
+
+
+def ref_history(config, coeffs, rp):
+    """The forward run before the step reused its coefficient: ``eval`` for
+    ``f dW``, then ``area_coefficient``, which evaluates ``f`` again at the
+    states and at the cloud.  A reference."""
+    ens = initial_ensemble(config)
+    pts = config.grid.points
+    x = ens.states
+    hist = [x]
+    for k in range(config.grid.num_cells):
+        s, t = float(pts[k]), float(pts[k + 1])
+        mu = None if coeffs.measure_free else EmpiricalMeasure(x)
+        drift = coeffs.drift(s, x, mu) * float(config.grid.dt[k])
+        brown = np.einsum("ail,al->ai", coeffs.diffusion(s, x, mu), ens.brownian[:, k, :])
+        sig = np.einsum("aik,k->ai", coeffs.rough.eval(s, x, mu), rp.increment(s, t))
+        if config.scheme == SCHEME_FULL:
+            areapart = np.einsum(
+                "aikl,kl->ai", area_coefficient(coeffs, s, x, mu), rp.second(s, t)
+            )
+        else:
+            areapart = np.zeros_like(x)
+        x = x + drift + brown + sig + areapart
+        hist.append(x)
+    return np.stack(hist)
+
+
+def parity_bundle(kind):
+    """A moment, a convolution (both with a mean-field drift) or a
+    measure-free d = m = n = 2 bundle."""
+    if kind == "measure_free":
+        return coefficient_set(
+            2, 2, 2,
+            drift=lambda t, x, mu: -0.2 * x,
+            diffusion=lambda t, x, mu: 0.3 * np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
+            rough=linear_state_family(0.6, 2, 2),
+        )
+    rough = {
+        "moment": mean_coupled_sin_family(0.5, 0.4),
+        "convolution": gauss_kernel_family(0.8, 0.7),
+    }[kind]
+    return coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.3 * x + 0.2 * mu.mean()[None, :],
+        diffusion=lambda t, x, mu: 0.4 * np.ones((x.shape[0], 1, 1)),
+        rough=rough,
+    )
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
+@pytest.mark.parametrize("bundle", ["moment", "convolution", "measure_free"])
+def test_histories_equal_the_two_evaluation_reference(bundle, scheme):
+    coeffs = parity_bundle(bundle)
+    d = coeffs.dim
+    cfg = SimulationConfig(
+        particle_count=30, grid=TimeGrid.uniform(1.0, 12), seed=6,
+        dim=d, brownian_dim=d, driver_dim=d, scheme=scheme,
+    )
+    rp = brownian_lift(5, d, cfg.grid, 4)
+    _, hist = simulate(cfg, coeffs, rp)
+    assert np.array_equal(hist, ref_history(cfg, coeffs, rp))
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
+def test_one_signal_coefficient_evaluation_per_step(scheme):
+    calls = []
+    cs = coefficient_set(1, 1, 1, rough=mean_coupled_sin_family(0.5, 0.4, calls))
+    cfg = make_config(n=20, cells=7, seed=3, scheme=scheme)
+    simulate(cfg, cs, brownian_lift(2, 1, cfg.grid, 4))
+    assert calls == [20] * 7
 
 
 def test_step_rejects_multi_cell_spans():

@@ -552,3 +552,11 @@ def test_one_node_operators_equal_reference(bundle):
                 assert op_rough_second(mu, t, phi, k, l, coeffs) == ref_op_rough_second(
                     mu, t, phi, k, l, coeffs
                 )
+
+
+def test_one_signal_coefficient_evaluation_per_node():
+    calls = []
+    cs = coefficient_set(1, 1, 1, rough=mean_coupled_sin_family(0.5, 0.4, calls))
+    states = np.random.default_rng(4).standard_normal((5, 12, 1))
+    weakcheck._node_curves(np.linspace(0.0, 1.0, 5), states, weakcheck.default_bank(1), cs)
+    assert calls == [12] * 5
