@@ -16,6 +16,7 @@ time; its drift is the reported figure of merit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +28,7 @@ from .measures import MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, roughpath_checksum
 from .simulate import advance_states, check_finite
 from .streams import TAG_BACKWARD, substream
+from .tables import write_table
 
 __all__ = [
     "BackwardSolution",
@@ -44,6 +46,12 @@ _BLOCK_ROWS = 16384
 
 _LATTICE_TAIL = 1e-4
 _LATTICE_PAD_SIGMAS = 4.0
+
+
+def _product_lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Product of ``axes`` as a flat ``(P, d)`` array (C-order)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +77,7 @@ class BackwardSolution:
 
     def lattice_points(self) -> np.ndarray:
         """Product lattice as a flat ``(P, d)`` array (C-order)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _product_lattice(self.axes)
 
     def interpolant(self, time_index: int) -> Callable[[np.ndarray], np.ndarray]:
         """Cubic interpolant of ``u`` at one start time; extrapolates beyond."""
@@ -145,8 +152,7 @@ def solve_backward_fk(
     grid = rp.grid
     pts = grid.points
     t_idx = [grid.index_of(float(t)) for t in times]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.stack([m.ravel() for m in mesh], axis=1)       # (P, d)
+    lattice = _product_lattice(axes)                             # (P, d)
     P = lattice.shape[0]
     M = int(mc_samples)
 
@@ -206,22 +212,17 @@ def duality_drift(flow: MeasureFlow, solution: BackwardSolution) -> DualityRepor
 
 
 def save_backward_csv(solution: BackwardSolution, path: str, stamp: str | None = None) -> None:
-    """Rows ``t, x_1..x_d, u, stderr`` with repr-exact floats."""
-    lattice = solution.lattice_points()
+    """Rows ``t, x_1..x_d, u, stderr``, one block per start time."""
+    lattice = solution.lattice_points().T
     d = solution.dim
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
+    write_table(
+        path,
+        ["t"] + [f"x_{j + 1}" for j in range(d)] + ["u", "stderr"],
+        ((itertools.repeat(repr(t)), *lattice, u, se)
+         for t, u, se in zip(solution.times.tolist(), solution.u, solution.stderr)),
+        magic=(
             f"# roughmkv-backward v1 dim={d} samples={solution.mc_samples} "
-            f"terminal={solution.terminal_name}\n"
-        )
-        if stamp is not None:
-            fh.write(f"# generated {stamp}\n")
-        fh.write(",".join(["t"] + [f"x_{j + 1}" for j in range(d)] + ["u", "stderr"]) + "\n")
-        for row, t in enumerate(solution.times):
-            for p in range(lattice.shape[0]):
-                cells = (
-                    [repr(float(t))]
-                    + [repr(float(v)) for v in lattice[p]]
-                    + [repr(float(solution.u[row, p])), repr(float(solution.stderr[row, p]))]
-                )
-                fh.write(",".join(cells) + "\n")
+            f"terminal={solution.terminal_name}"
+        ),
+        stamp=stamp,
+    )

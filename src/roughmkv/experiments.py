@@ -1,12 +1,13 @@
 """The five runnable experiments behind the command line.
 
-Each runner takes a parsed scenario plus a run context, writes its CSV
-artifacts and a ``summary.json`` into the output directory, and returns a
-process exit code: 0 on success, 2 when a checked invariant fails, 3 when the
-simulation aborted on a non-finite state.  (Exit code 1, scenario parse
-failure, never reaches a runner.)  All floats in reports are written with
-``repr`` and JSON keys are sorted, so two runs of the same scenario produce
-byte-identical artifacts up to the optional timestamp header.
+Each runner takes a parsed scenario plus the run's report, and writes its CSV
+artifacts into the output directory.  ``run_scenario`` then writes
+``summary.json`` and returns a process exit code: 0 on success, 2 when a
+checked invariant fails, 3 when the simulation aborted on a non-finite state.
+(Exit code 1, scenario parse failure, never reaches a runner.)  All floats in
+reports are written with ``repr`` and JSON keys are sorted, so two runs of the
+same scenario produce byte-identical artifacts up to the optional timestamp
+header.
 
 The registry is closed: these five names are the whole surface, and the
 scenario parser already rejects anything else.
@@ -19,7 +20,7 @@ import datetime
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .simulate import (
     idiosyncratic_increments,
     simulate,
 )
+from .tables import write_table
 from .weakcheck import default_bank, residual_order_scan, save_residual_csv
 
 __all__ = ["RunContext", "run_scenario", "EXIT_OK", "EXIT_PARSE", "EXIT_INVARIANT", "EXIT_BLOWUP"]
@@ -91,10 +93,6 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def _effective_seed(sc: Scenario, ctx: RunContext) -> int:
-    return sc.seed if ctx.seed_override is None else int(ctx.seed_override)
-
-
 def _driver(sc: Scenario, grid: TimeGrid, seed: int) -> GridRoughPath:
     """The scenario's signal on ``grid``, its seed mixed with the run seed."""
     return build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
@@ -106,6 +104,8 @@ class _Report:
     def __init__(self, sc: Scenario, ctx: RunContext):
         self.sc = sc
         self.ctx = ctx
+        self.seed = sc.seed if ctx.seed_override is None else int(ctx.seed_override)
+        self.driver_checksum: str | None = None    # set once the run's driver exists
         self.invariants: dict[str, dict] = {}
         self.artifacts: list[str] = []
         self.extra: dict[str, object] = {}
@@ -130,14 +130,18 @@ class _Report:
         self.artifacts.append(filename)
         return os.path.join(self.ctx.out_dir, filename)
 
-    def finish(self, driver_checksum: str | None, aborted_at: float | None = None) -> int:
+    def table(self, filename: str, header: tuple[str, ...], *columns) -> None:
+        """Write one table artifact; columns as in ``tables.write_table``."""
+        write_table(self.path(filename), header, [columns], stamp=_stamp(self.ctx))
+
+    def finish(self, aborted_at: float | None = None) -> int:
         passed = all(inv["passed"] for inv in self.invariants.values())
         summary = {
             "scenario_name": self.sc.name,
             "experiment": self.sc.experiment,
             "scenario_checksum": scenario_checksum(self.sc),
-            "driver_checksum": driver_checksum,
-            "seed": _effective_seed(self.sc, self.ctx),
+            "driver_checksum": self.driver_checksum,
+            "seed": self.seed,
             "invariants": self.invariants,
             "artifacts": sorted(self.artifacts),
             "passed": passed and aborted_at is None,
@@ -161,12 +165,6 @@ def _stamp(ctx: RunContext) -> str | None:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _csv_header(fh, ctx: RunContext) -> None:
-    stamp = _stamp(ctx)
-    if stamp is not None:
-        fh.write(f"# generated {stamp}\n")
-
-
 def _simulation_config(
     sc: Scenario, grid: TimeGrid, seed: int, particle_count: int
 ) -> SimulationConfig:
@@ -187,14 +185,13 @@ def _simulation_config(
 # lift_checks
 
 
-def _run_lift_checks(sc: Scenario, ctx: RunContext) -> int:
-    rep = _Report(sc, ctx)
-    seed = _effective_seed(sc, ctx)
+def _run_lift_checks(sc: Scenario, rep: _Report) -> None:
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = _driver(sc, grid, seed)
+    rp = _driver(sc, grid, rep.seed)
+    rep.driver_checksum = roughpath_checksum(rp)
 
     # deterministic triple sample across the grid
-    rng = np.random.default_rng(_derive_seed(seed, 7))
+    rng = np.random.default_rng(_derive_seed(rep.seed, 7))
     P = grid.num_cells + 1
     worst_chen = 0.0
     for _ in range(32):
@@ -213,7 +210,7 @@ def _run_lift_checks(sc: Scenario, ctx: RunContext) -> int:
     round_trip = float(np.max(np.abs(back.cell_areas - rp.cell_areas)))
 
     path_csv = rep.path("driver.csv")
-    save_roughpath_csv(rp, path_csv, stamp=_stamp(ctx))
+    save_roughpath_csv(rp, path_csv, stamp=_stamp(rep.ctx))
     reloaded = load_roughpath_csv(path_csv)
     reload_err = max(
         float(np.max(np.abs(reloaded.values - rp.values))),
@@ -227,15 +224,13 @@ def _run_lift_checks(sc: Scenario, ctx: RunContext) -> int:
     rep.note("holder_quotients_finite", bool(np.isfinite(q1) and np.isfinite(q2)),
              f"first={q1!r} second={q2!r}")
 
-    with open(rep.path("checks.csv"), "w", encoding="utf-8") as fh:
-        _csv_header(fh, ctx)
-        fh.write("check,value,tolerance\n")
-        fh.write(f"chen_max_residual,{worst_chen!r},{_CHEN_TOL!r}\n")
-        fh.write(f"sym_defect,{geo.max_defect!r},{_SYM_TOL!r}\n")
-        fh.write(f"convention_round_trip,{round_trip!r},{_ROUNDTRIP_TOL!r}\n")
-        fh.write(f"holder_first,{q1!r},\n")
-        fh.write(f"holder_second,{q2!r},\n")
-    return rep.finish(roughpath_checksum(rp))
+    rep.table(
+        "checks.csv", ("check", "value", "tolerance"),
+        ("chen_max_residual", "sym_defect", "convention_round_trip",
+         "holder_first", "holder_second"),
+        np.array([worst_chen, geo.max_defect, round_trip, q1, q2]),
+        (repr(_CHEN_TOL), repr(_SYM_TOL), repr(_ROUNDTRIP_TOL), "", ""),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +263,19 @@ def _coupled_runs(sc: Scenario, seed: int, base_cells: int):
     return runs, coeffs
 
 
-def _run_residual_scan(sc: Scenario, ctx: RunContext) -> int:
-    rep = _Report(sc, ctx)
-    seed = _effective_seed(sc, ctx)
-    try:
-        runs, coeffs = _coupled_runs(sc, seed, sc.cells)
-        replicates = []
-        if sc.sigma[0] != "none":
-            # noisy runs: two replicate seeds estimate the sampling floor
-            for extra in (1, 2):
-                rruns, _ = _coupled_runs(sc, _derive_seed(seed, 1000 + extra), sc.cells)
-                replicates.append(rruns)
-    except NumericalBlowup as exc:
-        return rep.finish(None, aborted_at=exc.time)
+def _run_residual_scan(sc: Scenario, rep: _Report) -> None:
+    runs, coeffs = _coupled_runs(sc, rep.seed, sc.cells)
+    replicates = []
+    if sc.sigma[0] != "none":
+        # noisy runs: two replicate seeds estimate the sampling floor
+        for extra in (1, 2):
+            rruns, _ = _coupled_runs(sc, _derive_seed(rep.seed, 1000 + extra), sc.cells)
+            replicates.append(rruns)
+    # set only now: a scan that blows up reports no driver
+    rep.driver_checksum = roughpath_checksum(runs[-1][1])
 
     scan = residual_order_scan(runs, default_bank(sc.dim), coeffs, replicates=replicates)
-    save_residual_csv(scan, rep.path("residuals.csv"), stamp=_stamp(ctx))
+    save_residual_csv(scan, rep.path("residuals.csv"), stamp=_stamp(rep.ctx))
 
     target = 3.0 * sc.alpha * 0.8
     if sc.sigma[0] == "none":
@@ -293,22 +285,20 @@ def _run_residual_scan(sc: Scenario, ctx: RunContext) -> int:
         rep.note("slopes_reported", True, "stochastic run; slopes informational")
     rep.extra["slopes"] = {k: (None if np.isinf(v) else v) for k, v in scan.slopes.items()}
     rep.extra["exact"] = scan.exact
-    return rep.finish(roughpath_checksum(runs[-1][1]))
 
 
 # ---------------------------------------------------------------------------
 # chaos_scan
 
 
-def _run_chaos_scan(sc: Scenario, ctx: RunContext) -> int:
-    rep = _Report(sc, ctx)
-    seed = _effective_seed(sc, ctx)
+def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = _driver(sc, grid, seed)
+    rp = _driver(sc, grid, rep.seed)
+    rep.driver_checksum = roughpath_checksum(rp)
     coeffs = build_coefficients(sc)
 
     def one_run(count: int, copy: int):
-        config = _simulation_config(sc, grid, _derive_seed(seed, count, copy), count)
+        config = _simulation_config(sc, grid, _derive_seed(rep.seed, count, copy), count)
         flow, _ = simulate(config, coeffs, rp)
         return EmpiricalMeasure(flow.states[-1])
 
@@ -318,17 +308,14 @@ def _run_chaos_scan(sc: Scenario, ctx: RunContext) -> int:
     ref_count = max(sc.particle_counts)
     jobs = [(count, 0) for count in sc.particle_counts] + [(ref_count, 1)]
     results: dict[tuple[int, int], EmpiricalMeasure] = {}
-    try:
-        if ctx.threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-                futs = {pool.submit(one_run, c, k): (c, k) for c, k in jobs}
-                for fut in concurrent.futures.as_completed(futs):
-                    results[futs[fut]] = fut.result()
-        else:
-            for c, k in jobs:
-                results[(c, k)] = one_run(c, k)
-    except NumericalBlowup as exc:
-        return rep.finish(roughpath_checksum(rp), aborted_at=exc.time)
+    if rep.ctx.threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=rep.ctx.threads) as pool:
+            futs = {pool.submit(one_run, c, k): (c, k) for c, k in jobs}
+            for fut in concurrent.futures.as_completed(futs):
+                results[futs[fut]] = fut.result()
+    else:
+        for c, k in jobs:
+            results[(c, k)] = one_run(c, k)
 
     reference = results[(ref_count, 1)]
 
@@ -343,11 +330,8 @@ def _run_chaos_scan(sc: Scenario, ctx: RunContext) -> int:
 
     distances = [(count, dist(results[(count, 0)])) for count in sc.particle_counts]
 
-    with open(rep.path("chaos.csv"), "w", encoding="utf-8") as fh:
-        _csv_header(fh, ctx)
-        fh.write("particles,w2_to_ref\n")
-        for count, d in distances:
-            fh.write(f"{count},{d!r}\n")
+    counts, w2 = zip(*distances)
+    rep.table("chaos.csv", ("particles", "w2_to_ref"), map(str, counts), np.array(w2))
 
     decreasing = all(b < a for (_, a), (_, b) in zip(distances, distances[1:]))
     rep.note(
@@ -357,36 +341,28 @@ def _run_chaos_scan(sc: Scenario, ctx: RunContext) -> int:
     )
     rep.extra["w2_to_ref"] = {str(c): d for c, d in distances}
     rep.extra["reference_particles"] = ref_count
-    return rep.finish(roughpath_checksum(rp))
 
 
 # ---------------------------------------------------------------------------
 # duality
 
 
-def _run_duality(sc: Scenario, ctx: RunContext) -> int:
-    rep = _Report(sc, ctx)
-    seed = _effective_seed(sc, ctx)
+def _run_duality(sc: Scenario, rep: _Report) -> None:
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = _driver(sc, grid, seed)
+    rp = _driver(sc, grid, rep.seed)
+    rep.driver_checksum = roughpath_checksum(rp)
     coeffs = build_coefficients(sc)
-    config = _simulation_config(sc, grid, seed, sc.particles)
-    try:
-        flow, _ = simulate(config, coeffs, rp)
-    except NumericalBlowup as exc:
-        return rep.finish(roughpath_checksum(rp), aborted_at=exc.time)
+    config = _simulation_config(sc, grid, rep.seed, sc.particles)
+    flow, _ = simulate(config, coeffs, rp)
 
     name, terminal = build_terminal(sc)
     axes = lattice_from_flow(flow, sc.x_points)
     t_idx = np.unique(np.round(np.linspace(0, grid.num_cells, sc.time_points)).astype(int))
     times = [float(grid.points[i]) for i in t_idx]
-    try:
-        solution = solve_backward_fk(
-            coeffs, rp, terminal, axes, times, sc.backward_samples,
-            seed=_derive_seed(seed, 31), terminal_name=name,
-        )
-    except NumericalBlowup as exc:
-        return rep.finish(roughpath_checksum(rp), aborted_at=exc.time)
+    solution = solve_backward_fk(
+        coeffs, rp, terminal, axes, times, sc.backward_samples,
+        seed=_derive_seed(rep.seed, 31), terminal_name=name,
+    )
     report = duality_drift(flow, solution)
 
     delta = sc.horizon / sc.cells
@@ -398,12 +374,8 @@ def _run_duality(sc: Scenario, ctx: RunContext) -> int:
     scale = max(1.0, float(np.max(np.abs(report.pairings))))
     budget = 4.0 * scale * budget_parts
 
-    save_backward_csv(solution, rep.path("backward.csv"), stamp=_stamp(ctx))
-    with open(rep.path("duality_curve.csv"), "w", encoding="utf-8") as fh:
-        _csv_header(fh, ctx)
-        fh.write("t,pairing\n")
-        for t, p in zip(report.times, report.pairings):
-            fh.write(f"{t!r},{p!r}\n")
+    save_backward_csv(solution, rep.path("backward.csv"), stamp=_stamp(rep.ctx))
+    rep.table("duality_curve.csv", ("t", "pairing"), report.times, report.pairings)
 
     rep.check("duality_drift", report.drift, budget)
     rep.extra["budget_parts"] = {
@@ -411,37 +383,26 @@ def _run_duality(sc: Scenario, ctx: RunContext) -> int:
         "mc": 1.0 / np.sqrt(sc.backward_samples),
         "cloud": 1.0 / np.sqrt(sc.particles),
     }
-    return rep.finish(roughpath_checksum(rp))
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def _run_diagnostics(sc: Scenario, ctx: RunContext) -> int:
-    rep = _Report(sc, ctx)
-    seed = _effective_seed(sc, ctx)
+def _run_diagnostics(sc: Scenario, rep: _Report) -> None:
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = _driver(sc, grid, seed)
+    rp = _driver(sc, grid, rep.seed)
+    rep.driver_checksum = roughpath_checksum(rp)
     coeffs = build_coefficients(sc)
-    config = _simulation_config(sc, grid, seed, sc.particles)
+    config = _simulation_config(sc, grid, rep.seed, sc.particles)
     steps: list[StepReport] = []
-    try:
-        flow, _ = simulate(config, coeffs, rp, observer=steps.append)
-    except NumericalBlowup as exc:
-        return rep.finish(roughpath_checksum(rp), aborted_at=exc.time)
+    flow, _ = simulate(config, coeffs, rp, observer=steps.append)
 
-    save_flow_csv(flow, rep.path("flow.csv"), stamp=_stamp(ctx))
+    save_flow_csv(flow, rep.path("flow.csv"), stamp=_stamp(rep.ctx))
 
     # per-step magnitude trace, as observed during the run
-    with open(rep.path("steps.csv"), "w", encoding="utf-8") as fh:
-        _csv_header(fh, ctx)
-        fh.write("t,drift,brownian,signal,area\n")
-        for step in steps:
-            fh.write(
-                f"{step.time!r},{step.drift_part!r},{step.brownian_part!r},"
-                f"{step.signal_part!r},{step.area_part!r}\n"
-            )
+    parts = [(s.time, s.drift_part, s.brownian_part, s.signal_part, s.area_part) for s in steps]
+    rep.table("steps.csv", ("t", "drift", "brownian", "signal", "area"), *np.array(parts).T)
 
     ctrl2, ctrl4 = controlled_diagnostics(flow, rp, coeffs, powers=(2, 4))
     dual_lip = flow_holder_diagnostic(flow, lip_const=1.0, alpha=rp.alpha)
@@ -454,18 +415,14 @@ def _run_diagnostics(sc: Scenario, ctx: RunContext) -> int:
     ]
     if sc.dim == 1:
         rows.append(("w2_quotient", flow_w2_holder(flow, rp.alpha)))
-    with open(rep.path("diagnostics.csv"), "w", encoding="utf-8") as fh:
-        _csv_header(fh, ctx)
-        fh.write("diagnostic,value\n")
-        for key, val in rows:
-            fh.write(f"{key},{val!r}\n")
+    names, values = zip(*rows)
+    rep.table("diagnostics.csv", ("diagnostic", "value"), names, np.array(values))
 
     rep.note(
         "diagnostics_finite",
         all(np.isfinite(v) for _, v in rows),
         " ".join(f"{k}={v!r}" for k, v in rows),
     )
-    return rep.finish(roughpath_checksum(rp))
 
 
 _RUNNERS = {
@@ -480,4 +437,9 @@ _RUNNERS = {
 def run_scenario(sc: Scenario, ctx: RunContext) -> int:
     os.makedirs(ctx.out_dir, exist_ok=True)
     log.info("running %s experiment %r into %s", sc.experiment, sc.name, ctx.out_dir)
-    return _RUNNERS[sc.experiment](sc, ctx)
+    rep = _Report(sc, ctx)
+    try:
+        _RUNNERS[sc.experiment](sc, rep)
+    except NumericalBlowup as exc:
+        return rep.finish(aborted_at=exc.time)
+    return rep.finish()

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .grids import TimeGrid, span_sup
+from .tables import read_table, write_table
 
 __all__ = [
     "EmpiricalMeasure",
@@ -262,38 +263,29 @@ _FLOW_MAGIC = "# roughmkv-flow v1"
 
 
 def save_flow_csv(flow: MeasureFlow, path: str, stamp: str | None = None) -> None:
-    """Rows ``t, particle, x_1..x_d`` with repr-exact floats.
+    """Rows ``t, particle, x_1..x_d``, one block per grid node.
 
     The magic line carries ``driver=<checksum>`` when the flow has one, so a
-    reloaded flow can still be paired with a backward solution.  Each grid
-    node is formatted and written as one block; ``tolist`` yields Python
-    floats, whose ``repr`` is the shortest round-tripping text.
+    reloaded flow can still be paired with a backward solution.
     """
     d = flow.dim
     driver = "" if flow.driver_checksum is None else f" driver={flow.driver_checksum}"
     idx = [str(i) for i in range(flow.num_particles)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_FLOW_MAGIC} dim={d} particles={flow.num_particles}{driver}\n")
-        if stamp is not None:
-            fh.write(f"# generated {stamp}\n")
-        fh.write(",".join(["t", "particle"] + [f"x_{a + 1}" for a in range(d)]) + "\n")
-        for t, node in zip(flow.grid.points.tolist(), flow.states):
-            cols = [map(repr, col.tolist()) for col in node.T]
-            fh.write("\n".join(map(",".join, zip(itertools.repeat(repr(t)), idx, *cols))))
-            fh.write("\n")
+    write_table(
+        path,
+        ["t", "particle"] + [f"x_{a + 1}" for a in range(d)],
+        ((itertools.repeat(repr(t)), idx, *node.T)
+         for t, node in zip(flow.grid.points.tolist(), flow.states)),
+        magic=f"{_FLOW_MAGIC} dim={d} particles={flow.num_particles}{driver}",
+        stamp=stamp,
+    )
 
 
 def load_flow_csv(path: str) -> MeasureFlow:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(_FLOW_MAGIC):
-            raise ValueError(f"{path}: not a flow file (bad magic line)")
-        meta = dict(tok.split("=", 1) for tok in header.split()[3:])
-        d, N = int(meta["dim"]), int(meta["particles"])
-        line = fh.readline()
-        if line.startswith("# generated"):
-            fh.readline()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    meta, data = read_table(path, _FLOW_MAGIC)
+    d, N = int(meta["dim"]), int(meta["particles"])
+    if data.shape[1] != 2 + d:
+        raise ValueError(f"{path}: expected {2 + d} columns, got {data.shape[1]}")
     times = data[::N, 0]
     states = data[:, 2:].reshape(times.size, N, d)
     return MeasureFlow(TimeGrid(times), states, driver_checksum=meta.get("driver"))

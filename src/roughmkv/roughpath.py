@@ -28,13 +28,13 @@ which is the usual correction between the two stochastic integrals.
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grids import TimeGrid, span_sup
 from .streams import TAG_DRIVER, substream
+from .tables import read_table, write_table
 
 __all__ = [
     "GridRoughPath",
@@ -315,44 +315,25 @@ def save_roughpath_csv(rp: GridRoughPath, path: str, stamp: str | None = None) -
     """Text round trip: one row per grid node.
 
     Columns: ``t, W_1..W_n, WW_11..WW_nn`` (tensor row-major, for the cell
-    starting at that node; the final node carries zeros there).  Floats are
-    written with ``repr`` so loading reproduces them bit-exactly.  ``stamp``
-    adds an informational ``# generated`` line that loaders ignore.
+    starting at that node; the final node carries zeros there).
     """
     n = rp.dim
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_CSV_MAGIC} dim={n} alpha={float(rp.alpha)!r}\n")
-        if stamp is not None:
-            fh.write(f"# generated {stamp}\n")
-        cols = (
-            ["t"]
-            + [f"W_{a + 1}" for a in range(n)]
-            + [f"WW_{a + 1}{b + 1}" for a in range(n) for b in range(n)]
-        )
-        fh.write(",".join(cols) + "\n")
-        K = rp.grid.num_cells
-        zeros = np.zeros((n, n))
-        for k in range(K + 1):
-            area = rp.cell_areas[k] if k < K else zeros
-            row = (
-                [repr(float(rp.grid.points[k]))]
-                + [repr(float(v)) for v in rp.values[k]]
-                + [repr(float(v)) for v in area.ravel()]
-            )
-            fh.write(",".join(row) + "\n")
+    areas = np.zeros((rp.grid.num_cells + 1, n * n))
+    areas[:-1] = rp.cell_areas.reshape(-1, n * n)
+    write_table(
+        path,
+        ["t"]
+        + [f"W_{a + 1}" for a in range(n)]
+        + [f"WW_{a + 1}{b + 1}" for a in range(n) for b in range(n)],
+        [(rp.grid.points, *rp.values.T, *areas.T)],
+        magic=f"{_CSV_MAGIC} dim={n} alpha={float(rp.alpha)!r}",
+        stamp=stamp,
+    )
 
 
 def load_roughpath_csv(path: str) -> GridRoughPath:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(_CSV_MAGIC):
-            raise ValueError(f"{path}: not a signal file (bad magic line)")
-        meta = dict(tok.split("=") for tok in header.split()[3:])
-        n, alpha = int(meta["dim"]), float(meta["alpha"])
-        body = fh.read()
-    if body.startswith("# generated"):
-        body = body.split("\n", 1)[1]
-    data = np.loadtxt(io.StringIO(body), delimiter=",", skiprows=1, ndmin=2)
+    meta, data = read_table(path, _CSV_MAGIC)
+    n, alpha = int(meta["dim"]), float(meta["alpha"])
     if data.shape[1] != 1 + n + n * n:
         raise ValueError(f"{path}: expected {1 + n + n * n} columns, got {data.shape[1]}")
     grid = TimeGrid(data[:, 0])

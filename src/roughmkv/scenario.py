@@ -18,7 +18,7 @@ import configparser
 import difflib
 import hashlib
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

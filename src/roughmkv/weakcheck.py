@@ -30,6 +30,7 @@ from .coefficients import CoefficientSet, _area_tensor, diffusion_square
 from .grids import span_sup
 from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath
+from .tables import write_table
 
 __all__ = [
     "TestFunction",
@@ -482,13 +483,14 @@ def residual_order_scan(
 
 
 def save_residual_csv(scan: ResidualScan, path: str, stamp: str | None = None) -> None:
-    """Rows ``phi, level, delta, max_residual, noise_floor`` with repr-exact floats."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if stamp is not None:
-            fh.write(f"# generated {stamp}\n")
-        fh.write("phi,level,delta,max_residual,noise_floor\n")
-        for name, level, delta, stat, floor in scan.table:
-            fh.write(f"{name},{level},{delta!r},{stat!r},{floor!r}\n")
+    """Rows ``phi, level, delta, max_residual, noise_floor``."""
+    names, levels, deltas, stats, floors = zip(*scan.table)
+    write_table(
+        path,
+        ["phi", "level", "delta", "max_residual", "noise_floor"],
+        [(names, map(str, levels), np.array(deltas), np.array(stats), np.array(floors))],
+        stamp=stamp,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,54 @@ def test_reloaded_flow_pairs_with_its_backward_solution(tmp_path):
     assert duality_drift(back, sol).drift == duality_drift(flow, sol).drift
 
 
+def ref_save_backward_csv(solution, path, stamp=None):
+    """The per-row writer the table writer replaced; kept as a byte reference."""
+    lattice = solution.lattice_points()
+    d = solution.dim
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"# roughmkv-backward v1 dim={d} samples={solution.mc_samples} "
+            f"terminal={solution.terminal_name}\n"
+        )
+        if stamp is not None:
+            fh.write(f"# generated {stamp}\n")
+        fh.write(",".join(["t"] + [f"x_{j + 1}" for j in range(d)] + ["u", "stderr"]) + "\n")
+        for row, t in enumerate(solution.times):
+            for p in range(lattice.shape[0]):
+                cells = (
+                    [repr(float(t))]
+                    + [repr(float(v)) for v in lattice[p]]
+                    + [repr(float(solution.u[row, p])), repr(float(solution.stderr[row, p]))]
+                )
+                fh.write(",".join(cells) + "\n")
+
+
+def awkward_solution(d: int) -> backward.BackwardSolution:
+    """A solution whose lattice and values include -0.0, subnormals and inexact floats."""
+    rng = np.random.default_rng(40 + d)
+    axes = (np.array([-0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0]), np.array([-1.5, 1e300, 2.0]))[:d]
+    P = int(np.prod([a.size for a in axes]))
+    return backward.BackwardSolution(
+        axes=axes,
+        times=np.array([0.0, 0.1 + 0.2, 1.0]),
+        u=rng.standard_normal((3, P)),
+        stderr=np.abs(rng.standard_normal((3, P))) * 1e-3,
+        mc_samples=8,
+        driver_checksum="abc",
+        terminal_name="square",
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("stamp", [None, "2026-01-01T00:00:00+00:00"])
+def test_backward_csv_bytes_equal_per_row_reference(tmp_path, d, stamp):
+    sol = awkward_solution(d)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_backward_csv(sol, str(new), stamp=stamp)
+    ref_save_backward_csv(sol, str(ref), stamp=stamp)
+    assert new.read_text(encoding="utf-8") == ref.read_text(encoding="utf-8")
+
+
 def test_backward_csv_layout(tmp_path):
     grid, rp, cs = shift_setup(cells=4)
     times = grid.points[[0, 4]]

@@ -100,12 +100,12 @@ def test_numerical_abort_exits_three(tmp_path):
     summary = read_summary(out)
     assert summary["passed"] is False
     assert 0.0 < summary["aborted_at"] <= 1.0
+    # the drift does not enter the signal, so the calm run has the same driver
+    _, calm = run_cli(tmp_path, FAST_DIAG, "calm")
+    assert summary["driver_checksum"] == read_summary(calm)["driver_checksum"]
 
 
-def test_backward_blowup_exits_three(tmp_path):
-    # the forward cloud stays finite, but the backward lattice spans that
-    # whole cloud and its top node overflows on the seventh of eight cells
-    explosive = """
+BACKWARD_BOOM = """
 [scenario]
 name = backward_boom
 experiment = duality
@@ -125,12 +125,97 @@ samples = 4
 x_points = 5
 time_points = 2
 """
+
+
+def test_backward_blowup_exits_three(tmp_path):
+    # the forward cloud stays finite, but the backward lattice spans that
+    # whole cloud and its top node overflows on the seventh of eight cells
     with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run_cli(tmp_path, explosive, "backward_boom")
+        code, out = run_cli(tmp_path, BACKWARD_BOOM, "backward_boom")
     assert code == 3
     summary = read_summary(out)
     assert summary["passed"] is False
     assert summary["aborted_at"] == 0.875
+    _, calm = run_cli(tmp_path, BACKWARD_BOOM.replace("8e25", "-0.4"), "backward_calm")
+    assert summary["driver_checksum"] == read_summary(calm)["driver_checksum"]
+
+
+def test_residual_scan_blowup_exits_three_without_driver(tmp_path):
+    # the scan's driver is the finest level of its coupled runs, which never
+    # finished, so the summary names none
+    explosive = """
+[scenario]
+name = residual_boom
+experiment = residual_scan
+[grid]
+cells = 4
+levels = 2
+[driver]
+refinement = 4
+[coefficients]
+drift = linear 1e40
+sigma = none
+rough = none
+[particles]
+count = 8
+"""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, explosive, "residual_boom")
+    assert code == 3
+    summary = read_summary(out)
+    assert summary["passed"] is False
+    assert 0.0 < summary["aborted_at"] <= 1.0
+    assert summary["driver_checksum"] is None
+    assert summary["artifacts"] == []
+
+
+# ---------------------------------------------------------------------------
+# artifacts
+
+FAST_DUALITY = """
+[scenario]
+name = fast_duality
+experiment = duality
+[grid]
+cells = 8
+[driver]
+refinement = 4
+[coefficients]
+drift = linear -0.4
+sigma = constant 0.3
+rough = linear_state 0.25
+[particles]
+count = 16
+[backward]
+samples = 8
+terminal = square
+x_points = 5
+time_points = 3
+"""
+
+def table_rows(path):
+    """Header and rows of a CSV artifact, past its ``#`` lines."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("text", [FAST_DUALITY, FAST_DIAG], ids=["duality", "diagnostics"])
+def test_every_csv_column_loads_as_numbers(tmp_path, text):
+    _, stamped = run_cli(tmp_path, text, "stamped")
+    _, bare = run_cli(tmp_path, text, "bare", "--no-timestamp")
+    names = sorted(n for n in os.listdir(bare) if n.endswith(".csv"))
+    assert names and names == sorted(n for n in os.listdir(stamped) if n.endswith(".csv"))
+    for name in names:
+        header, rows = table_rows(bare / name)
+        assert rows and all(len(row) == len(header) for row in rows), name
+        for j, column in enumerate(header):
+            if column != "diagnostic":    # the one column of names
+                for row in rows:
+                    float(row[j])
+        # the stamp is one extra line; everything else is the same text
+        lines = (stamped / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        unstamped = "".join(ln for ln in lines if not ln.startswith("# generated "))
+        assert unstamped == (bare / name).read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

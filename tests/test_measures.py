@@ -289,6 +289,19 @@ def test_flow_csv_without_driver_token_loads(tmp_path):
     assert np.array_equal(back.states, flow.states)
 
 
+def test_flow_csv_rejects_foreign_magic_and_wrong_width(tmp_path):
+    path = tmp_path / "signal.csv"
+    path.write_text("# roughmkv-signal v1 dim=1 alpha=0.4\nt,W_1,WW_11\n0.0,0.0,0.0\n")
+    with pytest.raises(ValueError, match="magic"):
+        load_flow_csv(str(path))
+    path = tmp_path / "flow.csv"
+    save_flow_csv(little_flow(seed=2, cells=2, n=3), str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0].replace("dim=1", "dim=2")] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="expected 4 columns, got 3"):
+        load_flow_csv(str(path))
+
+
 def ref_save_flow_csv(flow, path, stamp=None):
     """The per-row writer the bulk writer replaced; kept as a byte reference."""
     d = flow.dim

@@ -285,6 +285,47 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("# some other format\n1,2,3\n")
     with pytest.raises(ValueError):
         load_roughpath_csv(str(path))
+    flow = tmp_path / "flow.csv"
+    flow.write_text("# roughmkv-flow v1 dim=1 particles=1\nt,particle,x_1\n0.0,0,1.0\n")
+    with pytest.raises(ValueError, match="magic"):
+        load_roughpath_csv(str(flow))
+
+
+def ref_save_roughpath_csv(rp, path, stamp=None):
+    """The per-row writer the table writer replaced; kept as a byte reference."""
+    n = rp.dim
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# roughmkv-signal v1 dim={n} alpha={float(rp.alpha)!r}\n")
+        if stamp is not None:
+            fh.write(f"# generated {stamp}\n")
+        cols = (
+            ["t"]
+            + [f"W_{a + 1}" for a in range(n)]
+            + [f"WW_{a + 1}{b + 1}" for a in range(n) for b in range(n)]
+        )
+        fh.write(",".join(cols) + "\n")
+        K = rp.grid.num_cells
+        zeros = np.zeros((n, n))
+        for k in range(K + 1):
+            area = rp.cell_areas[k] if k < K else zeros
+            row = (
+                [repr(float(rp.grid.points[k]))]
+                + [repr(float(v)) for v in rp.values[k]]
+                + [repr(float(v)) for v in area.ravel()]
+            )
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("stamp", [None, "2026-01-01T00:00:00+00:00"])
+def test_csv_bytes_equal_per_row_reference(tmp_path, dim, stamp):
+    rp = brownian_lift(3 + dim, dim, TimeGrid.uniform(1.0 / 3.0, 7), refinement_factor=4)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_roughpath_csv(rp, str(new), stamp=stamp)
+    ref_save_roughpath_csv(rp, str(ref), stamp=stamp)
+    assert new.read_text(encoding="utf-8") == ref.read_text(encoding="utf-8")
+    back = load_roughpath_csv(str(new))
+    assert roughpath_checksum(back) == roughpath_checksum(rp)
 
 
 def test_checksum_tracks_content():

@@ -256,25 +256,52 @@ def test_scan_needs_two_levels_and_matching_replicates():
         residual_order_scan(runs, bank, cs, replicates=[runs[:1]])
 
 
+def diffusive_runs(seed):
+    """Two levels of an Ornstein-Uhlenbeck cloud with particle seed ``seed``."""
+    out = []
+    for lvl in range(2):
+        cells = 8 * 2**lvl
+        grid = TimeGrid.uniform(1.0, cells)
+        rp = brownian_lift(40 + lvl, 1, grid, 4)
+        flow, _ = simulate(SimulationConfig(32, grid, seed, 1, 1, 1), ornstein_uhlenbeck_set(), rp)
+        out.append((flow, rp))
+    return out
+
+
 def test_scan_noise_floor_from_replicates():
     # diffusive scenario rerun under different particle seeds: the spread
     # of the level statistic is a visible monte carlo floor
-    def runs_for(seed):
-        out = []
-        for lvl in range(2):
-            cells = 8 * 2**lvl
-            grid = TimeGrid.uniform(1.0, cells)
-            rp = brownian_lift(40 + lvl, 1, grid, 4)
-            flow, _ = simulate(SimulationConfig(32, grid, seed, 1, 1, 1), ornstein_uhlenbeck_set(), rp)
-            out.append((flow, rp))
-        return out
-
     bank = [gaussian_bump(np.array([0.0]), 1.0)]
     scan = residual_order_scan(
-        runs_for(1), bank, ornstein_uhlenbeck_set(), replicates=[runs_for(2), runs_for(3)]
+        diffusive_runs(1), bank, ornstein_uhlenbeck_set(),
+        replicates=[diffusive_runs(2), diffusive_runs(3)],
     )
     floors = [row[4] for row in scan.table]
     assert all(f > 0 for f in floors)
+
+
+def ref_save_residual_csv(scan, path, stamp=None):
+    """The per-row writer the table writer replaced; kept as a byte reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if stamp is not None:
+            fh.write(f"# generated {stamp}\n")
+        fh.write("phi,level,delta,max_residual,noise_floor\n")
+        for name, level, delta, stat, floor in scan.table:
+            fh.write(f"{name},{level},{delta!r},{stat!r},{floor!r}\n")
+
+
+@pytest.mark.parametrize("stamp", [None, "2026-01-01T00:00:00+00:00"])
+def test_scan_csv_bytes_equal_per_row_reference(tmp_path, stamp):
+    bank = [gaussian_bump(np.array([0.0]), 1.0), quadratic_function(np.eye(1))]
+    scan = residual_order_scan(
+        diffusive_runs(1), bank, ornstein_uhlenbeck_set(),
+        replicates=[diffusive_runs(2), diffusive_runs(3)],
+    )
+    assert all(row[4] > 0 for row in scan.table)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_residual_csv(scan, str(new), stamp=stamp)
+    ref_save_residual_csv(scan, str(ref), stamp=stamp)
+    assert new.read_text(encoding="utf-8") == ref.read_text(encoding="utf-8")
 
 
 def test_scan_csv_layout(tmp_path):
