@@ -48,9 +48,9 @@ from .coefficients import (
 )
 from .simulate import (
     NumericalBlowup,
-    ParticleEnsemble,
     SimulationConfig,
     controlled_diagnostics,
+    initial_states,
     simulate,
     step_davie,
 )

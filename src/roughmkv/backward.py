@@ -167,7 +167,7 @@ def solve_backward_fk(
         for k in range(start, grid.num_cells):
             h = float(grid.dt[k])
             s_t, t_t = float(pts[k]), float(pts[k + 1])
-            dw, area = rp.increment(s_t, t_t), rp.second(s_t, t_t)
+            dw, area = rp.span(k, k + 1)
             # Blocks walk the rows in order, so the stream is consumed exactly
             # as one (P*M, m) draw would consume it.
             for lo in range(0, rows, block):

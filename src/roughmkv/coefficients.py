@@ -119,8 +119,12 @@ def coefficient_set(
     diffusion: Callable | None = None,
     rough: RoughFamily | None = None,
     drift_measure_free: bool = True,
-    diffusion_measure_free: bool = True,
 ) -> CoefficientSet:
+    """Bundle the three coefficients; missing ones are zero.
+
+    The bundle is measure-free when the drift is (``drift_measure_free``) and
+    the signal family is; the diffusion is taken not to depend on the cloud.
+    """
     if rough is None:
         rough = zero_rough(dim, driver_dim)
     if rough.dim != dim or rough.channels != driver_dim:
@@ -135,9 +139,7 @@ def coefficient_set(
         drift=drift if drift is not None else _zero_drift(dim),
         diffusion=diffusion if diffusion is not None else _zero_diffusion(dim, brownian_dim),
         rough=rough,
-        measure_free=bool(
-            drift_measure_free and diffusion_measure_free and rough.measure_free
-        ),
+        measure_free=bool(drift_measure_free and rough.measure_free),
     )
 
 
@@ -243,7 +245,6 @@ def moment_family(
     phi: Callable,
     dx_phi: Callable,
     dm_phi: Callable,
-    prime: Callable | None = None,
     lions_lip: float | None = None,
 ) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = phi(t, x, mean(mu))``.
@@ -271,18 +272,12 @@ def moment_family(
         fbar = symmetric_mean(fz, axis=0)                    # (d, n)
         return np.einsum("aijl,jk->aikl", grad, fbar)
 
-    if prime is None:
-        prime_ = _zeros_like_mixing(dim, channels)
-    else:
-        def prime_(t, x, mu):
-            return prime(t, _as_batch(x), mu.mean())
-
     return RoughFamily(
         dim=dim,
         channels=channels,
         eval=eval_,
         dx=dx_,
-        prime=prime_,
+        prime=_zeros_like_mixing(dim, channels),
         lions=lions_,
         mixing=mixing_,
         measure_free=False,
@@ -312,7 +307,6 @@ def convolution_family(
     g: Callable,
     dx_g: Callable,
     dy_g: Callable,
-    g_prime: Callable | None = None,
     lions_lip: float | None = None,
 ) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = avg_y g(t, x, y)`` over the cloud.
@@ -344,19 +338,12 @@ def convolution_family(
         grads = dy_g(t, xa, zb)                          # (A, B, d, d, n)
         return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
 
-    if g_prime is None:
-        prime_ = _zeros_like_mixing(dim, channels)
-    else:
-        def prime_(t, x, mu):
-            xa, yb = _pair(x, mu.points)
-            return symmetric_mean(g_prime(t, xa, yb), axis=1)
-
     return RoughFamily(
         dim=dim,
         channels=channels,
         eval=eval_,
         dx=dx_,
-        prime=prime_,
+        prime=_zeros_like_mixing(dim, channels),
         lions=lions_,
         mixing=mixing_,
         measure_free=False,

@@ -105,6 +105,10 @@ class _Report:
         self.sc = sc
         self.ctx = ctx
         self.seed = sc.seed if ctx.seed_override is None else int(ctx.seed_override)
+        # one clock reading stamps every artifact of the run
+        self.stamp = (
+            datetime.datetime.now(datetime.timezone.utc).isoformat() if ctx.timestamp else None
+        )
         self.driver_checksum: str | None = None    # set once the run's driver exists
         self.invariants: dict[str, dict] = {}
         self.artifacts: list[str] = []
@@ -132,7 +136,7 @@ class _Report:
 
     def table(self, filename: str, header: tuple[str, ...], *columns) -> None:
         """Write one table artifact; columns as in ``tables.write_table``."""
-        write_table(self.path(filename), header, [columns], stamp=_stamp(self.ctx))
+        write_table(self.path(filename), header, [columns], stamp=self.stamp)
 
     def finish(self, aborted_at: float | None = None) -> int:
         passed = all(inv["passed"] for inv in self.invariants.values())
@@ -149,20 +153,14 @@ class _Report:
         summary.update(self.extra)
         if aborted_at is not None:
             summary["aborted_at"] = aborted_at
-        if self.ctx.timestamp:
-            summary["generated"] = _stamp(self.ctx)
+        if self.stamp is not None:
+            summary["generated"] = self.stamp
         with open(os.path.join(self.ctx.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
         if aborted_at is not None:
             return EXIT_BLOWUP
         return EXIT_OK if passed else EXIT_INVARIANT
-
-
-def _stamp(ctx: RunContext) -> str | None:
-    if not ctx.timestamp:
-        return None
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _simulation_config(
@@ -210,7 +208,7 @@ def _run_lift_checks(sc: Scenario, rep: _Report) -> None:
     round_trip = float(np.max(np.abs(back.cell_areas - rp.cell_areas)))
 
     path_csv = rep.path("driver.csv")
-    save_roughpath_csv(rp, path_csv, stamp=_stamp(rep.ctx))
+    save_roughpath_csv(rp, path_csv, stamp=rep.stamp)
     reloaded = load_roughpath_csv(path_csv)
     reload_err = max(
         float(np.max(np.abs(reloaded.values - rp.values))),
@@ -275,7 +273,7 @@ def _run_residual_scan(sc: Scenario, rep: _Report) -> None:
     rep.driver_checksum = roughpath_checksum(runs[-1][1])
 
     scan = residual_order_scan(runs, default_bank(sc.dim), coeffs, replicates=replicates)
-    save_residual_csv(scan, rep.path("residuals.csv"), stamp=_stamp(rep.ctx))
+    save_residual_csv(scan, rep.path("residuals.csv"), stamp=rep.stamp)
 
     target = 3.0 * sc.alpha * 0.8
     if sc.sigma[0] == "none":
@@ -374,7 +372,7 @@ def _run_duality(sc: Scenario, rep: _Report) -> None:
     scale = max(1.0, float(np.max(np.abs(report.pairings))))
     budget = 4.0 * scale * budget_parts
 
-    save_backward_csv(solution, rep.path("backward.csv"), stamp=_stamp(rep.ctx))
+    save_backward_csv(solution, rep.path("backward.csv"), stamp=rep.stamp)
     rep.table("duality_curve.csv", ("t", "pairing"), report.times, report.pairings)
 
     rep.check("duality_drift", report.drift, budget)
@@ -398,7 +396,7 @@ def _run_diagnostics(sc: Scenario, rep: _Report) -> None:
     steps: list[StepReport] = []
     flow, _ = simulate(config, coeffs, rp, observer=steps.append)
 
-    save_flow_csv(flow, rep.path("flow.csv"), stamp=_stamp(rep.ctx))
+    save_flow_csv(flow, rep.path("flow.csv"), stamp=rep.stamp)
 
     # per-step magnitude trace, as observed during the run
     parts = [(s.time, s.drift_part, s.brownian_part, s.signal_part, s.area_part) for s in steps]

@@ -81,15 +81,20 @@ class TimeGrid:
     def __len__(self) -> int:
         return self.points.size
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid node equal to ``t`` (up to a tiny tolerance)."""
+    def index_of(self, t: float | np.ndarray) -> int | np.ndarray:
+        """Index of the grid node equal to ``t`` (up to a tiny tolerance).
+
+        ``t`` may be an array of times; the result is then an index array.
+        """
         pts = self.points
-        k = int(np.searchsorted(pts, t))
         tol = _LOOKUP_ATOL * max(1.0, self.horizon)
-        for cand in (k - 1, k, k + 1):
-            if 0 <= cand < pts.size and abs(pts[cand] - t) <= tol:
-                return cand
-        raise ValueError(f"time {t!r} is not a grid point")
+        t = np.asarray(t, dtype=np.float64)
+        # the first node at or above t - tol is the match if any node is
+        k = np.minimum(np.searchsorted(pts, t - tol), pts.size - 1)
+        off = ~(np.abs(pts[k] - t) <= tol)
+        if np.any(off):
+            raise ValueError(f"time {float(t[off].flat[0])!r} is not a grid point")
+        return int(k) if k.ndim == 0 else k
 
     def span_indices(self, s: float, t: float) -> tuple[int, int]:
         """Indices ``(i, j)`` for grid times ``s <= t``."""
@@ -129,8 +134,7 @@ class TimeGrid:
 
     def is_subgrid_of(self, fine: "TimeGrid") -> bool:
         try:
-            for t in self.points:
-                fine.index_of(float(t))
+            fine.index_of(self.points)
         except ValueError:
             return False
         return True

@@ -265,8 +265,9 @@ _FLOW_MAGIC = "# roughmkv-flow v1"
 def save_flow_csv(flow: MeasureFlow, path: str, stamp: str | None = None) -> None:
     """Rows ``t, particle, x_1..x_d``, one block per grid node.
 
-    The magic line carries ``driver=<checksum>`` when the flow has one, so a
-    reloaded flow can still be paired with a backward solution.
+    The magic line carries the node count, so a cut file is refused on load,
+    and ``driver=<checksum>`` when the flow has one, so a reloaded flow can
+    still be paired with a backward solution.
     """
     d = flow.dim
     driver = "" if flow.driver_checksum is None else f" driver={flow.driver_checksum}"
@@ -276,16 +277,25 @@ def save_flow_csv(flow: MeasureFlow, path: str, stamp: str | None = None) -> Non
         ["t", "particle"] + [f"x_{a + 1}" for a in range(d)],
         ((itertools.repeat(repr(t)), idx, *node.T)
          for t, node in zip(flow.grid.points.tolist(), flow.states)),
-        magic=f"{_FLOW_MAGIC} dim={d} particles={flow.num_particles}{driver}",
+        magic=f"{_FLOW_MAGIC} dim={d} particles={flow.num_particles} "
+        f"nodes={len(flow.grid)}{driver}",
         stamp=stamp,
     )
 
 
 def load_flow_csv(path: str) -> MeasureFlow:
     meta, data = read_table(path, _FLOW_MAGIC)
-    d, N = int(meta["dim"]), int(meta["particles"])
+    try:
+        d, N, nodes = (int(meta[key]) for key in ("dim", "particles", "nodes"))
+    except KeyError as exc:
+        raise ValueError(f"{path}: magic line has no {exc.args[0]}= token") from None
     if data.shape[1] != 2 + d:
         raise ValueError(f"{path}: expected {2 + d} columns, got {data.shape[1]}")
+    if data.shape[0] != nodes * N:
+        raise ValueError(
+            f"{path}: expected {nodes * N} rows ({nodes} nodes x {N} particles), "
+            f"got {data.shape[0]}"
+        )
     times = data[::N, 0]
-    states = data[:, 2:].reshape(times.size, N, d)
+    states = data[:, 2:].reshape(nodes, N, d)
     return MeasureFlow(TimeGrid(times), states, driver_checksum=meta.get("driver"))

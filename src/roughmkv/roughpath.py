@@ -110,20 +110,23 @@ class GridRoughPath:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    def span(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """Increment and second-level tensor over the span from node ``i`` to ``j``.
+
+        ``i <= j`` are node indices, or integer arrays that broadcast (one span
+        per entry).  Uses the cached prefix: WW(s,t) = WW(0,t) - WW(0,s) -
+        dW(0,s)(x)dW(s,t), which is the accumulation rule solved for the
+        middle piece.
+        """
+        dv = self.values[j] - self.values[i]
+        return dv, self._prefix[j] - self._prefix[i] - _outer(self.values[i] - self.values[0], dv)
+
     def increment(self, s: float, t: float) -> np.ndarray:
-        i, j = self.grid.span_indices(s, t)
-        return self.values[j] - self.values[i]
+        return self.span(*self.grid.span_indices(s, t))[0]
 
     def second(self, s: float, t: float) -> np.ndarray:
-        """Second-level tensor over the grid span ``[s, t]``.
-
-        Uses the cached prefix: WW(s,t) = WW(0,t) - WW(0,s) - dW(0,s)(x)dW(s,t),
-        which is the accumulation rule solved for the middle piece.
-        """
-        i, j = self.grid.span_indices(s, t)
-        w0 = self.values[i] - self.values[0]
-        dv = self.values[j] - self.values[i]
-        return self._prefix[j] - self._prefix[i] - _outer(w0, dv)
+        """Second-level tensor over the grid span ``[s, t]``."""
+        return self.span(*self.grid.span_indices(s, t))[1]
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,6 @@ class GeometricityReport:
     """Worst symmetric-part defect over all grid spans."""
 
     max_defect: float
-    worst_span: tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +243,7 @@ def sym_defect(rp: GridRoughPath) -> GeometricityReport:
     w0 = rp.values - rp.values[0]                        # (K+1, n)
     H = 0.5 * (rp._prefix + np.swapaxes(rp._prefix, 1, 2)) - 0.5 * _outer(w0, w0)
     flat = H.reshape(H.shape[0], -1)
-    lo, hi = flat.min(axis=0), flat.max(axis=0)
-    e = int(np.argmax(hi - lo))
-    i, j = int(np.argmin(flat[:, e])), int(np.argmax(flat[:, e]))
-    i, j = min(i, j), max(i, j)
-    return GeometricityReport(
-        max_defect=float((hi - lo)[e]),
-        worst_span=(float(rp.grid.points[i]), float(rp.grid.points[j])),
-    )
+    return GeometricityReport(max_defect=float(np.ptp(flat, axis=0).max()))
 
 
 def holder_norms(rp: GridRoughPath) -> tuple[float, float]:
@@ -258,11 +253,12 @@ def holder_norms(rp: GridRoughPath) -> tuple[float, float]:
     the node count; meant for grids up to a few thousand nodes.
     """
 
+    nodes = np.arange(len(rp.grid))
+
     def rows():
         for i, gap in rp.grid.spans():
             gap = gap**rp.alpha
-            dv = rp.values[i + 1 :] - rp.values[i]
-            ww = rp._prefix[i + 1 :] - rp._prefix[i] - _outer(rp.values[i] - rp.values[0], dv)
+            dv, ww = rp.span(i, nodes[i + 1 :])
             yield np.linalg.norm(dv, axis=1) / gap, np.linalg.norm(ww, axis=(1, 2)) / gap**2
 
     return span_sup(rows())
@@ -288,12 +284,8 @@ def stratonovich_from_ito(rp: GridRoughPath) -> GridRoughPath:
 
 def restrict(rp: GridRoughPath, coarse: TimeGrid) -> GridRoughPath:
     """Restriction to a subgrid; coarse cell tensors accumulate fine cells."""
-    idx = np.array([rp.grid.index_of(float(t)) for t in coarse.points])
-    values = rp.values[idx]
-    areas = np.empty((coarse.num_cells, rp.dim, rp.dim))
-    for k in range(coarse.num_cells):
-        areas[k] = rp.second(float(coarse.points[k]), float(coarse.points[k + 1]))
-    return GridRoughPath(coarse, values, areas, rp.alpha)
+    idx = rp.grid.index_of(coarse.points)
+    return GridRoughPath(coarse, rp.values[idx], rp.span(idx[:-1], idx[1:])[1], rp.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,6 @@ _DRIVER_KINDS = ("brownian", "line", "sinusoid")
 _CONVENTIONS = ("stratonovich", "ito")
 _SCHEMES = ("davie_full", "davie_no_lift")
 
-_MEASURE_DEP_DRIFT = {"linear_mean"}
-_MEASURE_DEP_ROUGH = {"moment_sin", "convolution_gauss"}
-
 
 class ScenarioError(ValueError):
     """Malformed scenario text; message pins down section and key."""
@@ -294,7 +291,7 @@ def _validate(sc: Scenario) -> None:
         raise bad("coefficients", "rough", "kernel width must be positive")
 
     if sc.experiment == "duality":
-        if sc.drift[0] in _MEASURE_DEP_DRIFT or sc.rough[0] in _MEASURE_DEP_ROUGH:
+        if not build_coefficients(sc).measure_free:
             raise bad(
                 "scenario",
                 "experiment",

@@ -20,7 +20,7 @@ particles together with their increment rows permutes trajectories exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,12 +37,11 @@ __all__ = [
     "NumericalBlowup",
     "check_finite",
     "SimulationConfig",
-    "ParticleEnsemble",
     "StepReport",
     "ControlledReport",
     "idiosyncratic_increments",
     "coarsen_increments",
-    "initial_ensemble",
+    "initial_states",
     "step_davie",
     "simulate",
     "controlled_diagnostics",
@@ -87,32 +86,6 @@ class SimulationConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {_SCHEMES}")
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleEnsemble:
-    """Particle states plus their materialised private increments."""
-
-    grid: TimeGrid
-    states: np.ndarray        # (N, d)
-    brownian: np.ndarray      # (N, K, m), increments per grid cell
-
-    def __post_init__(self) -> None:
-        st = np.asarray(self.states, dtype=np.float64)
-        db = np.asarray(self.brownian, dtype=np.float64)
-        if st.ndim != 2:
-            raise ValueError("states must be (N, d)")
-        if db.shape[:2] != (st.shape[0], self.grid.num_cells):
-            raise ValueError(
-                f"brownian block must be (N={st.shape[0]}, K={self.grid.num_cells}, m), "
-                f"got {db.shape}"
-            )
-        object.__setattr__(self, "states", st)
-        object.__setattr__(self, "brownian", db)
-
-    @property
-    def size(self) -> int:
-        return self.states.shape[0]
-
-
 @dataclass(frozen=True)
 class StepReport:
     """Per-term max displacement magnitudes for one step."""
@@ -150,10 +123,8 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
     return fine.reshape(N, K // factor, factor, m).sum(axis=2)
 
 
-def initial_ensemble(
-    config: SimulationConfig, brownian: np.ndarray | None = None
-) -> ParticleEnsemble:
-    """Sample the initial cloud and materialise private increments."""
+def initial_states(config: SimulationConfig) -> np.ndarray:
+    """Sample the initial cloud, shape ``(N, d)``."""
     rng = substream(config.seed, TAG_INITIAL)
     if config.initial_sampler is None:
         states = rng.standard_normal((config.particle_count, config.dim))
@@ -166,11 +137,7 @@ def initial_ensemble(
             f"initial sampler returned {states.shape}, expected "
             f"({config.particle_count}, {config.dim})"
         )
-    if brownian is None:
-        brownian = idiosyncratic_increments(
-            config.seed, config.particle_count, config.grid, config.brownian_dim
-        )
-    return ParticleEnsemble(grid=config.grid, states=states, brownian=brownian)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -218,35 +185,36 @@ def advance_states(
 
 
 def step_davie(
-    ensemble: ParticleEnsemble,
+    states: np.ndarray,
     coeffs: CoefficientSet,
     rp: GridRoughPath,
-    s: float,
-    t: float,
+    k: int,
+    db: np.ndarray,
     scheme: str = SCHEME_FULL,
     want_report: bool = False,
-) -> tuple[ParticleEnsemble, StepReport | None]:
-    """Advance the ensemble over the single grid cell ``[s, t]``."""
+) -> tuple[np.ndarray, StepReport | None]:
+    """Advance ``states`` over grid cell ``k`` of the signal, ``[t_k, t_k+1]``.
+
+    ``db`` holds each particle's private increment over the cell, ``(N, m)``.
+    """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    i, j = ensemble.grid.span_indices(s, t)
-    if j != i + 1:
-        raise ValueError(f"[{s!r}, {t!r}] is not a single grid cell")
-    mu = None if coeffs.measure_free else EmpiricalMeasure(ensemble.states)
-    h = float(ensemble.grid.dt[i])
-    area = rp.second(s, t) if scheme == SCHEME_FULL else None
-    new, report = advance_states(
-        ensemble.states,
+    K = rp.grid.num_cells
+    if not 0 <= k < K:
+        raise ValueError(f"cell index {k!r} is outside [0, {K})")
+    mu = None if coeffs.measure_free else EmpiricalMeasure(states)
+    dw, area = rp.span(k, k + 1)
+    return advance_states(
+        states,
         coeffs,
         mu,
-        float(s),
-        h,
-        rp.increment(s, t),
-        area,
-        ensemble.brownian[:, i, :],
+        float(rp.grid.points[k]),
+        float(rp.grid.dt[k]),
+        dw,
+        area if scheme == SCHEME_FULL else None,
+        db,
         want_report=want_report,
     )
-    return replace(ensemble, states=new), report
 
 
 def simulate(
@@ -277,20 +245,26 @@ def simulate(
     if coeffs.dim != config.dim or coeffs.brownian_dim != config.brownian_dim:
         raise ValueError("coefficient bundle dimensions disagree with config")
 
-    ens = initial_ensemble(config, brownian)
-    K = config.grid.num_cells
-    history = np.empty((K + 1, config.particle_count, config.dim))
-    history[0] = ens.states
+    N, K = config.particle_count, config.grid.num_cells
+    history = np.empty((K + 1, N, config.dim))
+    history[0] = initial_states(config)
+    if brownian is None:
+        brownian = idiosyncratic_increments(config.seed, N, config.grid, config.brownian_dim)
+    brownian = np.asarray(brownian, dtype=np.float64)
+    if brownian.shape != (N, K, config.brownian_dim):
+        raise ValueError(
+            f"brownian block must be (N={N}, K={K}, m={config.brownian_dim}), "
+            f"got {brownian.shape}"
+        )
     pts = config.grid.points
     for k in range(K):
-        ens, report = step_davie(
-            ens, coeffs, rp, float(pts[k]), float(pts[k + 1]), scheme=config.scheme,
+        history[k + 1], report = step_davie(
+            history[k], coeffs, rp, k, brownian[:, k], scheme=config.scheme,
             want_report=observer is not None,
         )
         if observer is not None:
             observer(report)
-        check_finite(ens.states, float(pts[k + 1]))
-        history[k + 1] = ens.states
+        check_finite(history[k + 1], float(pts[k + 1]))
     flow = MeasureFlow(
         grid=config.grid, states=history, driver_checksum=roughpath_checksum(rp)
     )

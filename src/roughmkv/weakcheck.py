@@ -358,7 +358,8 @@ def weak_residual(
     """Defect of the weak-form expansion over the grid span ``[s, t]``.
 
     The time integral is the trapezoid rule over the span's nodes; the first-
-    and second-order signal terms are frozen at ``s``.
+    and second-order signal terms are frozen at ``s``.  ``flow`` and ``rp``
+    share one grid.
     """
     i, j = flow.grid.span_indices(s, t)
     if i == j:
@@ -370,8 +371,7 @@ def weak_residual(
     lhs = value[-1] - value[0]
     time_part = float(np.sum(0.5 * np.diff(pts) * (gen[:-1] + gen[1:])))
 
-    dw = rp.increment(s, t)
-    ww = rp.second(s, t)
+    dw, ww = rp.span(i, j)
     n = rp.dim
     first_part = sum(first[k] * dw[k] for k in range(n))
     second_part = sum(second[k, l] * ww[k, l] for k in range(n) for l in range(n))
@@ -389,11 +389,8 @@ def _cell_residuals(
     lhs = value[:, 1:] - value[:, :-1]
     time_part = 0.5 * np.diff(pts) * (gen[:, :-1] + gen[:, 1:])
 
-    # cell increments and second levels, as GridRoughPath.increment / .second
-    # compute them from the cached prefix for the span [t_k, t_k+1]
-    w = rp.values
-    dw = w[1:] - w[:-1]                                   # (K, n)
-    ww = rp._prefix[1:] - rp._prefix[:-1] - (w[:-1] - w[0])[:, :, None] * dw[:, None, :]
+    cells = np.arange(flow.grid.num_cells)
+    dw, ww = rp.span(cells, cells + 1)                    # (K, n), (K, n, n)
     n = rp.dim
     first = curves.first[:, :-1]                          # signal terms at s = t_k
     second = curves.second[:, :-1]

@@ -205,6 +205,7 @@ def test_every_csv_column_loads_as_numbers(tmp_path, text):
     _, bare = run_cli(tmp_path, text, "bare", "--no-timestamp")
     names = sorted(n for n in os.listdir(bare) if n.endswith(".csv"))
     assert names and names == sorted(n for n in os.listdir(stamped) if n.endswith(".csv"))
+    stamps = {read_summary(stamped)["generated"]}
     for name in names:
         header, rows = table_rows(bare / name)
         assert rows and all(len(row) == len(header) for row in rows), name
@@ -216,6 +217,9 @@ def test_every_csv_column_loads_as_numbers(tmp_path, text):
         lines = (stamped / name).read_text(encoding="utf-8").splitlines(keepends=True)
         unstamped = "".join(ln for ln in lines if not ln.startswith("# generated "))
         assert unstamped == (bare / name).read_text(encoding="utf-8")
+        stamps.update(ln.split()[2] for ln in lines if ln.startswith("# generated "))
+    # one clock reading stamps the whole run
+    assert len(stamps) == 1
 
 
 # ---------------------------------------------------------------------------

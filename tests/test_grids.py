@@ -40,6 +40,10 @@ def test_index_of_exact_and_tolerant():
     assert g.index_of(0.3 + 1e-12) == 3
     with pytest.raises(ValueError):
         g.index_of(0.35)
+    # an array of times looks up elementwise; one off-grid time refuses all
+    assert np.array_equal(g.index_of(np.array([0.7, 0.0, 0.3 - 1e-12, 1.0])), [7, 0, 3, 10])
+    with pytest.raises(ValueError, match="0.35"):
+        g.index_of(np.array([0.2, 0.35]))
 
 
 def test_span_indices_orders_endpoints():

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and no
+module reads another object's private attribute."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,52 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_self(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id in ("self", "cls")
+
+
+def private_reads(source: str) -> list[str]:
+    """``obj._name`` uses whose ``obj`` is not ``self``/``cls`` and whose
+    ``_name`` the module defines neither as a class member nor as ``self._name``."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    defined.add(item.target.id)
+                elif isinstance(item, ast.Assign):
+                    defined.update(t.id for t in item.targets if isinstance(t, ast.Name))
+                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(item.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and _is_self(node.value):
+            defined.add(node.attr)
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not _is_self(node.value)
+        and node.attr not in defined
+    ]
+
+
+def test_checker_finds_a_private_reach_in():
+    source = (
+        "class A:\n"
+        "    _field: int = 0\n"
+        "    def _helper(self):\n"
+        "        self._cache = 1\n"
+        "        return cls._field + self._other\n"
+        "def f(a, rp):\n"
+        "    return a._field + a._cache + a._helper() + a.__class__ + rp._prefix\n"
+    )
+    assert private_reads(source) == ["7: rp._prefix"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_attribute_reads(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []

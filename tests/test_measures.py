@@ -302,12 +302,32 @@ def test_flow_csv_rejects_foreign_magic_and_wrong_width(tmp_path):
         load_flow_csv(str(path))
 
 
+@pytest.mark.parametrize("kept_rows", [15, 17], ids=["node_boundary", "mid_node"])
+def test_flow_csv_refuses_a_cut_file(tmp_path, kept_rows):
+    path = tmp_path / "flow.csv"
+    save_flow_csv(little_flow(seed=3, cells=4, n=5), str(path), stamp="then")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[: 3 + kept_rows]))
+    with pytest.raises(ValueError, match=f"expected 25 rows .*, got {kept_rows}"):
+        load_flow_csv(str(path))
+
+
+def test_flow_csv_without_node_count_is_refused(tmp_path):
+    path = tmp_path / "flow.csv"
+    path.write_text("# roughmkv-flow v1 dim=1 particles=1\nt,particle,x_1\n0.0,0,1.0\n")
+    with pytest.raises(ValueError, match="nodes="):
+        load_flow_csv(str(path))
+
+
 def ref_save_flow_csv(flow, path, stamp=None):
     """The per-row writer the bulk writer replaced; kept as a byte reference."""
     d = flow.dim
     driver = "" if flow.driver_checksum is None else f" driver={flow.driver_checksum}"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# roughmkv-flow v1 dim={d} particles={flow.num_particles}{driver}\n")
+        fh.write(
+            f"# roughmkv-flow v1 dim={d} particles={flow.num_particles} "
+            f"nodes={len(flow.grid)}{driver}\n"
+        )
         if stamp is not None:
             fh.write(f"# generated {stamp}\n")
         fh.write(",".join(["t", "particle"] + [f"x_{a + 1}" for a in range(d)]) + "\n")

@@ -96,6 +96,33 @@ def test_second_level_matches_fold_oracle():
         assert np.max(np.abs(balanced(i, j) - left_fold)) <= 1e-12
 
 
+SPAN_GRIDS = {
+    "uniform": TimeGrid.uniform(1.0, 16),
+    "nonuniform": TimeGrid(np.array([0.0, 0.1, 0.1 + 0.2, 1.0 / 3.0, 0.7, 0.71, 1.3])),
+    "one_cell": TimeGrid.uniform(0.5, 1),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("grid", SPAN_GRIDS.values(), ids=SPAN_GRIDS.keys())
+def test_span_is_the_one_reconstruction(grid, dim):
+    rp = brownian_lift(11 + dim, dim, grid, 4, convention="ito")
+    pts = rp.grid.points
+    I, J = np.triu_indices(pts.size)          # every span i <= j
+    dw_all, ww_all = rp.span(I, J)
+    for n, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
+        s, t = float(pts[i]), float(pts[j])
+        dw, ww = rp.span(i, j)
+        assert np.array_equal(dw, rp.increment(s, t))
+        assert np.array_equal(ww, rp.second(s, t))
+        assert np.array_equal(dw_all[n], dw) and np.array_equal(ww_all[n], ww)
+        assert np.max(np.abs(ww - chen_extend(rp, s, t)), initial=0.0) <= 1e-12
+    # a scalar start broadcasts against an array of ends
+    dw_row, ww_row = rp.span(0, np.arange(pts.size))
+    assert np.array_equal(dw_row, dw_all[: pts.size])
+    assert np.array_equal(ww_row, ww_all[: pts.size])
+
+
 # ---------------------------------------------------------------------------
 # geometricity
 
@@ -240,7 +267,7 @@ def test_restrict_preserves_accumulated_tensors():
     assert np.array_equal(sub.values, rp.values[::4])
     for k in range(coarse.num_cells):
         s, t = float(coarse.points[k]), float(coarse.points[k + 1])
-        assert np.max(np.abs(sub.cell_areas[k] - rp.second(s, t))) <= 1e-12
+        assert np.array_equal(sub.cell_areas[k], rp.second(s, t))
     assert sym_defect(sub).max_defect <= 1e-12
 
 

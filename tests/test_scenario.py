@@ -78,11 +78,19 @@ def test_type_errors_name_section_and_key():
 def test_semantic_validation():
     with pytest.raises(ScenarioError, match="alpha"):
         parse_scenario_text(MINIMAL + "\n[driver]\nalpha = 0.2\n")
-    with pytest.raises(ScenarioError, match="measure-free"):
-        parse_scenario_text(
-            "[scenario]\nname = d\nexperiment = duality\n"
-            "[coefficients]\nrough = moment_sin 0.5 0.4\n"
-        )
+    for coefficients in (
+        "rough = moment_sin 0.5 0.4",
+        "drift = linear_mean -0.3 0.2",
+        "rough = convolution_gauss 0.5 0.7",
+    ):
+        with pytest.raises(ScenarioError, match="measure-free") as exc:
+            parse_scenario_text(
+                "[scenario]\nname = d\nexperiment = duality\n"
+                f"[coefficients]\n{coefficients}\n"
+            )
+        kind = coefficients.split()[2]
+        assert f"{kind!r}" in str(exc.value)
+        assert "drift" in str(exc.value) and "rough" in str(exc.value)
     with pytest.raises(ScenarioError, match="two sizes"):
         parse_scenario_text(
             "[scenario]\nname = c\nexperiment = chaos_scan\n"

@@ -23,12 +23,11 @@ from roughmkv.simulate import (
     SCHEME_FULL,
     SCHEME_NO_LIFT,
     NumericalBlowup,
-    ParticleEnsemble,
     SimulationConfig,
     coarsen_increments,
     controlled_diagnostics,
     idiosyncratic_increments,
-    initial_ensemble,
+    initial_states,
     simulate,
     step_davie,
 )
@@ -238,14 +237,16 @@ def test_scheme_difference_is_the_area_term():
     )
     grid = TimeGrid.uniform(1.0, 4)
     rp = brownian_lift(17, 1, grid, 8)
-    ens = initial_ensemble(make_config(n=10, cells=4, seed=2))
+    cfg = make_config(n=10, cells=4, seed=2)
+    x0 = initial_states(cfg)
+    db = idiosyncratic_increments(cfg.seed, 10, grid, 1)[:, 0]
     s, t = float(grid.points[0]), float(grid.points[1])
-    full, rep_full = step_davie(ens, cs, rp, s, t, scheme=SCHEME_FULL, want_report=True)
-    plain, rep_plain = step_davie(ens, cs, rp, s, t, scheme=SCHEME_NO_LIFT, want_report=True)
+    full, rep_full = step_davie(x0, cs, rp, 0, db, scheme=SCHEME_FULL, want_report=True)
+    plain, rep_plain = step_davie(x0, cs, rp, 0, db, scheme=SCHEME_NO_LIFT, want_report=True)
     areaterm = np.einsum(
-        "aikl,kl->ai", area_coefficient(cs, s, ens.states, None), rp.second(s, t)
+        "aikl,kl->ai", area_coefficient(cs, s, x0, None), rp.second(s, t)
     )
-    assert np.allclose(full.states - plain.states, areaterm, atol=1e-14)
+    assert np.allclose(full - plain, areaterm, atol=1e-14)
     assert rep_full.area_part == np.max(np.abs(areaterm))
     assert rep_plain.area_part == 0.0
     assert rep_full.signal_part == rep_plain.signal_part
@@ -255,15 +256,17 @@ def ref_history(config, coeffs, rp):
     """The forward run before the step reused its coefficient: ``eval`` for
     ``f dW``, then ``area_coefficient``, which evaluates ``f`` again at the
     states and at the cloud.  A reference."""
-    ens = initial_ensemble(config)
     pts = config.grid.points
-    x = ens.states
+    db = idiosyncratic_increments(
+        config.seed, config.particle_count, config.grid, config.brownian_dim
+    )
+    x = initial_states(config)
     hist = [x]
     for k in range(config.grid.num_cells):
         s, t = float(pts[k]), float(pts[k + 1])
         mu = None if coeffs.measure_free else EmpiricalMeasure(x)
         drift = coeffs.drift(s, x, mu) * float(config.grid.dt[k])
-        brown = np.einsum("ail,al->ai", coeffs.diffusion(s, x, mu), ens.brownian[:, k, :])
+        brown = np.einsum("ail,al->ai", coeffs.diffusion(s, x, mu), db[:, k, :])
         sig = np.einsum("aik,k->ai", coeffs.rough.eval(s, x, mu), rp.increment(s, t))
         if config.scheme == SCHEME_FULL:
             areapart = np.einsum(
@@ -321,12 +324,21 @@ def test_one_signal_coefficient_evaluation_per_step(scheme):
     assert calls == [20] * 7
 
 
-def test_step_rejects_multi_cell_spans():
-    cfg = make_config()
+@pytest.mark.parametrize("k", [-1, 8])
+def test_step_rejects_cells_outside_the_grid(k):
+    cfg = make_config(cells=8)
     rp = brownian_lift(1, 1, cfg.grid, 2)
-    ens = initial_ensemble(cfg)
-    with pytest.raises(ValueError):
-        step_davie(ens, ornstein_uhlenbeck_set(), rp, 0.0, 0.25)
+    db = np.zeros((cfg.particle_count, 1))
+    with pytest.raises(ValueError, match="outside"):
+        step_davie(initial_states(cfg), ornstein_uhlenbeck_set(), rp, k, db)
+
+
+@pytest.mark.parametrize("shape", [(15, 8, 1), (16, 7, 1), (16, 8, 2)])
+def test_simulate_rejects_a_brownian_block_of_the_wrong_shape(shape):
+    cfg = make_config(n=16, cells=8)
+    rp = brownian_lift(1, 1, cfg.grid, 2)
+    with pytest.raises(ValueError, match="brownian block"):
+        simulate(cfg, ornstein_uhlenbeck_set(), rp, brownian=np.zeros(shape))
 
 
 def test_dimension_mismatches_are_rejected():
@@ -467,14 +479,13 @@ def test_observer_sees_the_reports_of_a_step_davie_replay(scheme):
     assert np.array_equal(hist_obs, hist_plain)
     assert observed.driver_checksum == plain.driver_checksum
 
-    ens = initial_ensemble(cfg)
+    x = initial_states(cfg)
+    db = idiosyncratic_increments(cfg.seed, cfg.particle_count, cfg.grid, 1)
     replay = []
-    pts = cfg.grid.points
     for k in range(cfg.grid.num_cells):
-        ens, rep = step_davie(
-            ens, cs, rp, float(pts[k]), float(pts[k + 1]), scheme=scheme, want_report=True
-        )
+        x, rep = step_davie(x, cs, rp, k, db[:, k], scheme=scheme, want_report=True)
         replay.append(rep)
+    assert np.array_equal(x, hist_plain[-1])
     assert len(reports) == cfg.grid.num_cells
     assert reports == replay
 
