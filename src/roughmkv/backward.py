@@ -175,9 +175,9 @@ def solve_backward_fk(
                 buf = db[: hi - lo]
                 rng.standard_normal(out=buf)
                 buf *= np.sqrt(h)
-                new, _ = advance_states(states[lo:hi], coeffs, None, s_t, h, dw, area, buf)
-                check_finite(new, t_t)
-                states[lo:hi] = new
+                rows_k = states[lo:hi]
+                advance_states(rows_k, coeffs, None, s_t, h, dw, area, buf, out=rows_k)
+                check_finite(rows_k, t_t)
         vals = np.asarray(terminal(states), dtype=np.float64).reshape(P, M)
         u[row] = vals.mean(axis=1)
         se[row] = vals.std(axis=1, ddof=1) / np.sqrt(M)

@@ -5,7 +5,10 @@ common-signal coefficient of an interacting particle system.  The signal
 coefficient is the delicate one: expansions to second order need its state
 Jacobian, its derivative with respect to the measure argument, and an
 explicit time-control derivative for coefficients that depend on the signal
-history.  Three built-in measure dependencies cover the useful cases:
+history.  Each family is defined by one jet callable that returns the value
+together with its first derivatives, so the transcendental subexpressions
+they share are evaluated once per point.  Three built-in measure
+dependencies cover the useful cases:
 
 * convolution against a kernel, ``f(t, x, mu) = avg_y g(t, x, y)`` over the
   cloud, whose measure derivative at ``v`` is the kernel gradient
@@ -62,26 +65,38 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 class RoughFamily:
     """Common-signal coefficient with its derivative package.
 
-    ``mixing(t, x, mu, fz)`` returns the cloud-averaged pairing of the
-    measure derivative against the coefficient itself,
+    ``jet(t, x, mu, order)`` evaluates the coefficient at the points ``x``
+    against the cloud ``mu`` in one call, the derivatives built from the
+    value's own subexpressions.  Order 0 returns ``(f,)``; order 1 returns
+    ``(f, dx_f, dmu)``: the value, its state Jacobian and the family's
+    measure derivative in the form its ``mixing`` takes (None for a
+    measure-free family).
+
+    ``mixing(dmu, fz)`` returns the cloud-averaged pairing of the measure
+    derivative at ``x`` against the coefficient itself,
 
         mixing[a, i, kap, lam] = avg_z sum_j D_mu f^i_lam(x_a)(Z_z)_j f^j_kap(Z_z),
 
     which is what second-order expansions consume; families implement it
     directly so the mean-functional case stays linear in the cloud size.
-    ``fz = eval(t, mu.points, mu)`` is the coefficient at the cloud's own
-    points, passed in because the callers already hold it.
+    ``fz`` is the coefficient at the cloud's own points, passed in because
+    the callers already hold it.  A measure-free family has no ``mixing``.
+    ``lions(t, x, mu, v)`` is the measure derivative at the insertion
+    points ``v``, for the checks, and ``prime`` the time-control derivative,
+    None when it vanishes.
     """
 
     dim: int
     channels: int
-    eval: Callable            # (t, x, mu) -> (A, d, n)
-    dx: Callable              # (t, x, mu) -> (A, d, d, n)
-    prime: Callable           # (t, x, mu) -> (A, d, n, n)
-    lions: Callable           # (t, x, mu, v) -> (A, B, d, d, n)
-    mixing: Callable          # (t, x, mu, fz) -> (A, d, n, n)
-    measure_free: bool
+    jet: Callable                   # (t, x, mu, order) -> (f,) | (f, dx_f, dmu)
+    lions: Callable                 # (t, x, mu, v) -> (A, B, d, d, n)
+    mixing: Callable | None         # (dmu, fz) -> (A, d, n, n)
+    prime: Callable | None = None   # (t, x, mu) -> (A, d, n, n)
     lions_lip: float | None = None
+
+    @property
+    def measure_free(self) -> bool:
+        return self.mixing is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,58 +171,41 @@ def _zeros_like_lions(dim: int, channels: int) -> Callable:
     return lions
 
 
-def _zeros_like_mixing(dim: int, channels: int) -> Callable:
-    """The zero ``(A, d, n, n)`` tensor: the zero mixing, which ignores
-    ``fz``, and the zero time-control ``prime``."""
-
-    def mixing(t, x, mu, fz=None):
-        return np.zeros((_as_batch(x).shape[0], dim, channels, channels))
-
-    return mixing
-
-
 def measure_free_family(
     dim: int,
     channels: int,
-    fun: Callable,
-    dx_fun: Callable,
+    jet: Callable,
     prime: Callable | None = None,
 ) -> RoughFamily:
-    """Signal coefficient ignoring the measure; derivative is the zero tensor."""
+    """Signal coefficient ignoring the measure; derivative is the zero tensor.
 
-    def eval_(t, x, mu):
-        return fun(t, _as_batch(x))
+    ``jet(t, x) -> (f, dx_f)`` with ``f`` of shape ``(A, d, n)`` and
+    ``dx_f`` of shape ``(A, d, d, n)``; ``prime(t, x) -> (A, d, n, n)`` is
+    the time-control derivative, if any.
+    """
 
-    def dx_(t, x, mu):
-        return dx_fun(t, _as_batch(x))
+    def jet_(t, x, mu, order):
+        f, dxf = jet(t, _as_batch(x))
+        return (f, dxf, None) if order else (f,)
 
-    if prime is None:
-        prime_ = _zeros_like_mixing(dim, channels)
-    else:
+    prime_ = None
+    if prime is not None:
         def prime_(t, x, mu):
             return prime(t, _as_batch(x))
 
     return RoughFamily(
         dim=dim,
         channels=channels,
-        eval=eval_,
-        dx=dx_,
-        prime=prime_,
+        jet=jet_,
         lions=_zeros_like_lions(dim, channels),
-        mixing=_zeros_like_mixing(dim, channels),
-        measure_free=True,
+        mixing=None,
+        prime=prime_,
         lions_lip=0.0,
     )
 
 
 def zero_rough(dim: int, channels: int) -> RoughFamily:
-    def fun(t, x):
-        return np.zeros((x.shape[0], dim, channels))
-
-    def dx_fun(t, x):
-        return np.zeros((x.shape[0], dim, dim, channels))
-
-    return measure_free_family(dim, channels, fun, dx_fun)
+    return constant_rough(np.zeros((dim, channels)))
 
 
 def constant_rough(matrix: np.ndarray) -> RoughFamily:
@@ -215,72 +213,59 @@ def constant_rough(matrix: np.ndarray) -> RoughFamily:
     c = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     d, n = c.shape
 
-    def fun(t, x):
-        return np.broadcast_to(c, (x.shape[0], d, n)).copy()
+    def jet(t, x):
+        A = x.shape[0]
+        return np.broadcast_to(c, (A, d, n)).copy(), np.broadcast_to(0.0, (A, d, d, n))
 
-    def dx_fun(t, x):
-        return np.zeros((x.shape[0], d, d, n))
-
-    return measure_free_family(d, n, fun, dx_fun)
+    return measure_free_family(d, n, jet)
 
 
 def linear_state_family(c: float, d: int, n: int) -> RoughFamily:
     """``f(x)^i_kap = c x_i`` when ``i == kap``, else 0: channel kap is driven
     by state coordinate kap alone."""
     sel = np.eye(d, n)
-    diag = np.eye(d)[:, :, None] * sel[None, :, :]   # (d, d, n) selector
+    jac = c * (np.eye(d)[:, :, None] * sel[None, :, :])   # (d, d, n) selector, scaled
 
-    def fun(t, x):
-        return c * x[:, :, None] * sel[None, :, :]
+    def jet(t, x):
+        return c * x[:, :, None] * sel[None, :, :], np.broadcast_to(jac, (x.shape[0], d, d, n))
 
-    def dx_fun(t, x):
-        return np.broadcast_to(c * diag, (x.shape[0], d, d, n)).copy()
-
-    return measure_free_family(d, n, fun, dx_fun)
+    return measure_free_family(d, n, jet)
 
 
 def moment_family(
     dim: int,
     channels: int,
-    phi: Callable,
-    dx_phi: Callable,
-    dm_phi: Callable,
+    jet: Callable,
     lions_lip: float | None = None,
 ) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = phi(t, x, mean(mu))``.
 
-    ``phi(t, x, m) -> (A, d, n)``, ``dx_phi -> (A, d, d, n)`` and
-    ``dm_phi -> (A, d, d, n)`` with the second ``d`` axis indexing the mean
-    coordinate.  The measure derivative at insertion ``v`` equals ``dm_phi``
-    for every ``v``, so the mixing term factors through the cloud average of
-    the coefficient and stays O(N).
+    ``jet(t, x, m) -> (phi, dx_phi, dm_phi)`` with ``phi`` of shape
+    ``(A, d, n)`` and both gradients ``(A, d, d, n)``, the second ``d`` axis
+    of ``dm_phi`` indexing the mean coordinate.  The measure derivative at
+    insertion ``v`` equals ``dm_phi`` for every ``v``, so the mixing term
+    factors through the cloud average of the coefficient and stays O(N).
     """
 
-    def eval_(t, x, mu):
-        return phi(t, _as_batch(x), mu.mean())
-
-    def dx_(t, x, mu):
-        return dx_phi(t, _as_batch(x), mu.mean())
+    def jet_(t, x, mu, order):
+        out = jet(t, _as_batch(x), mu.mean())
+        return out if order else out[:1]
 
     def lions_(t, x, mu, v):
-        grad = dm_phi(t, _as_batch(x), mu.mean())            # (A, d, d, n)
+        grad = jet(t, _as_batch(x), mu.mean())[2]            # (A, d, d, n)
         B = _as_batch(v).shape[0]
         return np.broadcast_to(grad[:, None], (grad.shape[0], B) + grad.shape[1:]).copy()
 
-    def mixing_(t, x, mu, fz):
-        grad = dm_phi(t, _as_batch(x), mu.mean())            # (A, d, d, n)
+    def mixing_(grad, fz):
         fbar = symmetric_mean(fz, axis=0)                    # (d, n)
         return np.einsum("aijl,jk->aikl", grad, fbar)
 
     return RoughFamily(
         dim=dim,
         channels=channels,
-        eval=eval_,
-        dx=dx_,
-        prime=_zeros_like_mixing(dim, channels),
+        jet=jet_,
         lions=lions_,
         mixing=mixing_,
-        measure_free=False,
         lions_lip=lions_lip,
     )
 
@@ -288,65 +273,58 @@ def moment_family(
 def moment_sin_family(a: float, b: float) -> RoughFamily:
     """``f(x, mu) = a sin(x) + b cos(x) tanh(mean(mu))``, one dim, one channel."""
 
-    def phi(t, x, m):
-        return (a * np.sin(x) + b * np.cos(x) * np.tanh(m[0]))[:, :, None]
-
-    def dx_phi(t, x, m):
-        return (a * np.cos(x) - b * np.sin(x) * np.tanh(m[0]))[:, :, None, None]
-
-    def dm_phi(t, x, m):
+    def jet(t, x, m):
+        sin, cos, th = np.sin(x), np.cos(x), np.tanh(m[0])
+        bcos = b * cos
         sech2 = 1.0 / np.cosh(m[0]) ** 2
-        return (b * np.cos(x) * sech2)[:, :, None, None]
+        return (
+            (a * sin + bcos * th)[:, :, None],
+            (a * cos - b * sin * th)[:, :, None, None],
+            (bcos * sech2)[:, :, None, None],
+        )
 
-    return moment_family(1, 1, phi, dx_phi, dm_phi, lions_lip=abs(b))
+    return moment_family(1, 1, jet, lions_lip=abs(b))
 
 
 def convolution_family(
     dim: int,
     channels: int,
-    g: Callable,
-    dx_g: Callable,
-    dy_g: Callable,
+    kernel: Callable,
     lions_lip: float | None = None,
 ) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = avg_y g(t, x, y)`` over the cloud.
 
-    Kernel callables receive ``x`` of shape ``(A, 1, d)`` and ``y`` of shape
-    ``(1, B, d)`` and must broadcast: ``g -> (A, B, d, n)``,
-    ``dx_g -> (A, B, d, d, n)`` (state gradient), ``dy_g -> (A, B, d, d, n)``
-    (kernel gradient in ``y``, which is exactly the measure derivative at the
-    insertion point).  Evaluation is quadratic in the cloud size.
+    ``kernel(t, x, y, order)`` receives ``x`` of shape ``(A, 1, d)`` and
+    ``y`` of shape ``(1, B, d)`` and must broadcast.  Order 0 returns
+    ``(g,)``, order 1 ``(g, dx_g, dy_g)``: ``g -> (A, B, d, n)``, the state
+    gradient ``dx_g -> (A, B, d, d, n)`` and the kernel gradient in ``y``,
+    ``dy_g -> (A, B, d, d, n)``, which is exactly the measure derivative at
+    the insertion point.  Evaluation is quadratic in the cloud size, so a
+    value-only caller must not pay for the two gradients.
     """
 
     def _pair(x, y):
         return _as_batch(x)[:, None, :], _as_batch(y)[None, :, :]
 
-    def eval_(t, x, mu):
-        xa, yb = _pair(x, mu.points)
-        return symmetric_mean(g(t, xa, yb), axis=1)
-
-    def dx_(t, x, mu):
-        xa, yb = _pair(x, mu.points)
-        return symmetric_mean(dx_g(t, xa, yb), axis=1)
+    def jet_(t, x, mu, order):
+        parts = kernel(t, *_pair(x, mu.points), order)
+        if not order:
+            return (symmetric_mean(parts[0], axis=1),)
+        g, dxg, dyg = parts
+        return symmetric_mean(g, axis=1), symmetric_mean(dxg, axis=1), dyg
 
     def lions_(t, x, mu, v):
-        xa, vb = _pair(x, v)
-        return dy_g(t, xa, vb)
+        return kernel(t, *_pair(x, v), 1)[2]
 
-    def mixing_(t, x, mu, fz):
-        xa, zb = _pair(x, mu.points)
-        grads = dy_g(t, xa, zb)                          # (A, B, d, d, n)
+    def mixing_(grads, fz):                              # grads (A, B, d, d, n)
         return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
 
     return RoughFamily(
         dim=dim,
         channels=channels,
-        eval=eval_,
-        dx=dx_,
-        prime=_zeros_like_mixing(dim, channels),
+        jet=jet_,
         lions=lions_,
         mixing=mixing_,
-        measure_free=False,
         lions_lip=lions_lip,
     )
 
@@ -372,8 +350,8 @@ def area_coefficient(
     """
     fam = coeffs.rough
     x = _as_batch(x)
-    fz = None if fam.measure_free else fam.eval(t, mu.points, mu)
-    return _area_tensor(fam, t, x, mu, fam.eval(t, x, mu), fz)
+    fz = None if fam.measure_free else fam.jet(t, mu.points, mu, 0)[0]
+    return _area_tensor(fam, t, x, mu, fam.jet(t, x, mu, 1), fz)
 
 
 def _area_tensor(
@@ -381,17 +359,19 @@ def _area_tensor(
     t: float,
     x: np.ndarray,
     mu: EmpiricalMeasure | None,
-    f: np.ndarray,
+    jet: tuple,
     fz: np.ndarray | None,
 ) -> np.ndarray:
-    """``area_coefficient`` from the coefficient ``f`` at ``x`` and ``fz`` at
-    ``mu.points`` (None for measure-free families); a caller whose ``x`` is
-    the cloud of ``mu`` passes the same array twice."""
-    dxf = fam.dx(t, x, mu)
+    """``area_coefficient`` from the order-1 ``jet`` of ``fam`` at ``x`` and
+    the coefficient ``fz`` at ``mu.points`` (None for measure-free
+    families); a caller whose ``x`` is the cloud of ``mu`` passes the jet's
+    own value as ``fz``."""
+    f, dxf, dmu = jet
     out = np.einsum("aijl,ajk->aikl", dxf, f)
     if not fam.measure_free:
-        out = out + fam.mixing(t, x, mu, fz)
-    out = out + np.swapaxes(fam.prime(t, x, mu), -1, -2)
+        out += fam.mixing(dmu, fz)
+    if fam.prime is not None:
+        out += np.swapaxes(fam.prime(t, x, mu), -1, -2)
     return out
 
 
@@ -426,8 +406,8 @@ def lions_fd_check(
     if Y.shape != mu.points.shape:
         raise ValueError(f"direction shape {Y.shape} != cloud shape {mu.points.shape}")
     x2 = _as_batch(x)
-    up = fam.eval(t, x2, EmpiricalMeasure(mu.points + h * Y))
-    dn = fam.eval(t, x2, EmpiricalMeasure(mu.points - h * Y))
+    up = fam.jet(t, x2, EmpiricalMeasure(mu.points + h * Y), 0)[0]
+    dn = fam.jet(t, x2, EmpiricalMeasure(mu.points - h * Y), 0)[0]
     fd = (up - dn) / (2.0 * h)
     L = fam.lions(t, x2, mu, mu.points)                  # (A, N, d, d, n)
     analytic = np.einsum("azijl,zj->ail", L, Y) / mu.size
@@ -455,7 +435,8 @@ def lions_taylor_remainder(
     diff = nu_pts - mu.points
     L = family.lions(t, x2, mu, mu.points)
     first = np.einsum("azijl,zj->ail", L, diff) / mu.size
-    theta = family.eval(t, x2, EmpiricalMeasure(nu_pts)) - family.eval(t, x2, mu) - first
+    f_nu = family.jet(t, x2, EmpiricalMeasure(nu_pts), 0)[0]
+    theta = f_nu - family.jet(t, x2, mu, 0)[0] - first
     bound = None
     if family.lions_lip is not None:
         bound = 2.0 * family.lions_lip * float(np.mean(np.sum(diff**2, axis=1)))

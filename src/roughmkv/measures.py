@@ -231,10 +231,11 @@ def flow_holder_diagnostic(
     """sup over grid spans and bank probes of ``|<mu_t - mu_s, phi>| / |t-s|^a``.
 
     A finite-bank lower bound for the Holder quotient of the flow in the dual
-    Lipschitz metric.
+    Lipschitz metric.  The pairings read the node clouds directly, so a
+    non-finite state makes the quotient NaN.
     """
     bank = lipschitz_bank(lip_const, flow.dim)
-    vals = np.array([[pairing(flow.measure(k), phi) for k in range(len(flow.grid))]
+    vals = np.array([[symmetric_mean(phi(cloud)) for cloud in flow.states]
                      for _, phi in bank])
     (worst,) = span_sup(
         (np.abs(vals[:, i + 1 :] - vals[:, i : i + 1]) / gap[None, :] ** alpha,)

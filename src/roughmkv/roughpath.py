@@ -307,7 +307,8 @@ def save_roughpath_csv(rp: GridRoughPath, path: str, stamp: str | None = None) -
     """Text round trip: one row per grid node.
 
     Columns: ``t, W_1..W_n, WW_11..WW_nn`` (tensor row-major, for the cell
-    starting at that node; the final node carries zeros there).
+    starting at that node; the final node carries zeros there).  The magic
+    line carries the node count, so a cut file is refused on load.
     """
     n = rp.dim
     areas = np.zeros((rp.grid.num_cells + 1, n * n))
@@ -318,16 +319,21 @@ def save_roughpath_csv(rp: GridRoughPath, path: str, stamp: str | None = None) -
         + [f"W_{a + 1}" for a in range(n)]
         + [f"WW_{a + 1}{b + 1}" for a in range(n) for b in range(n)],
         [(rp.grid.points, *rp.values.T, *areas.T)],
-        magic=f"{_CSV_MAGIC} dim={n} alpha={float(rp.alpha)!r}",
+        magic=f"{_CSV_MAGIC} dim={n} alpha={float(rp.alpha)!r} nodes={len(rp.grid)}",
         stamp=stamp,
     )
 
 
 def load_roughpath_csv(path: str) -> GridRoughPath:
     meta, data = read_table(path, _CSV_MAGIC)
-    n, alpha = int(meta["dim"]), float(meta["alpha"])
+    try:
+        n, alpha, nodes = int(meta["dim"]), float(meta["alpha"]), int(meta["nodes"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: magic line has no {exc.args[0]}= token") from None
     if data.shape[1] != 1 + n + n * n:
         raise ValueError(f"{path}: expected {1 + n + n * n} columns, got {data.shape[1]}")
+    if data.shape[0] != nodes:
+        raise ValueError(f"{path}: expected {nodes} rows (one per node), got {data.shape[0]}")
     grid = TimeGrid(data[:, 0])
     values = data[:, 1 : 1 + n]
     areas = data[:-1, 1 + n :].reshape(-1, n, n)

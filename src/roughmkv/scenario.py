@@ -400,7 +400,7 @@ def _sigma_callable(sc: Scenario) -> Callable | None:
         return None
     s = sc.sigma[1]
     mat = s * np.eye(sc.dim, sc.brownian_dim)
-    return lambda t, x, mu: np.broadcast_to(mat, (x.shape[0],) + mat.shape).copy()
+    return lambda t, x, mu: np.broadcast_to(mat, (x.shape[0],) + mat.shape)
 
 
 def _rough_family(sc: Scenario) -> RoughFamily | None:
@@ -415,28 +415,35 @@ def _rough_family(sc: Scenario) -> RoughFamily | None:
     if kind == "sin_state":
         c = sc.rough[1]
         # channel kap is driven by state coordinate kap alone
-        diag = np.eye(d)[:, :, None] * np.eye(d, n)[None, :, :]   # (d, d, n) selector
-        fun = lambda t, x: c * np.sin(x)[:, :, None] * np.eye(d, n)[None, :, :]
-        dx_fun = lambda t, x: c * np.cos(x)[:, :, None, None] * diag[None, :, :, :]
-        return measure_free_family(d, n, fun, dx_fun)
+        sel = np.eye(d, n)
+        diag = np.eye(d)[:, :, None] * sel[None, :, :]   # (d, d, n) selector
+
+        def jet(t, x):
+            return (
+                c * np.sin(x)[:, :, None] * sel[None, :, :],
+                c * np.cos(x)[:, :, None, None] * diag[None, :, :, :],
+            )
+
+        return measure_free_family(d, n, jet)
     if kind == "moment_sin":
         return moment_sin_family(sc.rough[1], sc.rough[2])
     if kind == "convolution_gauss":
         a, w = sc.rough[1], sc.rough[2]
         w2 = w * w
 
-        def g(t, x, y):
-            return a * np.exp(-0.5 * (x - y) ** 2 / w2)[:, :, :, None]
+        def kernel(t, x, y, order):
+            u = x - y
+            e = np.exp(-0.5 * u**2 / w2)
+            if not order:
+                return ((a * e)[:, :, :, None],)
+            r = u / w2
+            return (
+                (a * e)[:, :, :, None],
+                (-r * a * e)[:, :, :, None, None],
+                (r * a * e)[:, :, :, None, None],
+            )
 
-        def dx_g(t, x, y):
-            r = (x - y) / w2
-            return (-r * a * np.exp(-0.5 * (x - y) ** 2 / w2))[:, :, :, None, None]
-
-        def dy_g(t, x, y):
-            r = (x - y) / w2
-            return (r * a * np.exp(-0.5 * (x - y) ** 2 / w2))[:, :, :, None, None]
-
-        return convolution_family(1, 1, g, dx_g, dy_g, lions_lip=abs(a) / w2 * 2.0)
+        return convolution_family(1, 1, kernel, lions_lip=abs(a) / w2 * 2.0)
     raise AssertionError(kind)
 
 

@@ -7,9 +7,10 @@ One step of the scheme advances every particle by
 with all coefficients frozen at the left endpoint and the current empirical
 cloud, ``dB`` the particle's private Brownian increment, ``dW`` and ``WW``
 the shared signal increment and its cell tensor, and ``area`` the tensor from
-``coefficients.area_coefficient``, built from the same ``f`` that drives
-``f dW``.  Dropping the ``area : WW`` term gives the first-order variant,
-which loses the second-level information and is kept around as a control.
+``coefficients.area_coefficient``, built from the same jet of the signal
+coefficient whose value drives ``f dW``.  Dropping the ``area : WW`` term
+gives the first-order variant, which loses the second-level information and
+is kept around as a control.
 
 Private randomness is materialised up front as one increment block per
 particle drawn from a counter-based stream keyed ``(seed, particle)``, so a
@@ -154,24 +155,29 @@ def advance_states(
     area: np.ndarray | None,
     db: np.ndarray,
     want_report: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, StepReport | None]:
     """One-step map on raw state arrays; shared by forward and backward runs.
 
     ``mu`` is the cloud of ``states`` (or None for a measure-free bundle), so
-    the signal coefficient is evaluated once and serves ``f dW``, the area
-    tensor and its cloud average.
+    one jet of the signal coefficient serves ``f dW``, the area tensor and
+    its cloud average.  The new states are accumulated into ``out`` (a new
+    array when None; ``states`` itself is allowed) and returned.
     """
+    fam = coeffs.rough
     drift = coeffs.drift(t0, states, mu) * h
     brown = np.einsum("ail,al->ai", coeffs.diffusion(t0, states, mu), db)
-    f = coeffs.rough.eval(t0, states, mu)
+    jet = fam.jet(t0, states, mu, 0 if area is None else 1)
+    f = jet[0]
     sig = np.einsum("aik,k->ai", f, dw)
     if area is not None:
-        areapart = np.einsum(
-            "aikl,kl->ai", _area_tensor(coeffs.rough, t0, states, mu, f, f), area
-        )
+        areapart = np.einsum("aikl,kl->ai", _area_tensor(fam, t0, states, mu, jet, f), area)
     else:
         areapart = np.zeros_like(states)
-    new = states + drift + brown + sig + areapart
+    out = np.add(states, drift, out=out)
+    out += brown
+    out += sig
+    out += areapart
     report = None
     if want_report:
         report = StepReport(
@@ -181,7 +187,7 @@ def advance_states(
             signal_part=float(np.max(np.abs(sig))),
             area_part=float(np.max(np.abs(areapart))),
         )
-    return new, report
+    return out, report
 
 
 def step_davie(
@@ -192,10 +198,12 @@ def step_davie(
     db: np.ndarray,
     scheme: str = SCHEME_FULL,
     want_report: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, StepReport | None]:
     """Advance ``states`` over grid cell ``k`` of the signal, ``[t_k, t_k+1]``.
 
-    ``db`` holds each particle's private increment over the cell, ``(N, m)``.
+    ``db`` holds each particle's private increment over the cell, ``(N, m)``;
+    ``out`` receives the new states, as in ``advance_states``.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -214,6 +222,7 @@ def step_davie(
         area if scheme == SCHEME_FULL else None,
         db,
         want_report=want_report,
+        out=out,
     )
 
 
@@ -258,9 +267,9 @@ def simulate(
         )
     pts = config.grid.points
     for k in range(K):
-        history[k + 1], report = step_davie(
+        _, report = step_davie(
             history[k], coeffs, rp, k, brownian[:, k], scheme=config.scheme,
-            want_report=observer is not None,
+            want_report=observer is not None, out=history[k + 1],
         )
         if observer is not None:
             observer(report)
@@ -308,8 +317,16 @@ def controlled_diagnostics(
     pts = flow.grid.points
     fvals = np.empty(X.shape[:2] + (coeffs.dim, coeffs.driver_dim))
     for k in range(pts.size):
-        mu = None if coeffs.measure_free else flow.measure(k)
-        fvals[k] = coeffs.rough.eval(float(pts[k]), X[k], mu)
+        if coeffs.measure_free:
+            mu = None
+        elif np.all(np.isfinite(X[k])):
+            mu = flow.measure(k)
+        else:
+            # no measure at a cloud with a non-finite point; the NaN reaches
+            # every span from this node, as the state's own NaN does
+            fvals[k] = np.nan
+            continue
+        fvals[k] = coeffs.rough.jet(float(pts[k]), X[k], mu, 0)[0]
 
     # Buffers sized for the longest span; start node i uses the first J rows.
     # The reductions are np.linalg.norm and np.mean spelled out in place.

@@ -131,9 +131,14 @@ def normal_rows(out: np.ndarray, seed: int, *tags: int) -> np.ndarray:
     keys = substream_keys(seed, *tags, indices=np.arange(out.shape[0]))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
+    # The state setter reads every word by index, which is cheapest on
+    # Python ints; keys are converted row by row, which keeps no second copy
+    # of the whole key array alive.
     fresh = bitgen.state
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
     for row, key in zip(out, keys):
-        fresh["state"]["key"] = key
+        fresh["state"]["key"] = key.tolist()
         bitgen.state = fresh
         gen.standard_normal(out=row)
     return out

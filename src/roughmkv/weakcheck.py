@@ -237,16 +237,27 @@ class _NodeCurves:
 def _node_tensors(
     coeffs: CoefficientSet, t: float, cloud: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Probe-independent tensors at one node: ``b``, ``sigma sigma^T``, ``f``, area."""
-    mu = EmpiricalMeasure(cloud)
-    x = mu.points
-    marg = None if coeffs.measure_free else mu
-    f = coeffs.rough.eval(t, x, marg)
+    """Probe-independent tensors at one node: ``b``, ``sigma sigma^T``, ``f``, area.
+
+    A measure-dependent bundle has no measure at a cloud with a non-finite
+    point, so every tensor there is NaN, as the coefficients of a
+    measure-free bundle are at a NaN state.
+    """
+    if coeffs.measure_free:
+        marg = None
+    elif np.all(np.isfinite(cloud)):
+        marg = EmpiricalMeasure(cloud)
+    else:
+        d, n = coeffs.dim, coeffs.driver_dim
+        return tuple(
+            np.full(cloud.shape + tail, np.nan) for tail in ((), (d,), (n,), (n, n))
+        )
+    jet = coeffs.rough.jet(t, cloud, marg, 1)
     return (
-        coeffs.drift(t, x, marg),
-        diffusion_square(coeffs, t, x, marg),
-        f,
-        _area_tensor(coeffs.rough, t, x, marg, f, f),
+        coeffs.drift(t, cloud, marg),
+        diffusion_square(coeffs, t, cloud, marg),
+        jet[0],
+        _area_tensor(coeffs.rough, t, cloud, marg, jet, jet[0]),
     )
 
 

@@ -19,44 +19,38 @@ def linear_signal_family(c: float):
 def mean_coupled_sin_family(a: float, b: float, calls: list | None = None):
     """f(x, mu) = a sin(x) + b cos(x) tanh(mean(mu)), one dim, one channel.
 
-    With a ``calls`` list, each evaluation of the coefficient appends its
-    point count there.
+    With a ``calls`` list, each jet call appends its point count there.
     """
 
-    def phi(t, x, m):
+    def jet(t, x, m):
         if calls is not None:
             calls.append(x.shape[0])
-        return (a * np.sin(x) + b * np.cos(x) * np.tanh(m[0]))[:, :, None]
+        sin, cos, th = np.sin(x), np.cos(x), np.tanh(m[0])
+        return (
+            (a * sin + b * cos * th)[:, :, None],
+            (a * cos - b * sin * th)[:, :, None, None],
+            (b * cos / np.cosh(m[0]) ** 2)[:, :, None, None],
+        )
 
-    def dxp(t, x, m):
-        return (a * np.cos(x) - b * np.sin(x) * np.tanh(m[0]))[:, :, None, None]
-
-    def dmp(t, x, m):
-        return (b * np.cos(x) / np.cosh(m[0]) ** 2)[:, :, None, None]
-
-    return moment_family(1, 1, phi, dxp, dmp)
+    return moment_family(1, 1, jet)
 
 
 def gauss_kernel_family(amp: float, width: float, lions_lip: float | None = None):
     """f(x, mu) = amp * avg_y exp(-(x - y)^2 / (2 width^2)), one dim."""
     w2 = width * width
 
-    def core(x, y):
+    def kernel(t, x, y, order):
         u = (x - y)[..., 0]
-        return u, amp * np.exp(-(u**2) / (2 * w2))
+        c = amp * np.exp(-(u**2) / (2 * w2))
+        if not order:
+            return (c[..., None, None],)
+        return (
+            c[..., None, None],
+            (-(u / w2) * c)[..., None, None, None],
+            ((u / w2) * c)[..., None, None, None],
+        )
 
-    def g(t, x, y):
-        return core(x, y)[1][..., None, None]
-
-    def dx_g(t, x, y):
-        u, c = core(x, y)
-        return (-(u / w2) * c)[..., None, None, None]
-
-    def dy_g(t, x, y):
-        u, c = core(x, y)
-        return ((u / w2) * c)[..., None, None, None]
-
-    return convolution_family(1, 1, g, dx_g, dy_g, lions_lip=lions_lip)
+    return convolution_family(1, 1, kernel, lions_lip=lions_lip)
 
 
 def ornstein_uhlenbeck_set(rate: float = 0.3, vol: float = 0.5) -> CoefficientSet:

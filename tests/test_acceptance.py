@@ -95,8 +95,8 @@ def test_01_randomized_lift_algebra(capsys):
 
 
 def _fd_lions_gap(fam, x, mu, direction, h=1e-4, t=0.37):
-    up = fam.eval(t, x, EmpiricalMeasure(mu.points + h * direction))
-    dn = fam.eval(t, x, EmpiricalMeasure(mu.points - h * direction))
+    up = fam.jet(t, x, EmpiricalMeasure(mu.points + h * direction), 0)[0]
+    dn = fam.jet(t, x, EmpiricalMeasure(mu.points - h * direction), 0)[0]
     fd = (up - dn) / (2.0 * h)
     L = fam.lions(t, x, mu, mu.points)
     analytic = np.einsum("azijl,zj->ail", L, direction) / mu.size
@@ -107,35 +107,34 @@ def _fd_lions_gap(fam, x, mu, direction, h=1e-4, t=0.37):
 def _random_moment_family(rng):
     a, b, c = (float(v) for v in rng.uniform(0.3, 1.5, size=3))
 
-    def phi(t, x, m, a=a, b=b, c=c):
-        return (a * np.sin(b * x + c * m[0]))[:, :, None]
+    def jet(t, x, m, a=a, b=b, c=c):
+        arg = b * x + c * m[0]
+        cos = np.cos(arg)
+        return (
+            (a * np.sin(arg))[:, :, None],
+            (a * b * cos)[:, :, None, None],
+            (a * c * cos)[:, :, None, None],
+        )
 
-    def dxp(t, x, m, a=a, b=b, c=c):
-        return (a * b * np.cos(b * x + c * m[0]))[:, :, None, None]
-
-    def dmp(t, x, m, a=a, b=b, c=c):
-        return (a * c * np.cos(b * x + c * m[0]))[:, :, None, None]
-
-    return moment_family(1, 1, phi, dxp, dmp)
+    return moment_family(1, 1, jet)
 
 
 def _random_convolution_family(rng):
     amp = float(rng.uniform(0.3, 1.5))
     w2 = float(rng.uniform(0.6, 1.8)) ** 2
 
-    def g(t, x, y, amp=amp, w2=w2):
+    def kernel(t, x, y, order, amp=amp, w2=w2):
         u = x - y
-        return (amp * np.exp(-0.5 * u**2 / w2))[:, :, :, None]
+        e = np.exp(-0.5 * u**2 / w2)
+        if not order:
+            return ((amp * e)[:, :, :, None],)
+        return (
+            (amp * e)[:, :, :, None],
+            (-amp * u / w2 * e)[:, :, :, None, None],
+            (amp * u / w2 * e)[:, :, :, None, None],
+        )
 
-    def dxg(t, x, y, amp=amp, w2=w2):
-        u = x - y
-        return (-amp * u / w2 * np.exp(-0.5 * u**2 / w2))[:, :, :, None, None]
-
-    def dyg(t, x, y, amp=amp, w2=w2):
-        u = x - y
-        return (amp * u / w2 * np.exp(-0.5 * u**2 / w2))[:, :, :, None, None]
-
-    return convolution_family(1, 1, g, dxg, dyg)
+    return convolution_family(1, 1, kernel)
 
 
 def test_02_measure_derivative_fd_oracle(capsys):

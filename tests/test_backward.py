@@ -156,17 +156,17 @@ def planar_bundle():
     rp = brownian_lift(12, 1, grid, refinement_factor=4)
     sel = np.array([1.0, 0.0])
 
-    def fun(t, x):
-        return 0.3 * np.sin(x)[:, :, None] * sel[None, :, None]
-
-    def dx_fun(t, x):
-        return 0.3 * (np.cos(x) * sel)[:, :, None, None] * np.eye(2)[None, :, :, None]
+    def jet(t, x):
+        return (
+            0.3 * np.sin(x)[:, :, None] * sel[None, :, None],
+            0.3 * (np.cos(x) * sel)[:, :, None, None] * np.eye(2)[None, :, :, None],
+        )
 
     cs = coefficient_set(
         2, 2, 1,
         drift=lambda t, x, mu: -0.2 * x[:, ::-1],
         diffusion=lambda t, x, mu: np.einsum("ai,ij->aij", 1.0 + 0.1 * x**2, 0.3 * np.eye(2)),
-        rough=measure_free_family(2, 1, fun, dx_fun),
+        rough=measure_free_family(2, 1, jet),
     )
     return rp, cs, (np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 4)), 5   # 60 rows
 

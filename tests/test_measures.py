@@ -253,6 +253,15 @@ def test_w2_quotient_of_a_flow_with_a_nan_state_is_nan(tmp_path):
     assert np.isnan(flow_w2_holder(load_flow_csv(path), 0.45))
 
 
+def test_dual_lipschitz_quotient_of_a_flow_with_a_nan_state_is_nan():
+    flow = little_flow()
+    states = flow.states.copy()
+    states[0, 0, 0] = np.nan
+    bad = MeasureFlow(grid=flow.grid, states=states)
+    assert np.isfinite(flow_holder_diagnostic(flow, 1.0, 0.45))
+    assert np.isnan(flow_holder_diagnostic(bad, 1.0, 0.45))
+
+
 def test_dual_lipschitz_quotient_stable_under_refinement():
     # same trajectories sampled twice as finely: the probe quotient moves
     # but stays within a factor comparable to the added resolution

@@ -318,11 +318,29 @@ def test_csv_rejects_foreign_header(tmp_path):
         load_roughpath_csv(str(flow))
 
 
+def test_csv_refuses_a_cut_file(tmp_path):
+    path = tmp_path / "signal.csv"
+    save_roughpath_csv(random_walk_path(4, 12, 2), str(path), stamp="then")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[: 3 + 10]))
+    with pytest.raises(ValueError, match="expected 13 rows .*, got 10"):
+        load_roughpath_csv(str(path))
+
+
+def test_csv_without_node_count_is_refused(tmp_path):
+    path = tmp_path / "signal.csv"
+    path.write_text("# roughmkv-signal v1 dim=1 alpha=0.4\nt,W_1,WW_11\n0.0,0.0,0.0\n")
+    with pytest.raises(ValueError, match="nodes="):
+        load_roughpath_csv(str(path))
+
+
 def ref_save_roughpath_csv(rp, path, stamp=None):
     """The per-row writer the table writer replaced; kept as a byte reference."""
     n = rp.dim
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# roughmkv-signal v1 dim={n} alpha={float(rp.alpha)!r}\n")
+        fh.write(
+            f"# roughmkv-signal v1 dim={n} alpha={float(rp.alpha)!r} nodes={len(rp.grid)}\n"
+        )
         if stamp is not None:
             fh.write(f"# generated {stamp}\n")
         cols = (

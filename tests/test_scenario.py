@@ -217,7 +217,7 @@ def test_coefficient_builders_evaluate():
     mu = EmpiricalMeasure(np.array([[0.0], [1.0]]))
     assert np.allclose(cs.drift(0.0, x, mu), -0.5 * x + 0.3 * 0.5)
     assert np.allclose(cs.diffusion(0.0, x, mu), 0.4)
-    f = cs.rough.eval(0.0, x, mu)
+    f = cs.rough.jet(0.0, x, mu, 0)[0]
     want = 0.6 * 0.5 * (
         np.exp(-((x - 0.0) ** 2) / (2 * 1.2**2)) + np.exp(-((x - 1.0) ** 2) / (2 * 1.2**2))
     )

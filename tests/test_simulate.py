@@ -15,6 +15,7 @@ from roughmkv.coefficients import (
     coefficient_set,
     constant_rough,
     linear_state_family,
+    moment_sin_family,
 )
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import EmpiricalMeasure, MeasureFlow
@@ -24,6 +25,7 @@ from roughmkv.simulate import (
     SCHEME_NO_LIFT,
     NumericalBlowup,
     SimulationConfig,
+    advance_states,
     coarsen_increments,
     controlled_diagnostics,
     idiosyncratic_increments,
@@ -267,7 +269,7 @@ def ref_history(config, coeffs, rp):
         mu = None if coeffs.measure_free else EmpiricalMeasure(x)
         drift = coeffs.drift(s, x, mu) * float(config.grid.dt[k])
         brown = np.einsum("ail,al->ai", coeffs.diffusion(s, x, mu), db[:, k, :])
-        sig = np.einsum("aik,k->ai", coeffs.rough.eval(s, x, mu), rp.increment(s, t))
+        sig = np.einsum("aik,k->ai", coeffs.rough.jet(s, x, mu, 0)[0], rp.increment(s, t))
         if config.scheme == SCHEME_FULL:
             areapart = np.einsum(
                 "aikl,kl->ai", area_coefficient(coeffs, s, x, mu), rp.second(s, t)
@@ -322,6 +324,42 @@ def test_one_signal_coefficient_evaluation_per_step(scheme):
     cfg = make_config(n=20, cells=7, seed=3, scheme=scheme)
     simulate(cfg, cs, brownian_lift(2, 1, cfg.grid, 4))
     assert calls == [20] * 7
+
+
+def test_a_moment_sin_step_takes_one_sine_and_one_cosine(monkeypatch):
+    cs = coefficient_set(1, 1, 1, rough=moment_sin_family(0.5, 0.4))
+    cfg = make_config(n=20, cells=5, seed=3)
+    rp = brownian_lift(2, 1, cfg.grid, 4)
+    calls = {"sin": 0, "cos": 0}
+    for name in calls:
+        def counted(*args, _ufunc=getattr(np, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _ufunc(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    simulate(cfg, cs, rp)
+    assert calls == {"sin": 5, "cos": 5}
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
+@pytest.mark.parametrize("bundle", ["moment", "convolution", "measure_free"])
+def test_advance_states_into_out_equals_the_returned_array(bundle, scheme):
+    coeffs = parity_bundle(bundle)
+    d = coeffs.dim
+    grid = TimeGrid.uniform(1.0, 4)
+    rp = brownian_lift(5, d, grid, 4)
+    x = np.random.default_rng(8).standard_normal((30, d))
+    db = np.random.default_rng(9).standard_normal((30, d)) * 0.5
+    mu = None if coeffs.measure_free else EmpiricalMeasure(x)
+    dw, area = rp.span(0, 1)
+    args = (coeffs, mu, 0.0, 0.25, dw, area if scheme == SCHEME_FULL else None, db)
+    new, report = advance_states(x, *args, want_report=True)
+    out = np.full_like(x, np.nan)
+    got, out_report = advance_states(x, *args, want_report=True, out=out)
+    assert got is out and np.array_equal(out, new) and out_report == report
+    same = x.copy()
+    advance_states(same, *args, out=same)
+    assert np.array_equal(same, new)
 
 
 @pytest.mark.parametrize("k", [-1, 8])
@@ -402,7 +440,7 @@ def ref_controlled_diagnostics(flow, rp, coeffs, p=2):
     fvals = np.empty(X.shape[:2] + (coeffs.dim, coeffs.driver_dim))
     for k in range(K1):
         mu = None if coeffs.measure_free else flow.measure(k)
-        fvals[k] = coeffs.rough.eval(float(pts[k]), X[k], mu)
+        fvals[k] = coeffs.rough.jet(float(pts[k]), X[k], mu, 0)[0]
     w = rp.values
     q_inc, q_rem = 0.0, 0.0
     for i in range(K1 - 1):
@@ -450,16 +488,18 @@ def test_one_call_controlled_diagnostics_equal_two_reference_calls():
 
 def test_controlled_quotients_of_a_flow_with_a_nan_state_are_nan():
     # spans from node 0 see the NaN; the quotients must not fall back to
-    # the spans that avoid it
-    cs = coefficient_set(1, 1, 1, rough=linear_signal_family(0.5))
-    cfg = make_config(n=20, cells=8, seed=4)
-    rp = brownian_lift(3, 1, cfg.grid, 4)
-    flow, _ = simulate(cfg, cs, rp)
-    states = flow.states.copy()
-    states[0, 0, 0] = np.nan
-    bad = MeasureFlow(grid=flow.grid, states=states, driver_checksum=flow.driver_checksum)
-    for rep in controlled_diagnostics(bad, rp, cs, powers=(2, 4)):
-        assert np.isnan(rep.increment_quotient) and np.isnan(rep.remainder_quotient)
+    # the spans that avoid it, and a measure-dependent bundle, which has no
+    # measure at node 0, must not raise
+    for rough in (linear_signal_family(0.5), mean_coupled_sin_family(0.5, 0.4)):
+        cs = coefficient_set(1, 1, 1, rough=rough)
+        cfg = make_config(n=20, cells=8, seed=4)
+        rp = brownian_lift(3, 1, cfg.grid, 4)
+        flow, _ = simulate(cfg, cs, rp)
+        states = flow.states.copy()
+        states[0, 0, 0] = np.nan
+        bad = MeasureFlow(grid=flow.grid, states=states, driver_checksum=flow.driver_checksum)
+        for rep in controlled_diagnostics(bad, rp, cs, powers=(2, 4)):
+            assert np.isnan(rep.increment_quotient) and np.isnan(rep.remainder_quotient)
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])

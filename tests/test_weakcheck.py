@@ -210,11 +210,22 @@ def test_pairing_quotients_with_a_nan_curve_node_are_nan():
     huge = MeasureFlow(grid=grid, states=states, driver_checksum=flow.driver_checksum)
     with np.errstate(over="ignore", invalid="ignore"):
         assert all(np.isnan(controlled_pairing_check(huge, rp, phi, cs)))
-    # a NaN state itself is rejected where the node's measure is built
+
+
+@pytest.mark.parametrize("measure_free", [True, False], ids=["measure_free", "moment"])
+def test_pairing_quotients_of_a_flow_with_a_nan_state_are_nan(measure_free):
+    # a measure-dependent bundle has no measure at node 0; its curves are NaN
+    # there, as a measure-free bundle's are, instead of raising
+    rough = linear_signal_family(0.5) if measure_free else mean_coupled_sin_family(0.5, 0.4)
+    cs = coefficient_set(1, 1, 1, rough=rough)
+    grid = TimeGrid.uniform(1.0, 8)
+    rp = brownian_lift(3, 1, grid, 4)
+    flow, _ = simulate(SimulationConfig(20, grid, 4, 1, 1, 1), cs, rp)
+    states = flow.states.copy()
     states[0, 0, 0] = np.nan
     bad = MeasureFlow(grid=grid, states=states, driver_checksum=flow.driver_checksum)
-    with pytest.raises(ValueError, match="finite"):
-        controlled_pairing_check(bad, rp, phi, cs)
+    phi = gaussian_bump(np.array([0.0]), 1.2)
+    assert all(np.isnan(controlled_pairing_check(bad, rp, phi, cs)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +348,14 @@ def ref_op_generator(mu, t, phi, coeffs):
 def ref_op_rough(mu, t, phi, kappa, coeffs):
     x = mu.points
     marg = None if coeffs.measure_free else mu
-    f = coeffs.rough.eval(t, x, marg)
+    f = coeffs.rough.jet(t, x, marg, 0)[0]
     return float(symmetric_mean(np.einsum("ai,ai->a", phi.grad(x), f[:, :, kappa])))
 
 
 def ref_op_rough_second(mu, t, phi, kappa, lam, coeffs):
     x = mu.points
     marg = None if coeffs.measure_free else mu
-    f = coeffs.rough.eval(t, x, marg)
+    f = coeffs.rough.jet(t, x, marg, 0)[0]
     area = area_coefficient(coeffs, t, x, marg)
     integrand = np.einsum(
         "ai,aj,aij->a", f[:, :, kappa], f[:, :, lam], phi.hess(x)
@@ -460,11 +471,8 @@ def planar_bundle():
                         [[-0.4, 0.1], [0.9, -0.2]]])             # (d, n, n)
     S = np.array([[0.4, 0.1], [0.0, 0.3]])
 
-    def fun(t, x):
-        return A + np.einsum("ijk,aj->aik", B, x)
-
-    def dx_fun(t, x):
-        return np.broadcast_to(B, (x.shape[0],) + B.shape).copy()
+    def jet(t, x):
+        return A + np.einsum("ijk,aj->aik", B, x), np.broadcast_to(B, (x.shape[0],) + B.shape)
 
     def prime(t, x):
         return np.broadcast_to(C, (x.shape[0],) + C.shape).copy()
@@ -473,7 +481,7 @@ def planar_bundle():
         2, 2, 2,
         drift=lambda t, x, mu: -0.3 * x,
         diffusion=lambda t, x, mu: np.broadcast_to(S, (x.shape[0], 2, 2)).copy(),
-        rough=measure_free_family(2, 2, fun, dx_fun, prime),
+        rough=measure_free_family(2, 2, jet, prime),
     )
 
 
