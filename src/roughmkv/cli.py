@@ -61,6 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_PARSE
+    if args.seed_override is not None and args.seed_override < 0:
+        print("error: --seed-override must be >= 0", file=sys.stderr)
+        return EXIT_PARSE
     try:
         sc = parse_scenario_file(args.scenario)
     except (OSError, ScenarioError) as exc:

@@ -80,16 +80,15 @@ class RoughFamily:
     which is what second-order expansions consume; families implement it
     directly so the mean-functional case stays linear in the cloud size.
     ``fz`` is the coefficient at the cloud's own points, passed in because
-    the callers already hold it.  A measure-free family has no ``mixing``.
-    ``lions(t, x, mu, v)`` is the measure derivative at the insertion
-    points ``v``, for the checks, and ``prime`` the time-control derivative,
-    None when it vanishes.
+    the callers already hold it; any ``(N, d, k)`` field at the cloud pairs
+    the same way, which is how the Lions checks project the derivative on a
+    cloud shift.  A measure-free family has no ``mixing``.  ``prime`` is the
+    time-control derivative, None when it vanishes.
     """
 
     dim: int
     channels: int
     jet: Callable                   # (t, x, mu, order) -> (f,) | (f, dx_f, dmu)
-    lions: Callable                 # (t, x, mu, v) -> (A, B, d, d, n)
     mixing: Callable | None         # (dmu, fz) -> (A, d, n, n)
     prime: Callable | None = None   # (t, x, mu) -> (A, d, n, n)
     lions_lip: float | None = None
@@ -162,15 +161,6 @@ def coefficient_set(
 # families
 
 
-def _zeros_like_lions(dim: int, channels: int) -> Callable:
-    def lions(t, x, mu, v):
-        A = _as_batch(x).shape[0]
-        B = _as_batch(v).shape[0]
-        return np.zeros((A, B, dim, dim, channels))
-
-    return lions
-
-
 def measure_free_family(
     dim: int,
     channels: int,
@@ -197,7 +187,6 @@ def measure_free_family(
         dim=dim,
         channels=channels,
         jet=jet_,
-        lions=_zeros_like_lions(dim, channels),
         mixing=None,
         prime=prime_,
         lions_lip=0.0,
@@ -251,11 +240,6 @@ def moment_family(
         out = jet(t, _as_batch(x), mu.mean())
         return out if order else out[:1]
 
-    def lions_(t, x, mu, v):
-        grad = jet(t, _as_batch(x), mu.mean())[2]            # (A, d, d, n)
-        B = _as_batch(v).shape[0]
-        return np.broadcast_to(grad[:, None], (grad.shape[0], B) + grad.shape[1:]).copy()
-
     def mixing_(grad, fz):
         fbar = symmetric_mean(fz, axis=0)                    # (d, n)
         return np.einsum("aijl,jk->aikl", grad, fbar)
@@ -264,7 +248,6 @@ def moment_family(
         dim=dim,
         channels=channels,
         jet=jet_,
-        lions=lions_,
         mixing=mixing_,
         lions_lip=lions_lip,
     )
@@ -313,9 +296,6 @@ def convolution_family(
         g, dxg, dyg = parts
         return symmetric_mean(g, axis=1), symmetric_mean(dxg, axis=1), dyg
 
-    def lions_(t, x, mu, v):
-        return kernel(t, *_pair(x, v), 1)[2]
-
     def mixing_(grads, fz):                              # grads (A, B, d, d, n)
         return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
 
@@ -323,7 +303,6 @@ def convolution_family(
         dim=dim,
         channels=channels,
         jet=jet_,
-        lions=lions_,
         mixing=mixing_,
         lions_lip=lions_lip,
     )
@@ -387,8 +366,19 @@ def diffusion_square(
 # diagnostics
 
 
+def _measure_response(
+    family: RoughFamily, t: float, x: np.ndarray, mu: EmpiricalMeasure, shift: np.ndarray
+) -> np.ndarray:
+    """``avg_z D_mu f(x)(Z_z) . shift_z``, shape ``(A, d, n)``, from the
+    family's order-1 jet and its ``mixing``, the pair the scheme runs; zero
+    for a measure-free family."""
+    if family.measure_free:
+        return np.zeros((x.shape[0], family.dim, family.channels))
+    return family.mixing(family.jet(t, x, mu, 1)[2], shift[:, :, None])[:, :, 0, :]
+
+
 def lions_fd_check(
-    family: RoughFamily | CoefficientSet,
+    family: RoughFamily,
     t: float,
     x: np.ndarray,
     mu: EmpiricalMeasure,
@@ -401,16 +391,14 @@ def lions_fd_check(
     analytic derivative ``avg_z D_mu f(x)(Z_z) . Y_z`` and returns the max
     entrywise error relative to ``max(1, |analytic|_inf)``.
     """
-    fam = family.rough if isinstance(family, CoefficientSet) else family
     Y = np.asarray(direction, dtype=np.float64)
     if Y.shape != mu.points.shape:
         raise ValueError(f"direction shape {Y.shape} != cloud shape {mu.points.shape}")
     x2 = _as_batch(x)
-    up = fam.jet(t, x2, EmpiricalMeasure(mu.points + h * Y), 0)[0]
-    dn = fam.jet(t, x2, EmpiricalMeasure(mu.points - h * Y), 0)[0]
+    up = family.jet(t, x2, EmpiricalMeasure(mu.points + h * Y), 0)[0]
+    dn = family.jet(t, x2, EmpiricalMeasure(mu.points - h * Y), 0)[0]
     fd = (up - dn) / (2.0 * h)
-    L = fam.lions(t, x2, mu, mu.points)                  # (A, N, d, d, n)
-    analytic = np.einsum("azijl,zj->ail", L, Y) / mu.size
+    analytic = _measure_response(family, t, x2, mu, Y)
     scale = max(1.0, float(np.max(np.abs(analytic))))
     return float(np.max(np.abs(fd - analytic)) / scale)
 
@@ -433,8 +421,7 @@ def lions_taylor_remainder(
         raise ValueError("paired clouds must have identical shape")
     x2 = _as_batch(x)
     diff = nu_pts - mu.points
-    L = family.lions(t, x2, mu, mu.points)
-    first = np.einsum("azijl,zj->ail", L, diff) / mu.size
+    first = _measure_response(family, t, x2, mu, diff)
     f_nu = family.jet(t, x2, EmpiricalMeasure(nu_pts), 0)[0]
     theta = f_nu - family.jet(t, x2, mu, 0)[0] - first
     bound = None

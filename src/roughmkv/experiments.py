@@ -295,7 +295,8 @@ def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
     rep.driver_checksum = roughpath_checksum(rp)
     coeffs = build_coefficients(sc)
 
-    def one_run(count: int, copy: int):
+    def one_run(job: tuple[int, int]):
+        count, copy = job
         config = _simulation_config(sc, grid, _derive_seed(rep.seed, count, copy), count)
         flow, _ = simulate(config, coeffs, rp)
         return EmpiricalMeasure(flow.states[-1])
@@ -305,15 +306,16 @@ def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
     # isolate the small-N fluctuation of the scanned ensembles.
     ref_count = max(sc.particle_counts)
     jobs = [(count, 0) for count in sc.particle_counts] + [(ref_count, 1)]
-    results: dict[tuple[int, int], EmpiricalMeasure] = {}
-    if rep.ctx.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=rep.ctx.threads) as pool:
-            futs = {pool.submit(one_run, c, k): (c, k) for c, k in jobs}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
+    # Both paths return the runs in job order, so the first failing job in
+    # that order aborts the scan whatever the thread count.  One worker runs
+    # here: a pool thread keeps its freed ensembles in its own malloc arena,
+    # which the later runs of this process cannot reuse, raising peak memory.
+    if rep.ctx.threads == 1:
+        runs = list(map(one_run, jobs))
     else:
-        for c, k in jobs:
-            results[(c, k)] = one_run(c, k)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=rep.ctx.threads) as pool:
+            runs = list(pool.map(one_run, jobs))
+    results = dict(zip(jobs, runs))
 
     reference = results[(ref_count, 1)]
 

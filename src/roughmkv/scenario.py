@@ -255,6 +255,10 @@ def _validate(sc: Scenario) -> None:
     def bad(sec: str, key: str, msg: str) -> ScenarioError:
         return ScenarioError(f"[{sec}] {key}: {msg}")
 
+    if sc.seed < 0:
+        raise bad("scenario", "seed", "must be >= 0")
+    if sc.driver_seed < 0:
+        raise bad("driver", "driver_seed", "must be >= 0")
     if min(sc.dim, sc.brownian_dim, sc.driver_dim) < 1:
         raise bad("scenario", "dim", "all dimensions must be >= 1")
     if sc.horizon <= 0:
@@ -279,6 +283,8 @@ def _validate(sc: Scenario) -> None:
         raise bad("particles", "initial", "gaussian std must be positive")
     if sc.initial[0] == "uniform" and sc.initial[1] >= sc.initial[2]:
         raise bad("particles", "initial", "uniform needs lo < hi")
+    if sc.terminal[0] == "gauss" and sc.terminal[2] <= 0:
+        raise bad("backward", "terminal", "gauss width must be positive")
 
     state_channel = {"linear_state", "sin_state"}
     if sc.rough[0] in state_channel and sc.dim != sc.driver_dim:

@@ -2,11 +2,13 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from roughmkv.cli import main
+from roughmkv.simulate import NumericalBlowup
 
 FAST_LIFT = """
 [scenario]
@@ -78,6 +80,15 @@ def test_parse_failures_exit_one(tmp_path, capsys):
     assert "refinment" in err and "refinement" in err
     assert main(["--scenario", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o2")]) == 1
     assert main(["--scenario", str(bad), "--out", str(tmp_path / "o3"), "--threads", "0"]) == 1
+
+
+def test_negative_seed_override_exits_one_before_any_output(tmp_path, capsys):
+    good = tmp_path / "good.ini"
+    good.write_text(FAST_LIFT)
+    out = tmp_path / "neg"
+    assert main(["--scenario", str(good), "--out", str(out), "--seed-override", "-1"]) == 1
+    assert "--seed-override must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_invariant_exits_two(tmp_path):
@@ -253,8 +264,7 @@ def test_seed_override_changes_the_run(tmp_path):
     assert sa["scenario_checksum"] == sb["scenario_checksum"]
 
 
-def test_thread_count_does_not_change_results(tmp_path):
-    chaos = """
+FAST_CHAOS = """
 [scenario]
 name = fast_chaos
 experiment = chaos_scan
@@ -268,9 +278,27 @@ rough = moment_sin 0.5 0.4
 [particles]
 count_list = 16 32 64
 """
-    _, one = run_cli(tmp_path, chaos, "one", "--no-timestamp")
-    _, four = run_cli(tmp_path, chaos, "four", "--no-timestamp", "--threads", "4")
+
+
+def test_thread_count_does_not_change_results(tmp_path):
+    _, one = run_cli(tmp_path, FAST_CHAOS, "one", "--no-timestamp")
+    _, four = run_cli(tmp_path, FAST_CHAOS, "four", "--no-timestamp", "--threads", "4")
     assert dir_bytes(one) == dir_bytes(four)
+
+
+def test_first_failing_chaos_job_in_job_order_sets_the_abort_time(tmp_path, monkeypatch):
+    # the first job fails last in wall time; its abort time wins anyway
+    def failing_simulate(config, coeffs, rp):
+        if config.particle_count == 16:
+            time.sleep(0.2)
+            raise NumericalBlowup(0.5)
+        raise NumericalBlowup(0.25)
+
+    monkeypatch.setattr("roughmkv.experiments.simulate", failing_simulate)
+    for threads in ("1", "4"):
+        code, out = run_cli(tmp_path, FAST_CHAOS, f"fail{threads}", "--threads", threads)
+        assert code == 3
+        assert read_summary(out)["aborted_at"] == 0.5
 
 
 def test_log_env_var_is_accepted(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import gauss_kernel_family, linear_signal_family, mean_coupled_sin_family
 
 from roughmkv.coefficients import (
+    RoughFamily,
     _area_tensor,
     area_coefficient,
     coefficient_set,
@@ -165,7 +166,6 @@ def test_jet_equals_the_separate_formulas(name):
         xa, yb = x[:, None, :], mu.points[None, :, :]
         g, dxg, dmu = (ref(t, xa, yb) for ref in refs)
         f, dxf = symmetric_mean(g, axis=1), symmetric_mean(dxg, axis=1)
-        assert np.array_equal(fam.lions(t, x, mu, mu.points), dmu)
     got = fam.jet(t, x, None if kind == "free" else mu, 1)
     assert np.array_equal(got[0], f) and np.array_equal(got[1], dxf)
     assert got[2] is None if dmu is None else np.array_equal(got[2], dmu)
@@ -242,9 +242,9 @@ def test_measure_free_family_has_zero_measure_response():
     fam = linear_signal_family(0.7)
     mu = cloud(0, 12)
     x = np.array([[0.4]])
-    assert np.all(fam.lions(0.0, x, mu, mu.points) == 0.0)
     assert fam.mixing is None and fam.jet(0.0, x, mu, 1)[2] is None
     assert fam.measure_free
+    assert lions_fd_check(fam, 0.0, x, mu, np.ones((12, 1))) == 0.0
 
 
 def test_finite_difference_agreement_both_families():
@@ -266,6 +266,32 @@ def test_finite_difference_catches_wrong_derivative():
     mu = cloud(1, 8)
     err = lions_fd_check(fam, 0.0, np.array([[0.1]]), mu, np.ones((8, 1)))
     assert err > 1e-2
+
+
+def test_finite_difference_reads_the_mixing_the_scheme_runs():
+    # the true jet of f(x, mu) = sin(x + mean(mu)), paired with its true mixing
+    # and with a doubled one: only the mixing tells the two families apart
+    def jet(t, x, m, order):
+        cos = np.cos(x + m[0])[:, :, None, None]
+        out = (np.sin(x + m[0])[:, :, None], cos, cos)
+        return out if order else out[:1]
+
+    def mixing(dmu, fz):
+        return np.einsum("aijl,jk->aikl", dmu, symmetric_mean(fz, axis=0))
+
+    def family(scale):
+        return RoughFamily(
+            dim=1,
+            channels=1,
+            jet=lambda t, x, mu, order: jet(t, x, mu.mean(), order),
+            mixing=lambda dmu, fz: scale * mixing(dmu, fz),
+        )
+
+    mu = cloud(4, 8)
+    x = np.array([[0.1], [-0.7]])
+    direction = np.random.default_rng(6).standard_normal((8, 1))
+    assert lions_fd_check(family(1.0), 0.0, x, mu, direction) <= 1e-4
+    assert lions_fd_check(family(2.0), 0.0, x, mu, direction) > 1e-2
 
 
 def test_taylor_remainder_and_declared_bound():
@@ -337,7 +363,10 @@ def test_area_tensor_from_the_held_coefficient_equals_area_coefficient(fam):
     fx, dxf = fam.jet(0.3, x, marg, 1)[:2]
     want = np.einsum("aijl,ajk->aikl", dxf, fx)
     if not fam.measure_free:
-        response = np.einsum("azijl,zjk->aikl", fam.lions(0.3, x, mu, mu.points), f)
+        dmu = fam.jet(0.3, x, mu, 1)[2]
+        if dmu.ndim == 4:   # a moment family's derivative is the same at every insertion
+            dmu = np.broadcast_to(dmu[:, None], (x.shape[0], mu.size) + dmu.shape[1:])
+        response = np.einsum("azijl,zjk->aikl", dmu, f)
         want = want + response / mu.size
     assert np.allclose(area_coefficient(cs, 0.3, x, marg), want, rtol=1e-13, atol=1e-15)
 

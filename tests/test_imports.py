@@ -1,12 +1,14 @@
-"""Every name a package module imports is used there or re-exported, and no
-module reads another object's private attribute."""
+"""Every name a package module or script imports is used there or
+re-exported, and no module or script reads another object's private
+attribute."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "roughmkv"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "roughmkv"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +36,9 @@ def test_checker_finds_a_dead_import():
 
 
 # everything the package ``__init__`` imports is its public surface
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    (ROOT / "scripts").glob("*.py")
+)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,5 +1,7 @@
 """Scenario parsing, validation, canonical form, and builders."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from roughmkv.scenario import (
     parse_scenario_text,
     scenario_checksum,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """
 [scenario]
@@ -101,6 +105,16 @@ def test_semantic_validation():
             "[scenario]\nname = s\nexperiment = diagnostics\ndim = 2\n"
             "[coefficients]\nrough = sin_state 0.5\n"
         )
+    with pytest.raises(ScenarioError, match=r"\[scenario\] seed: must be >= 0"):
+        parse_scenario_text(MINIMAL + "seed = -1\n")
+    with pytest.raises(ScenarioError, match=r"\[driver\] driver_seed: must be >= 0"):
+        parse_scenario_text(MINIMAL + "\n[driver]\ndriver_seed = -3\n")
+    for width in ("0", "-0.5"):
+        with pytest.raises(ScenarioError, match="gauss width must be positive"):
+            parse_scenario_text(
+                "[scenario]\nname = g\nexperiment = duality\n"
+                f"[backward]\nterminal = gauss 0.0 {width}\n"
+            )
 
 
 def test_duplicate_keys_rejected():
@@ -112,15 +126,21 @@ def test_duplicate_keys_rejected():
 # canonical form
 
 
-def test_round_trip_through_canonical_text():
-    text = (
-        "[scenario]\nname = rt\nexperiment = residual_scan\nseed = 9\n"
-        "[grid]\nhorizon = 0.5\ncells = 32\nlevels = 3\n"
-        "[driver]\nkind = sinusoid\nscale = 0.8\nalpha = 0.45\n"
-        "[coefficients]\ndrift = tanh 0.3\nrough = moment_sin 0.5 0.4\n"
-        "[particles]\ncount = 64\ninitial = uniform -1.0 1.0\n"
-    )
-    sc = parse_scenario_text(text)
+HAND_WRITTEN = (
+    "[scenario]\nname = rt\nexperiment = residual_scan\nseed = 9\n"
+    "[grid]\nhorizon = 0.5\ncells = 32\nlevels = 3\n"
+    "[driver]\nkind = sinusoid\nscale = 0.8\nalpha = 0.45\n"
+    "[coefficients]\ndrift = tanh 0.3\nrough = moment_sin 0.5 0.4\n"
+    "[particles]\ncount = 64\ninitial = uniform -1.0 1.0\n"
+)
+ROUND_TRIP_TEXTS = {"hand_written": HAND_WRITTEN} | {
+    p.stem: p.read_text(encoding="utf-8") for p in sorted(SCENARIOS.glob("*.ini"))
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_TEXTS))
+def test_round_trip_through_canonical_text(name):
+    sc = parse_scenario_text(ROUND_TRIP_TEXTS[name])
     again = parse_scenario_text(canonical_text(sc))
     assert again == sc
     assert canonical_text(again) == canonical_text(sc)
