@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .coefficients import CoefficientSet
 from .measures import MeasureFlow, symmetric_mean
@@ -81,6 +80,8 @@ class BackwardSolution:
 
     def interpolant(self, time_index: int) -> Callable[[np.ndarray], np.ndarray]:
         """Cubic interpolant of ``u`` at one start time; extrapolates beyond."""
+        from scipy.interpolate import CubicSpline, RectBivariateSpline
+
         vals = self.u[time_index]
         if self.dim == 1:
             spline = CubicSpline(self.axes[0], vals)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .grids import TimeGrid, span_sup
 from .tables import read_table, write_table
@@ -172,6 +170,9 @@ def wasserstein2_exact_small(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> floa
     _check_pair(mu, nu)
     if mu.size > _EXACT_W2_MAX:
         raise ValueError(f"exact assignment limited to N <= {_EXACT_W2_MAX}")
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     cost = cdist(mu.points, nu.points, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
@@ -182,6 +183,8 @@ def wasserstein2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float
     _check_pair(mu, nu)
     if mu.size > _BRUTE_MAX:
         raise ValueError(f"brute force limited to N <= {_BRUTE_MAX}")
+    from scipy.spatial.distance import cdist
+
     cost = cdist(mu.points, nu.points, metric="sqeuclidean")
     idx = range(mu.size)
     best = min(sum(cost[i, p] for i, p in zip(idx, perm))

@@ -18,6 +18,7 @@ import configparser
 import difflib
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,6 +68,9 @@ _TERMINAL_KINDS = {"identity": 0, "square": 0, "gauss": 2}
 _DRIVER_KINDS = ("brownian", "line", "sinusoid")
 _CONVENTIONS = ("stratonovich", "ito")
 _SCHEMES = ("davie_full", "davie_no_lift")
+# A residual scan's finest grid, ``cells * 2**(levels - 1)`` cells, may not
+# exceed this; the driver and every level's flow are built on that grid.
+_MAX_SCAN_CELLS = 65536
 
 
 class ScenarioError(ValueError):
@@ -113,9 +117,12 @@ def _parse_int(sec: str, key: str, raw: str) -> int:
 
 def _parse_float(sec: str, key: str, raw: str) -> float:
     try:
-        return float(raw.strip())
+        val = float(raw.strip())
     except ValueError:
         raise ScenarioError(f"[{sec}] {key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(val):
+        raise ScenarioError(f"[{sec}] {key}: expected a finite number, got {raw.strip()!r}")
+    return val
 
 
 def _parse_choice(choices) -> Callable[[str, str, str], str]:
@@ -311,6 +318,12 @@ def _validate(sc: Scenario) -> None:
             raise bad("particles", "count_list", "chaos scan needs at least two sizes")
         if any(c < 2 for c in sc.particle_counts):
             raise bad("particles", "count_list", "sizes must be >= 2")
+        if any(a >= b for a, b in zip(sc.particle_counts, sc.particle_counts[1:])):
+            raise bad(
+                "particles", "count_list",
+                "sizes must be strictly increasing (the scan checks that W2 "
+                "falls in list order)",
+            )
         if sc.dim != 1 and max(sc.particle_counts) > 512:
             raise bad(
                 "particles", "count_list",
@@ -324,8 +337,16 @@ def _validate(sc: Scenario) -> None:
                 "for dim > 1 every size must divide the largest "
                 "(the reference comparison duplicates atoms to a square assignment)",
             )
-    if sc.experiment == "residual_scan" and sc.levels < 2:
-        raise bad("grid", "levels", "residual scan needs at least two levels")
+    if sc.experiment == "residual_scan":
+        if sc.levels < 2:
+            raise bad("grid", "levels", "residual scan needs at least two levels")
+        # the shift is exact for integers and stays cheap for any ``levels``
+        if sc.cells > _MAX_SCAN_CELLS >> (sc.levels - 1):
+            raise bad(
+                "grid", "levels",
+                f"residual scan's finest grid of cells * 2**(levels - 1) = "
+                f"{sc.cells} * 2**{sc.levels - 1} cells exceeds {_MAX_SCAN_CELLS}",
+            )
 
 
 # ---------------------------------------------------------------------------

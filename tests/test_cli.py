@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +83,13 @@ def test_parse_failures_exit_one(tmp_path, capsys):
     assert "refinment" in err and "refinement" in err
     assert main(["--scenario", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o2")]) == 1
     assert main(["--scenario", str(bad), "--out", str(tmp_path / "o3"), "--threads", "0"]) == 1
+
+
+def test_non_finite_horizon_exits_one(tmp_path, capsys):
+    code, out = run_cli(tmp_path, FAST_LIFT.replace("[grid]\n", "[grid]\nhorizon = inf\n"), "inf")
+    assert code == 1
+    assert "[grid] horizon: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_override_exits_one_before_any_output(tmp_path, capsys):
@@ -308,3 +318,39 @@ def test_log_env_var_is_accepted(tmp_path, monkeypatch):
     monkeypatch.setenv("ROUGHMKV_LOG", "not_a_level")
     code, _ = run_cli(tmp_path, FAST_LIFT, "logged2")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COLD_START = """
+import sys
+from pathlib import Path
+
+import roughmkv
+import roughmkv.cli
+
+scenarios, out = Path(sys.argv[1]), Path(sys.argv[2])
+for name in ("lift_checks", "residual_scan", "chaos_scan", "diagnostics"):
+    code = roughmkv.cli.main([
+        "--scenario", str(scenarios / f"{name}.ini"),
+        "--out", str(out / name), "--no-timestamp",
+    ])
+    assert code == 0, (name, code)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_without_scipy_load_no_scipy(tmp_path):
+    # only exact W2 for dim > 1, brute-force W2 and the duality interpolant
+    # call scipy; every other bundled run must start and finish without it
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(ROOT / "scenarios"), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -93,3 +93,57 @@ def test_checker_finds_a_private_reach_in():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_attribute_reads(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def eager_imports(source: str, package: str) -> list[str]:
+    """Imports of ``package`` that run when the module loads, i.e. any outside
+    a function body."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(n == package or n.startswith(package + ".") for n in names):
+                found.append(f"{child.lineno}: {ast.unparse(child)}")
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_checker_finds_an_eager_scipy_import():
+    source = (
+        "import numpy as np\n"
+        "from scipy.optimize import linear_sum_assignment\n"
+        "import scipyx\n"
+        "from .scipy import helper\n"
+        "try:\n"
+        "    import scipy.linalg as la\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class A:\n"
+        "    import scipy\n"
+        "    def f(self):\n"
+        "        from scipy.interpolate import CubicSpline\n"
+        "def g():\n"
+        "    import scipy.spatial\n"
+    )
+    assert eager_imports(source, "scipy") == [
+        "2: from scipy.optimize import linear_sum_assignment",
+        "6: import scipy.linalg as la",
+        "10: import scipy",
+    ]
+
+
+# scipy costs most of a cold start; only the functions that call it import it
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_does_not_import_scipy_at_load(path):
+    found = eager_imports(path.read_text(encoding="utf-8"), "scipy")
+    assert not found, f"{path.relative_to(ROOT)}: " + "; ".join(found)

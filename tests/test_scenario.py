@@ -1,5 +1,6 @@
 """Scenario parsing, validation, canonical form, and builders."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,53 @@ def test_semantic_validation():
                 "[scenario]\nname = g\nexperiment = duality\n"
                 f"[backward]\nterminal = gauss 0.0 {width}\n"
             )
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("grid", "horizon = {}"),
+        ("driver", "alpha = {}"),
+        ("driver", "scale = {}"),
+        ("coefficients", "drift = linear_mean -0.5 {}"),
+        ("coefficients", "sigma = constant {}"),
+        ("coefficients", "rough = convolution_gauss {} 0.5"),
+        ("particles", "initial = gaussian {} 1.0"),
+        ("backward", "terminal = gauss 0.0 {}"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "+Infinity", "-INF"])
+def test_non_finite_numbers_rejected_at_parse(section, line, value):
+    key = line.split()[0]
+    with pytest.raises(
+        ScenarioError, match=rf"\[{section}\] {key}: expected a finite number, got '{re.escape(value)}'"
+    ):
+        parse_scenario_text(MINIMAL + f"[{section}]\n{line.format(value)}\n")
+
+
+SCAN = "[scenario]\nname = s\nexperiment = residual_scan\n[grid]\n"
+
+
+def test_residual_scan_size_is_bounded():
+    # the bound is on the finest grid, cells * 2**(levels - 1) <= 65536
+    for cells, levels in ((16, 13), (4096, 5), (32768, 2)):
+        sc = parse_scenario_text(SCAN + f"cells = {cells}\nlevels = {levels}\n")
+        assert sc.cells * 2 ** (sc.levels - 1) == 65536
+    for cells, levels in ((16, 14), (4097, 5), (32769, 2), (16, 40), (1, 10**9)):
+        size = f"{cells} * 2**{levels - 1} cells exceeds 65536"
+        with pytest.raises(ScenarioError, match=r"\[grid\] levels: .*" + re.escape(size)):
+            parse_scenario_text(SCAN + f"cells = {cells}\nlevels = {levels}\n")
+    # other experiments do not build the dyadic ladder
+    parse_scenario_text(MINIMAL + "[grid]\ncells = 16\nlevels = 14\n")
+
+
+@pytest.mark.parametrize("counts", ["250 250 1000", "1000 250 4000"])
+def test_chaos_sizes_must_increase(counts):
+    with pytest.raises(ScenarioError, match=r"\[particles\] count_list: sizes must be strictly increasing"):
+        parse_scenario_text(
+            "[scenario]\nname = c\nexperiment = chaos_scan\n"
+            f"[particles]\ncount_list = {counts}\n"
+        )
 
 
 def test_duplicate_keys_rejected():
