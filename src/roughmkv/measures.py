@@ -93,7 +93,13 @@ def pairing(mu: EmpiricalMeasure, phi: Callable[[np.ndarray], np.ndarray]) -> fl
 
 @dataclass(frozen=True, eq=False)
 class MeasureFlow:
-    """One empirical measure per grid node: ``states[k]`` is cloud at ``t_k``."""
+    """One empirical measure per grid node: ``states[k]`` is cloud at ``t_k``.
+
+    ``states`` is held read-only.  A float64 array that is already read-only
+    and owns its memory is kept as it is, since nothing else can write to
+    it; any other input, a writable array or a read-only view of memory that
+    someone else may write, is copied.
+    """
 
     grid: TimeGrid
     states: np.ndarray            # (K+1, N, d)
@@ -106,8 +112,9 @@ class MeasureFlow:
                 f"states must have shape (K+1, N, d), got {st.shape} for "
                 f"{self.grid.num_cells} cells"
             )
-        st = st.copy()
-        st.setflags(write=False)
+        if st.flags.writeable or not st.flags.owndata:
+            st = st.copy()
+            st.setflags(write=False)
         object.__setattr__(self, "states", st)
 
     @property

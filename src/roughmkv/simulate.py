@@ -235,7 +235,8 @@ def simulate(
 ) -> tuple[MeasureFlow, np.ndarray]:
     """Run the scheme over the whole grid.
 
-    Returns the measure flow and the raw trajectory block ``(K+1, N, d)``.
+    Returns the measure flow and the raw trajectory block ``(K+1, N, d)``;
+    the block is the flow's own read-only ``states``, not a copy.
     Pass ``brownian`` to override the materialised private increments (the
     coupled-refinement experiments do, with sums of finer draws); shape must
     be ``(N, K, m)``.  With an ``observer``, every step computes its
@@ -274,6 +275,7 @@ def simulate(
         if observer is not None:
             observer(report)
         check_finite(history[k + 1], float(pts[k + 1]))
+    history.setflags(write=False)
     flow = MeasureFlow(
         grid=config.grid, states=history, driver_checksum=roughpath_checksum(rp)
     )

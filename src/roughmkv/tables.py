@@ -44,13 +44,29 @@ def write_table(
 def read_table(path: str, magic: str) -> tuple[dict[str, str], np.ndarray]:
     """The magic line's ``key=value`` tokens and the rows as a float array.
 
-    Raises ``ValueError`` unless the file opens with ``magic``.
+    A file with a header but no rows gives a ``(0, columns)`` array, with the
+    column count read from the header.  Raises ``ValueError`` unless the
+    file opens with ``magic`` followed by ``key=value`` tokens only.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens, words = fh.readline().split(), magic.split()
         if tokens[: len(words)] != words:
             raise ValueError(f"{path}: bad magic line, expected {magic!r}")
-        meta = dict(tok.split("=", 1) for tok in tokens[len(words):])
-        if fh.readline().startswith(_STAMP):
-            fh.readline()
+        meta = {}
+        for tok in tokens[len(words):]:
+            key, eq, value = tok.partition("=")
+            if not eq:
+                raise ValueError(f"{path}: magic line token {tok!r} is not key=value")
+            meta[key] = value
+        header = fh.readline()
+        if header.startswith(_STAMP):
+            header = fh.readline()
+        # loadtxt warns on a file without rows, so look for one first
+        body = fh.tell()
+        line = fh.readline()
+        while line and not line.strip():
+            line = fh.readline()
+        if not line:
+            return meta, np.empty((0, len(header.split(","))))
+        fh.seek(body)
         return meta, np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -1,4 +1,6 @@
-"""Shared coefficient builders used across the test modules."""
+"""Shared coefficient builders and a memory probe used across the test modules."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -62,3 +64,21 @@ def ornstein_uhlenbeck_set(rate: float = 0.3, vol: float = 0.5) -> CoefficientSe
         drift=lambda t, x, mu: -rate * x,
         diffusion=lambda t, x, mu: vol * np.ones((x.shape[0], 1, 1)),
     )
+
+
+def traced_peak(fn):
+    """Call ``fn()``; return its result and the peak bytes it allocated.
+
+    The peak is what ``tracemalloc`` saw above the level live at the call;
+    numpy reports its array buffers there, so arrays made before the call
+    (and passed in) do not count.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base

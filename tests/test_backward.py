@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import linear_signal_family, mean_coupled_sin_family
+from conftest import linear_signal_family, mean_coupled_sin_family, traced_peak
 
 from roughmkv import backward
 from roughmkv.backward import (
@@ -12,7 +12,12 @@ from roughmkv.backward import (
     save_backward_csv,
     solve_backward_fk,
 )
-from roughmkv.coefficients import coefficient_set, constant_rough, measure_free_family
+from roughmkv.coefficients import (
+    coefficient_set,
+    constant_rough,
+    linear_state_family,
+    measure_free_family,
+)
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import load_flow_csv, save_flow_csv
 from roughmkv.roughpath import brownian_lift
@@ -201,6 +206,26 @@ def test_blowup_in_a_later_block_keeps_its_time(monkeypatch):
             solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, times, 4, 1)
     assert 0.0 < want.value.time < grid.horizon
     assert got.value.time == want.value.time
+
+
+def test_sampler_memory_is_the_paths_plus_a_few_blocks():
+    # per path: the (P*M, 1) states, the next start time's states made while
+    # they are alive, and the terminal values; the one-step map's temporaries
+    # stay within blocks of _BLOCK_ROWS rows (unblocked, they add ~80 blocks)
+    grid, rp = grid_and_driver(cells=8)
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: 0.5 * np.ones((x.shape[0], 1, 1)),
+        rough=linear_state_family(0.25, 1, 1),
+    )
+    axes, M = (np.linspace(-1.0, 1.0, 4),), 16 * backward._BLOCK_ROWS // 4
+    states_bytes = 4 * M * 8
+    block_bytes = backward._BLOCK_ROWS * 8
+    _, peak = traced_peak(
+        lambda: solve_backward_fk(cs, rp, lambda x: x[:, 0] ** 2, axes, grid.points[[0, 4]], M, 1)
+    )
+    assert peak <= 3 * states_bytes + 4 * block_bytes
 
 
 # ---------------------------------------------------------------------------

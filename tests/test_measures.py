@@ -181,6 +181,31 @@ def test_flow_indexing_consistency():
     assert flow.dim == 1
 
 
+def test_flow_copies_a_writable_array():
+    states = little_flow().states.copy()
+    flow = MeasureFlow(grid=TimeGrid.uniform(1.0, 8), states=states)
+    assert flow.states is not states and not flow.states.flags.writeable
+    states[0, 0, 0] += 1.0
+    assert flow.states[0, 0, 0] != states[0, 0, 0]
+
+
+def test_flow_copies_a_read_only_view():
+    base = little_flow().states.copy()
+    view = base.view()
+    view.setflags(write=False)
+    flow = MeasureFlow(grid=TimeGrid.uniform(1.0, 8), states=view)
+    kept = flow.states.copy()
+    base += 1.0
+    assert np.array_equal(flow.states, kept)
+
+
+def test_flow_keeps_a_read_only_array_that_owns_its_memory():
+    states = little_flow().states.copy()
+    states.setflags(write=False)
+    flow = MeasureFlow(grid=TimeGrid.uniform(1.0, 8), states=states)
+    assert flow.states is states
+
+
 def test_flow_regularity_quotients_are_finite_and_scale():
     flow = little_flow()
     q = flow_w2_holder(flow, 0.45)
@@ -318,6 +343,23 @@ def test_flow_csv_refuses_a_cut_file(tmp_path, kept_rows):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[: 3 + kept_rows]))
     with pytest.raises(ValueError, match=f"expected 25 rows .*, got {kept_rows}"):
+        load_flow_csv(str(path))
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_flow_csv_cut_after_its_header_is_refused_by_row_count(tmp_path):
+    path = tmp_path / "flow.csv"
+    save_flow_csv(little_flow(seed=3, cells=4, n=3), str(path), stamp="then")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3]))
+    with pytest.raises(ValueError, match=r"expected 15 rows \(5 nodes x 3 particles\), got 0"):
+        load_flow_csv(str(path))
+
+
+def test_flow_csv_magic_token_without_equals_is_named(tmp_path):
+    path = tmp_path / "flow.csv"
+    path.write_text("# roughmkv-flow v1 dim=1 particles=1 nodes=2 junk\nt,particle,x_1\n")
+    with pytest.raises(ValueError, match=r"flow\.csv: magic line token 'junk' is not key=value"):
         load_flow_csv(str(path))
 
 

@@ -327,6 +327,16 @@ def test_csv_refuses_a_cut_file(tmp_path):
         load_roughpath_csv(str(path))
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_csv_cut_after_its_header_is_refused_by_row_count(tmp_path):
+    path = tmp_path / "signal.csv"
+    save_roughpath_csv(random_walk_path(4, 4, 2), str(path), stamp="then")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3]))
+    with pytest.raises(ValueError, match=r"expected 5 rows \(one per node\), got 0"):
+        load_roughpath_csv(str(path))
+
+
 def test_csv_without_node_count_is_refused(tmp_path):
     path = tmp_path / "signal.csv"
     path.write_text("# roughmkv-signal v1 dim=1 alpha=0.4\nt,W_1,WW_11\n0.0,0.0,0.0\n")

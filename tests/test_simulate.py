@@ -8,6 +8,7 @@ from conftest import (
     linear_signal_family,
     mean_coupled_sin_family,
     ornstein_uhlenbeck_set,
+    traced_peak,
 )
 
 from roughmkv.coefficients import (
@@ -387,6 +388,34 @@ def test_dimension_mismatches_are_rejected():
     rp_other_grid = brownian_lift(1, 1, TimeGrid.uniform(1.0, 5), 2)
     with pytest.raises(ValueError):
         simulate(cfg, ornstein_uhlenbeck_set(), rp_other_grid)
+
+
+# ---------------------------------------------------------------------------
+# history ownership and memory
+
+
+def test_the_history_is_the_flows_read_only_states():
+    cfg = make_config(n=8, cells=4, seed=2)
+    flow, hist = simulate(cfg, ornstein_uhlenbeck_set(), brownian_lift(2, 1, cfg.grid, 4))
+    assert hist is flow.states
+    with pytest.raises(ValueError):
+        hist[0, 0, 0] = 1.0
+
+
+def test_simulate_holds_one_history():
+    # above the increments passed in: the history plus per-step temporaries,
+    # not a second (K+1, N, d) copy
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: 0.5 * np.ones((x.shape[0], 1, 1)),
+        rough=moment_sin_family(0.5, 0.4),
+    )
+    cfg = make_config(n=2048, cells=256, seed=7)
+    rp = brownian_lift(3, 1, cfg.grid, 4)
+    incs = idiosyncratic_increments(cfg.seed, cfg.particle_count, cfg.grid, 1)
+    (_, hist), peak = traced_peak(lambda: simulate(cfg, cs, rp, brownian=incs))
+    assert peak <= 1.3 * hist.nbytes
 
 
 # ---------------------------------------------------------------------------
