@@ -12,9 +12,10 @@ import argparse
 import pathlib
 import sys
 
-from roughmkv.cli import main as run_cli
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from roughmkv.cli import main as run_cli  # noqa: E402
 
 
 def main(argv=None):

@@ -162,9 +162,10 @@ def solve_backward_fk(
     db = np.empty((block, coeffs.brownian_dim))                 # reused draw buffer
     u = np.empty((len(t_idx), P))
     se = np.empty((len(t_idx), P))
+    states = np.empty((rows, coeffs.dim))                       # refilled per start time
     for row, start in enumerate(t_idx):
         rng = substream(seed, TAG_BACKWARD, start)
-        states = np.repeat(lattice, M, axis=0)                  # (P*M, d)
+        states.reshape(P, M, -1)[...] = lattice[:, None, :]
         for k in range(start, grid.num_cells):
             h = float(grid.dt[k])
             s_t, t_t = float(pts[k]), float(pts[k + 1])

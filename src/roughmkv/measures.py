@@ -245,7 +245,8 @@ def flow_holder_diagnostic(
     non-finite state makes the quotient NaN.
     """
     bank = lipschitz_bank(lip_const, flow.dim)
-    vals = np.array([[symmetric_mean(phi(cloud)) for cloud in flow.states]
+    clouds = flow.states.reshape(-1, flow.dim)               # every node's cloud, stacked
+    vals = np.array([symmetric_mean(phi(clouds).reshape(flow.states.shape[:2]), axis=1)
                      for _, phi in bank])
     (worst,) = span_sup(
         (np.abs(vals[:, i + 1 :] - vals[:, i : i + 1]) / gap[None, :] ** alpha,)

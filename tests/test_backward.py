@@ -209,8 +209,8 @@ def test_blowup_in_a_later_block_keeps_its_time(monkeypatch):
 
 
 def test_sampler_memory_is_the_paths_plus_a_few_blocks():
-    # per path: the (P*M, 1) states, the next start time's states made while
-    # they are alive, and the terminal values; the one-step map's temporaries
+    # per path: the (P*M, 1) states, and the terminal values with the
+    # temporaries of their mean and spread; the one-step map's temporaries
     # stay within blocks of _BLOCK_ROWS rows (unblocked, they add ~80 blocks)
     grid, rp = grid_and_driver(cells=8)
     cs = coefficient_set(
@@ -226,6 +226,26 @@ def test_sampler_memory_is_the_paths_plus_a_few_blocks():
         lambda: solve_backward_fk(cs, rp, lambda x: x[:, 0] ** 2, axes, grid.points[[0, 4]], M, 1)
     )
     assert peak <= 3 * states_bytes + 4 * block_bytes
+
+
+def test_sampler_refills_one_states_array_per_start_time():
+    # d = 2 and a terminal that reads a view, so the states dominate the
+    # peak; a second start time must not hold a second states array
+    grid, rp = grid_and_driver(cells=8, dim=2)
+    cs = coefficient_set(
+        2, 2, 2,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: 0.5 * np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
+        rough=linear_state_family(0.25, 2, 2),
+    )
+    axes, M = (np.linspace(-1.0, 1.0, 2),) * 2, 16 * backward._BLOCK_ROWS // 4
+    peaks = [
+        traced_peak(
+            lambda: solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[idx], M, 1)
+        )[1]
+        for idx in ([0], [0, 4])
+    ]
+    assert peaks[1] <= peaks[0] + backward._BLOCK_ROWS * 8
 
 
 # ---------------------------------------------------------------------------

@@ -354,3 +354,15 @@ def test_runs_without_scipy_load_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_run_experiments_script_runs_from_a_plain_checkout(tmp_path):
+    # no PYTHONPATH and no installed package: the script finds src/ itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"),
+         "--only", "lift_checks", "--no-timestamp", "--out", str(tmp_path)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "lift_checks" / "summary.json").is_file()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughmkv import measures
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import (
     EmpiricalMeasure,
@@ -264,6 +265,35 @@ def test_flow_quotients_equal_span_loop_reference(grid, d):
     assert flow_holder_diagnostic(flow, 1.3, 0.45) == ref_flow_holder_diagnostic(flow, 1.3, 0.45)
     if d == 1:
         assert flow_w2_holder(flow, 0.45) == ref_flow_w2_holder(flow, 0.45)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_dual_lipschitz_pairings_call_each_probe_once(monkeypatch, d):
+    # the probes see every node's cloud in one call, and the per-node means
+    # of that call are the pairings of the node-by-node loop, bit for bit
+    grid = TimeGrid.uniform(1.0, 20)
+    states = np.cumsum(np.random.default_rng(7 + d).standard_normal((len(grid), 17, d)), axis=0)
+    flow = MeasureFlow(grid=grid, states=states, driver_checksum="test")
+    bank = measures.lipschitz_bank(1.1, d)
+    calls, means = [], []
+
+    def counted(phi):
+        def probe(x):
+            calls.append(x.shape[0])
+            return phi(x)
+        return probe
+
+    def recorded(a, axis=0):
+        means.append(symmetric_mean(a, axis=axis))
+        return means[-1]
+
+    monkeypatch.setattr(measures, "lipschitz_bank",
+                        lambda R, dim: [(name, counted(phi)) for name, phi in bank])
+    monkeypatch.setattr(measures, "symmetric_mean", recorded)
+    measures.flow_holder_diagnostic(flow, 1.1, 0.45)
+    assert calls == [len(grid) * 17] * len(bank)
+    per_node = np.array([[symmetric_mean(phi(cloud)) for cloud in flow.states] for _, phi in bank])
+    assert np.array_equal(np.array(means), per_node)
 
 
 def test_w2_quotient_of_a_flow_with_a_nan_state_is_nan(tmp_path):
