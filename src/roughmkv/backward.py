@@ -27,7 +27,7 @@ from .measures import MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, roughpath_checksum
 from .simulate import advance_states, check_finite
 from .streams import TAG_BACKWARD, substream
-from .tables import write_table
+from .tables import read_table, write_table
 
 __all__ = [
     "BackwardSolution",
@@ -36,6 +36,7 @@ __all__ = [
     "solve_backward_fk",
     "duality_drift",
     "save_backward_csv",
+    "load_backward_csv",
 ]
 
 # Sampled states advance through each grid cell this many rows at a time, so
@@ -43,14 +44,68 @@ __all__ = [
 # depend on it.
 _BLOCK_ROWS = 16384
 
+_BACKWARD_MAGIC = "# roughmkv-backward v1"
+
 _LATTICE_TAIL = 1e-4
 _LATTICE_PAD_SIGMAS = 4.0
+_CUBIC_POINTS = "need at least 4 lattice points per dimension (cubic)"
 
 
 def _product_lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Product of ``axes`` as a flat ``(P, d)`` array (C-order)."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _spline_slopes(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic through ``values`` of shape ``(n, ...)``.
+
+    Needs ``n >= 4`` knots; one solve covers every column.  The system is the
+    one ``scipy.interpolate.CubicSpline`` assembles; its right-hand side is
+    built from divided differences, so constant columns get exactly zero
+    slopes.
+    """
+    n = knots.size
+    dx = np.diff(knots)
+    dxr = dx.reshape((n - 1,) + (1,) * (values.ndim - 1))
+    slope = np.diff(values, axis=0) / dxr
+    a = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    a[i, i - 1] = dx[1:]
+    a[i, i] = 2.0 * (dx[:-1] + dx[1:])
+    a[i, i + 1] = dx[:-1]
+    b = np.empty(values.shape)
+    b[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at the second and the
+    # last-but-one knot
+    d = knots[2] - knots[0]
+    a[0, :2] = dx[1], d
+    b[0] = ((dxr[0] + 2.0 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = knots[-1] - knots[-3]
+    a[-1, -2:] = d, dx[-2]
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2.0 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    return np.linalg.solve(a, b.reshape(n, -1)).reshape(values.shape)
+
+
+def _spline_eval(
+    knots: np.ndarray, values: np.ndarray, slopes: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """Cubic through ``values`` with knot ``slopes`` (both ``(n, ...)``), at ``q``.
+
+    ``q`` broadcasts against the trailing shape of ``values``; each column is
+    evaluated at the ``q`` it lines up with.  The end cubics extend beyond
+    the knots.
+    """
+    i = np.clip(np.searchsorted(knots, q, side="right") - 1, 0, knots.size - 2)
+    at = (i, *np.indices(values.shape[1:], sparse=True))
+    nxt = (i + 1, *at[1:])
+    h = knots[i + 1] - knots[i]
+    y0, s0 = values[at], slopes[at]
+    slope = (values[nxt] - y0) / h
+    t = (s0 + slopes[nxt] - 2.0 * slope) / h
+    cubic, quadratic = t / h, (slope - s0) / h - t
+    z = q - knots[i]
+    return ((cubic * z + quadratic) * z + s0) * z + y0
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +134,29 @@ class BackwardSolution:
         return _product_lattice(self.axes)
 
     def interpolant(self, time_index: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Cubic interpolant of ``u`` at one start time; extrapolates beyond."""
-        from scipy.interpolate import CubicSpline, RectBivariateSpline
+        """Cubic interpolant of ``u`` at one start time; extrapolates beyond.
 
+        The not-a-knot cubic spline of each axis, as a tensor product for
+        d = 2: the y-spline of every lattice row is evaluated at the points'
+        y, then each point's x-spline through those values at its x.
+        """
+        if min(a.size for a in self.axes) < 4:
+            raise ValueError(_CUBIC_POINTS)
         vals = self.u[time_index]
         if self.dim == 1:
-            spline = CubicSpline(self.axes[0], vals)
-            return lambda x: spline(x[:, 0])
+            (ax,) = self.axes
+            slopes = _spline_slopes(ax, vals)
+            return lambda x: _spline_eval(ax, vals, slopes, x[:, 0])
         if self.dim == 2:
-            grid_vals = vals.reshape(self.axes[0].size, self.axes[1].size)
-            spline = RectBivariateSpline(self.axes[0], self.axes[1], grid_vals)
-            return lambda x: spline.ev(x[:, 0], x[:, 1])
+            ax, ay = self.axes
+            rows = vals.reshape(ax.size, ay.size).T[:, :, None]      # (n_y, n_x, 1)
+            row_slopes = _spline_slopes(ay, rows)
+
+            def interp(x: np.ndarray) -> np.ndarray:
+                cols = _spline_eval(ay, rows, row_slopes, x[:, 1])   # (n_x, N)
+                return _spline_eval(ax, cols, _spline_slopes(ax, cols), x[:, 0])
+
+            return interp
         raise ValueError("interpolation implemented for d in {1, 2}")
 
 
@@ -107,7 +174,7 @@ def lattice_from_flow(flow: MeasureFlow, points_per_dim: int) -> tuple[np.ndarra
     far tail; anything beyond is handled by the interpolant's extrapolation.
     """
     if points_per_dim < 4:
-        raise ValueError("need at least 4 lattice points per dimension (cubic)")
+        raise ValueError(_CUBIC_POINTS)
     axes = []
     for j in range(flow.dim):
         coord = flow.states[:, :, j].ravel()
@@ -214,7 +281,12 @@ def duality_drift(flow: MeasureFlow, solution: BackwardSolution) -> DualityRepor
 
 
 def save_backward_csv(solution: BackwardSolution, path: str, stamp: str | None = None) -> None:
-    """Rows ``t, x_1..x_d, u, stderr``, one block per start time."""
+    """Rows ``t, x_1..x_d, u, stderr``, one block per start time.
+
+    The magic line carries the lattice shape (``points=13x9``) and the number
+    of start times, so a cut file is refused on load, and the driver checksum,
+    so a reloaded solution still pairs with its flow.
+    """
     lattice = solution.lattice_points().T
     d = solution.dim
     write_table(
@@ -223,8 +295,43 @@ def save_backward_csv(solution: BackwardSolution, path: str, stamp: str | None =
         ((itertools.repeat(repr(t)), *lattice, u, se)
          for t, u, se in zip(solution.times.tolist(), solution.u, solution.stderr)),
         magic=(
-            f"# roughmkv-backward v1 dim={d} samples={solution.mc_samples} "
-            f"terminal={solution.terminal_name}"
+            f"{_BACKWARD_MAGIC} dim={d} samples={solution.mc_samples} "
+            f"terminal={solution.terminal_name} "
+            f"points={'x'.join(str(a.size) for a in solution.axes)} "
+            f"times={solution.times.size} driver={solution.driver_checksum}"
         ),
         stamp=stamp,
+    )
+
+
+def load_backward_csv(path: str) -> BackwardSolution:
+    """The solution :func:`save_backward_csv` wrote; refuses a cut file."""
+    meta, data = read_table(path, _BACKWARD_MAGIC)
+    try:
+        d, samples, times = (int(meta[key]) for key in ("dim", "samples", "times"))
+        shape = tuple(int(n) for n in meta["points"].split("x"))
+        terminal, driver = meta["terminal"], meta["driver"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: magic line has no {exc.args[0]}= token") from None
+    if len(shape) != d:
+        raise ValueError(f"{path}: points={meta['points']} does not name {d} axes")
+    if data.shape[1] != 3 + d:
+        raise ValueError(f"{path}: expected {3 + d} columns, got {data.shape[1]}")
+    P = int(np.prod(shape))
+    if data.shape[0] != times * P:
+        raise ValueError(
+            f"{path}: expected {times * P} rows ({times} times x {P} lattice points), "
+            f"got {data.shape[0]}"
+        )
+    lattice = data[:P, 1 : 1 + d].reshape(*shape, d)
+    return BackwardSolution(
+        axes=tuple(
+            lattice[(0,) * j + (slice(None),) + (0,) * (d - 1 - j) + (j,)] for j in range(d)
+        ),
+        times=data[::P, 0],
+        u=data[:, 1 + d].reshape(times, P),
+        stderr=data[:, 2 + d].reshape(times, P),
+        mc_samples=samples,
+        driver_checksum=driver,
+        terminal_name=terminal,
     )

@@ -7,8 +7,10 @@ from conftest import linear_signal_family, mean_coupled_sin_family, traced_peak
 
 from roughmkv import backward
 from roughmkv.backward import (
+    BackwardSolution,
     duality_drift,
     lattice_from_flow,
+    load_backward_csv,
     save_backward_csv,
     solve_backward_fk,
 )
@@ -368,7 +370,9 @@ def ref_save_backward_csv(solution, path, stamp=None):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# roughmkv-backward v1 dim={d} samples={solution.mc_samples} "
-            f"terminal={solution.terminal_name}\n"
+            f"terminal={solution.terminal_name} "
+            f"points={'x'.join(str(a.size) for a in solution.axes)} "
+            f"times={solution.times.size} driver={solution.driver_checksum}\n"
         )
         if stamp is not None:
             fh.write(f"# generated {stamp}\n")
@@ -383,12 +387,12 @@ def ref_save_backward_csv(solution, path, stamp=None):
                 fh.write(",".join(cells) + "\n")
 
 
-def awkward_solution(d: int) -> backward.BackwardSolution:
+def awkward_solution(d: int) -> BackwardSolution:
     """A solution whose lattice and values include -0.0, subnormals and inexact floats."""
     rng = np.random.default_rng(40 + d)
     axes = (np.array([-0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0]), np.array([-1.5, 1e300, 2.0]))[:d]
     P = int(np.prod([a.size for a in axes]))
-    return backward.BackwardSolution(
+    return BackwardSolution(
         axes=axes,
         times=np.array([0.0, 0.1 + 0.2, 1.0]),
         u=rng.standard_normal((3, P)),
@@ -420,3 +424,167 @@ def test_backward_csv_layout(tmp_path):
     assert lines[1].startswith("t,")
     assert "u" in lines[1] and "stderr" in lines[1]
     assert len(lines) == 2 + 2 * 5
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_backward_csv_loads_back_bit_exact(tmp_path, d):
+    sol = awkward_solution(d)
+    path = str(tmp_path / "u.csv")
+    save_backward_csv(sol, path, stamp="2026-01-01T00:00:00+00:00")
+    back = load_backward_csv(path)
+    assert len(back.axes) == d
+    for got, want in zip(back.axes, sol.axes):
+        assert np.array_equal(bits(got), bits(want))
+    for name in ("times", "u", "stderr"):
+        assert np.array_equal(bits(getattr(back, name)), bits(getattr(sol, name)))
+    assert (back.mc_samples, back.driver_checksum, back.terminal_name) == (8, "abc", "square")
+
+
+def planar_flow_and_solution():
+    grid = TimeGrid.uniform(1.0, 8)
+    rp = brownian_lift(12, 1, grid, refinement_factor=4)
+    cs = coefficient_set(
+        2, 2, 1,
+        diffusion=lambda t, x, mu: np.broadcast_to(0.4 * np.eye(2), (x.shape[0], 2, 2)).copy(),
+        rough=linear_state_family(0.2, 2, 1),
+    )
+    flow, _ = simulate(SimulationConfig(64, grid, 3, 2, 2, 1), cs, rp)
+    axes = (lattice_from_flow(flow, 9)[0], lattice_from_flow(flow, 7)[1])
+    terminal = lambda x: np.sin(x[:, 0]) * x[:, 1] ** 2
+    return flow, solve_backward_fk(cs, rp, terminal, axes, grid.points[[0, 4, 8]], 32, 8)
+
+
+def scalar_flow_and_solution():
+    grid, rp, cs = shift_setup(c=0.9)
+    flow, _ = simulate(SimulationConfig(32, grid, 6, 1, 1, 1), cs, rp)
+    axes = lattice_from_flow(flow, 17)
+    return flow, solve_backward_fk(cs, rp, np.cos, axes, grid.points[[0, 8, 16]], 8, 3)
+
+
+@pytest.mark.parametrize("setup", [scalar_flow_and_solution, planar_flow_and_solution])
+def test_reloaded_flow_and_solution_pair_alike(tmp_path, setup):
+    flow, sol = setup()
+    f, b = str(tmp_path / "flow.csv"), str(tmp_path / "backward.csv")
+    save_flow_csv(flow, f)
+    save_backward_csv(sol, b)
+    rep = duality_drift(load_flow_csv(f), load_backward_csv(b))
+    assert rep.drift == duality_drift(flow, sol).drift
+    assert rep.drift > 0.0
+
+
+def test_backward_csv_refuses_a_foreign_or_cut_file(tmp_path):
+    sol = awkward_solution(2)                        # 3 times x (4 x 3) points
+    path = tmp_path / "u.csv"
+    save_backward_csv(sol, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"expected 36 rows \(3 times x 12 lattice points\), got 35"):
+        load_backward_csv(str(path))
+    path.write_text("".join([lines[0].replace("points=4x3", "points=12")] + lines[1:]))
+    with pytest.raises(ValueError, match="points=12 does not name 2 axes"):
+        load_backward_csv(str(path))
+    grid, rp, cs = shift_setup(cells=4)
+    flow, _ = simulate(SimulationConfig(8, grid, 1, 1, 1, 1), cs, rp)
+    save_flow_csv(flow, str(path))
+    with pytest.raises(ValueError, match="bad magic line"):
+        load_backward_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the cubic interpolant; scipy is the oracle
+
+
+def solution_on(axes, values):
+    """A one-time solution holding ``values`` on the product of ``axes``."""
+    u = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    return BackwardSolution(
+        axes=tuple(axes), times=np.zeros(1), u=u, stderr=np.zeros_like(u),
+        mc_samples=2, driver_checksum="x",
+    )
+
+
+KNOTS = {
+    "uniform": np.linspace(-2.0, 2.0, 9),
+    "nonuniform": np.array([-3.0, -2.2, -1.9, -0.7, 0.0, 0.15, 0.9, 2.4, 2.6, 4.0]),
+}
+
+
+@pytest.mark.parametrize("spacing", sorted(KNOTS))
+def test_1d_interpolant_is_scipy_cubic_spline_inside_and_beyond(spacing):
+    from scipy.interpolate import CubicSpline
+
+    knots = KNOTS[spacing]
+    rng = np.random.default_rng(3)
+    vals = np.sin(2.0 * knots) + rng.standard_normal(knots.size)
+    width = knots[-1] - knots[0]
+    q = np.concatenate([knots, rng.uniform(knots[0] - width / 4, knots[-1] + width / 4, 400)])
+    assert q.min() < knots[0] and q.max() > knots[-1]
+    got = solution_on((knots,), vals).interpolant(0)(q[:, None])
+    want = CubicSpline(knots, vals)(q)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(vals))
+
+
+def planar_lattice(seed):
+    rng = np.random.default_rng(seed)
+    ax = np.linspace(-1.5, 2.0, 13)
+    ay = np.array([-1.0, -0.6, -0.5, 0.1, 0.4, 1.2, 1.3, 2.0, 3.0])
+    grid = np.sin(ax)[:, None] * np.cos(2.0 * ay)[None, :] + rng.standard_normal((13, 9))
+    return ax, ay, grid
+
+
+def test_2d_interpolant_is_rect_bivariate_spline_inside():
+    from scipy.interpolate import RectBivariateSpline
+
+    ax, ay, grid = planar_lattice(4)
+    rng = np.random.default_rng(5)
+    lattice = np.stack(np.meshgrid(ax, ay, indexing="ij"), axis=-1).reshape(-1, 2)
+    inside = rng.uniform([ax[0], ay[0]], [ax[-1], ay[-1]], size=(500, 2))
+    x = np.concatenate([lattice, inside])
+    got = solution_on((ax, ay), grid).interpolant(0)(x)
+    want = RectBivariateSpline(ax, ay, grid).ev(x[:, 0], x[:, 1])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(grid))
+
+
+def test_2d_interpolant_extrapolates_like_nested_cubic_splines():
+    # RectBivariateSpline.ev clamps outside the box; the interpolant extends
+    # the end cubics in both coordinates, as the 1-D interpolant does
+    from scipy.interpolate import CubicSpline
+
+    ax, ay, grid = planar_lattice(6)
+    x = np.array([[2.5, 0.7], [-2.0, 0.7], [0.3, 3.4], [0.3, -1.6], [2.4, -1.3], [-1.8, 3.5]])
+    got = solution_on((ax, ay), grid).interpolant(0)(x)
+    want = [
+        CubicSpline(ax, [CubicSpline(ay, row)(y) for row in grid])(xx) for xx, y in x
+    ]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_interpolant_reproduces_constants_and_cubics(d):
+    axes = (KNOTS["nonuniform"], np.linspace(-1.0, 1.0, 6))[:d]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-5.0, 5.0, size=(300, d))                   # inside and beyond
+    flat = solution_on(axes, np.full(lattice.shape[0], 0.3)).interpolant(0)(x)
+    assert np.all(flat == 0.3)
+
+    def cubic(p):
+        out = 0.5 * p[:, 0] ** 3 - p[:, 0] + 2.0
+        return out if d == 1 else out + (p[:, 0] ** 2 - 0.25 * p[:, 1] ** 2) * p[:, 1]
+
+    got = solution_on(axes, cubic(lattice)).interpolant(0)(x)
+    assert np.max(np.abs(got - cubic(x))) <= 1e-12 * np.max(np.abs(cubic(x)))
+
+
+@pytest.mark.parametrize("axes", [(np.linspace(0.0, 1.0, 3),), (np.linspace(0.0, 1.0, 5), np.arange(3.0))])
+def test_interpolant_refuses_an_axis_below_four_points(axes):
+    sol = solution_on(axes, np.zeros(int(np.prod([a.size for a in axes]))))
+    with pytest.raises(ValueError) as want:
+        lattice_from_flow(None, 3)
+    with pytest.raises(ValueError) as got:
+        sol.interpolant(0)
+    assert str(got.value) == str(want.value)

@@ -333,7 +333,7 @@ import roughmkv
 import roughmkv.cli
 
 scenarios, out = Path(sys.argv[1]), Path(sys.argv[2])
-for name in ("lift_checks", "residual_scan", "chaos_scan", "diagnostics"):
+for name in ("lift_checks", "residual_scan", "chaos_scan", "diagnostics", "duality"):
     code = roughmkv.cli.main([
         "--scenario", str(scenarios / f"{name}.ini"),
         "--out", str(out / name), "--no-timestamp",
@@ -344,8 +344,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_runs_without_scipy_load_no_scipy(tmp_path):
-    # only exact W2 for dim > 1, brute-force W2 and the duality interpolant
-    # call scipy; every other bundled run must start and finish without it
+    # only exact W2 for dim > 1 and brute-force W2 call scipy; every bundled
+    # run must start and finish without it
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run(
         [sys.executable, "-c", COLD_START, str(ROOT / "scenarios"), str(tmp_path)],

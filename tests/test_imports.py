@@ -95,6 +95,19 @@ def test_no_private_attribute_reads(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(node: ast.AST) -> list[str]:
+    """Absolute module names an import statement loads; none for other nodes."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module]
+    return []
+
+
+def imports_package(node: ast.AST, package: str) -> bool:
+    return any(n == package or n.startswith(package + ".") for n in imported_modules(node))
+
+
 def eager_imports(source: str, package: str) -> list[str]:
     """Imports of ``package`` that run when the module loads, i.e. any outside
     a function body."""
@@ -104,13 +117,7 @@ def eager_imports(source: str, package: str) -> list[str]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if isinstance(child, ast.Import):
-                names = [a.name for a in child.names]
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                names = [child.module]
-            else:
-                names = []
-            if any(n == package or n.startswith(package + ".") for n in names):
+            if imports_package(child, package):
                 found.append(f"{child.lineno}: {ast.unparse(child)}")
             visit(child)
 
@@ -118,27 +125,48 @@ def eager_imports(source: str, package: str) -> list[str]:
     return found
 
 
+def any_imports(source: str, package: str) -> list[str]:
+    """Every import of ``package``, wherever it sits."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if imports_package(node, package)
+    ]
+
+
+SCIPY_SAMPLE = (
+    "import numpy as np\n"
+    "from scipy.optimize import linear_sum_assignment\n"
+    "import scipyx\n"
+    "from .scipy import helper\n"
+    "try:\n"
+    "    import scipy.linalg as la\n"
+    "except ImportError:\n"
+    "    pass\n"
+    "class A:\n"
+    "    import scipy\n"
+    "    def f(self):\n"
+    "        from scipy.interpolate import CubicSpline\n"
+    "def g():\n"
+    "    import scipy.spatial\n"
+)
+
+
 def test_checker_finds_an_eager_scipy_import():
-    source = (
-        "import numpy as np\n"
-        "from scipy.optimize import linear_sum_assignment\n"
-        "import scipyx\n"
-        "from .scipy import helper\n"
-        "try:\n"
-        "    import scipy.linalg as la\n"
-        "except ImportError:\n"
-        "    pass\n"
-        "class A:\n"
-        "    import scipy\n"
-        "    def f(self):\n"
-        "        from scipy.interpolate import CubicSpline\n"
-        "def g():\n"
-        "    import scipy.spatial\n"
-    )
-    assert eager_imports(source, "scipy") == [
+    assert eager_imports(SCIPY_SAMPLE, "scipy") == [
         "2: from scipy.optimize import linear_sum_assignment",
         "6: import scipy.linalg as la",
         "10: import scipy",
+    ]
+
+
+def test_checker_finds_every_scipy_import():
+    assert sorted(any_imports(SCIPY_SAMPLE, "scipy")) == [
+        "10: import scipy",
+        "12: from scipy.interpolate import CubicSpline",
+        "14: import scipy.spatial",
+        "2: from scipy.optimize import linear_sum_assignment",
+        "6: import scipy.linalg as la",
     ]
 
 
@@ -147,3 +175,17 @@ def test_checker_finds_an_eager_scipy_import():
 def test_package_does_not_import_scipy_at_load(path):
     found = eager_imports(path.read_text(encoding="utf-8"), "scipy")
     assert not found, f"{path.relative_to(ROOT)}: " + "; ".join(found)
+
+
+# scipy is needed only for exact W2 between clouds of dimension above 1 and
+# for the brute-force W2 reference
+SCIPY_MODULES = {"measures.py"}
+
+
+def test_only_the_w2_module_imports_scipy():
+    found = {
+        p.name: any_imports(p.read_text(encoding="utf-8"), "scipy")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name not in SCIPY_MODULES
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
