@@ -198,6 +198,11 @@ def solve_backward_fk(
 ) -> BackwardSolution:
     """Sample the backward value function on a lattice of start points.
 
+    ``terminal`` maps ``(n, d)`` states to ``(n,)`` values row by row.  Each
+    axis needs at least 4 points, as the cubic interpolant does, and
+    ``terminal_name`` may hold no whitespace, so ``save_backward_csv`` can
+    write it into its magic line; both are refused before any sampling.
+
     Requires a measure-free bundle: with measure dependence the backward
     problem stops being a per-path expectation and this representation is
     wrong, so the solver refuses rather than silently drifting.  Raises
@@ -214,8 +219,13 @@ def solve_backward_fk(
     if len(axes) != coeffs.dim:
         raise ValueError(f"need {coeffs.dim} lattice axes, got {len(axes)}")
     for a in axes:
-        if a.ndim != 1 or a.size < 2 or np.any(np.diff(a) <= 0):
-            raise ValueError("each lattice axis must be sorted and non-trivial")
+        if a.ndim != 1 or np.any(np.diff(a) <= 0):
+            raise ValueError("each lattice axis must be sorted")
+        if a.size < 4:
+            raise ValueError(_CUBIC_POINTS)
+    if any(c.isspace() for c in terminal_name):
+        # the name is one token of the whitespace-split magic line
+        raise ValueError(f"terminal_name {terminal_name!r} holds whitespace")
 
     grid = rp.grid
     pts = grid.points
@@ -226,6 +236,7 @@ def solve_backward_fk(
 
     rows = P * M
     block = min(_BLOCK_ROWS, rows)
+    chunk = max(1, _BLOCK_ROWS // M)                            # lattice points per terminal pass
     db = np.empty((block, coeffs.brownian_dim))                 # reused draw buffer
     u = np.empty((len(t_idx), P))
     se = np.empty((len(t_idx), P))
@@ -247,9 +258,13 @@ def solve_backward_fk(
                 rows_k = states[lo:hi]
                 advance_states(rows_k, coeffs, None, s_t, h, dw, area, buf, out=rows_k)
                 check_finite(rows_k, t_t)
-        vals = np.asarray(terminal(states), dtype=np.float64).reshape(P, M)
-        u[row] = vals.mean(axis=1)
-        se[row] = vals.std(axis=1, ddof=1) / np.sqrt(M)
+        # per-point reductions, so whole points per pass change no number
+        for lo in range(0, P, chunk):
+            hi = min(lo + chunk, P)
+            vals = np.asarray(terminal(states[lo * M : hi * M]), dtype=np.float64)
+            vals = vals.reshape(hi - lo, M)
+            u[row, lo:hi] = vals.mean(axis=1)
+            se[row, lo:hi] = vals.std(axis=1, ddof=1) / np.sqrt(M)
     return BackwardSolution(
         axes=axes,
         times=np.asarray([float(pts[i]) for i in t_idx]),

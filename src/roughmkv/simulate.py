@@ -232,11 +232,14 @@ def simulate(
     rp: GridRoughPath,
     brownian: np.ndarray | None = None,
     observer: Callable[[StepReport], None] | None = None,
-) -> tuple[MeasureFlow, np.ndarray]:
+    final_only: bool = False,
+) -> tuple[MeasureFlow | None, np.ndarray]:
     """Run the scheme over the whole grid.
 
     Returns the measure flow and the raw trajectory block ``(K+1, N, d)``;
-    the block is the flow's own read-only ``states``, not a copy.
+    the block is the flow's own read-only ``states``, not a copy.  With
+    ``final_only`` the cloud is stepped in place and only the read-only
+    ``(N, d)`` cloud at the horizon is kept: the return is ``(None, last)``.
     Pass ``brownian`` to override the materialised private increments (the
     coupled-refinement experiments do, with sums of finer draws); shape must
     be ``(N, K, m)``.  With an ``observer``, every step computes its
@@ -256,7 +259,10 @@ def simulate(
         raise ValueError("coefficient bundle dimensions disagree with config")
 
     N, K = config.particle_count, config.grid.num_cells
-    history = np.empty((K + 1, N, config.dim))
+    # Step k reads row k % rows and writes row (k + 1) % rows: with one row
+    # the cloud is stepped in place, which advance_states allows.
+    rows = 1 if final_only else K + 1
+    history = np.empty((rows, N, config.dim))
     history[0] = initial_states(config)
     if brownian is None:
         brownian = idiosyncratic_increments(config.seed, N, config.grid, config.brownian_dim)
@@ -268,14 +274,17 @@ def simulate(
         )
     pts = config.grid.points
     for k in range(K):
+        nxt = history[(k + 1) % rows]
         _, report = step_davie(
-            history[k], coeffs, rp, k, brownian[:, k], scheme=config.scheme,
-            want_report=observer is not None, out=history[k + 1],
+            history[k % rows], coeffs, rp, k, brownian[:, k], scheme=config.scheme,
+            want_report=observer is not None, out=nxt,
         )
         if observer is not None:
             observer(report)
-        check_finite(history[k + 1], float(pts[k + 1]))
+        check_finite(nxt, float(pts[k + 1]))
     history.setflags(write=False)
+    if final_only:
+        return None, history[0]
     flow = MeasureFlow(
         grid=config.grid, states=history, driver_checksum=roughpath_checksum(rp)
     )

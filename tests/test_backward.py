@@ -108,7 +108,7 @@ def test_constant_terminal_is_exact_and_pairs_flat():
 def test_stderr_shrinks_like_sqrt_mc_budget():
     grid, rp = grid_and_driver()
     cs = coefficient_set(1, 1, 1, diffusion=lambda t, x, mu: np.ones((x.shape[0], 1, 1)))
-    axes = (np.array([-0.5, 0.5]),)
+    axes = (np.linspace(-0.5, 0.5, 4),)
     times = grid.points[[0]]
     small = solve_backward_fk(cs, rp, lambda x: x[:, 0] ** 2, axes, times, 512, 9)
     big = solve_backward_fk(cs, rp, lambda x: x[:, 0] ** 2, axes, times, 2048, 9)
@@ -158,7 +158,7 @@ def scalar_bundle():
 
 
 def planar_bundle():
-    """d = m = 2, one signal channel, measure-free; 12 lattice points."""
+    """d = m = 2, one signal channel, measure-free; 16 lattice points."""
     grid = TimeGrid.uniform(1.0, 8)
     rp = brownian_lift(12, 1, grid, refinement_factor=4)
     sel = np.array([1.0, 0.0])
@@ -175,15 +175,16 @@ def planar_bundle():
         diffusion=lambda t, x, mu: np.einsum("ai,ij->aij", 1.0 + 0.1 * x**2, 0.3 * np.eye(2)),
         rough=measure_free_family(2, 1, jet),
     )
-    return rp, cs, (np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 4)), 5   # 60 rows
+    return rp, cs, (np.linspace(-1.0, 1.0, 4), np.linspace(-2.0, 2.0, 4)), 5   # 80 rows
 
 
 @pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
-@pytest.mark.parametrize("block", ["above", "exact", "ragged"])
+@pytest.mark.parametrize("block", ["above", "exact", "ragged", "two_points"])
 def test_blocked_sampler_equals_one_shot_draw(monkeypatch, bundle, block):
+    # the block size also sets the terminal pass: _BLOCK_ROWS // M points
     rp, cs, axes, M = bundle()
     rows = M * int(np.prod([a.size for a in axes]))
-    size = {"above": rows + 4, "exact": rows, "ragged": 7}[block]
+    size = {"above": rows + 4, "exact": rows, "ragged": 7, "two_points": 2 * M + 1}[block]
     assert block != "ragged" or rows % size != 0
     monkeypatch.setattr(backward, "_BLOCK_ROWS", size)
     times = rp.grid.points[[0, 5, 8]]
@@ -211,9 +212,10 @@ def test_blowup_in_a_later_block_keeps_its_time(monkeypatch):
 
 
 def test_sampler_memory_is_the_paths_plus_a_few_blocks():
-    # per path: the (P*M, 1) states, and the terminal values with the
-    # temporaries of their mean and spread; the one-step map's temporaries
-    # stay within blocks of _BLOCK_ROWS rows (unblocked, they add ~80 blocks)
+    # the (P*M, 1) states, then the terminal values of one lattice point
+    # (M rows here) with the temporaries of their mean and spread; the
+    # one-step map's temporaries stay within blocks of _BLOCK_ROWS rows
+    # (unblocked, they add ~80 blocks)
     grid, rp = grid_and_driver(cells=8)
     cs = coefficient_set(
         1, 1, 1,
@@ -227,7 +229,7 @@ def test_sampler_memory_is_the_paths_plus_a_few_blocks():
     _, peak = traced_peak(
         lambda: solve_backward_fk(cs, rp, lambda x: x[:, 0] ** 2, axes, grid.points[[0, 4]], M, 1)
     )
-    assert peak <= 3 * states_bytes + 4 * block_bytes
+    assert peak <= states_bytes + 3 * M * 8 + 4 * block_bytes
 
 
 def test_sampler_refills_one_states_array_per_start_time():
@@ -240,7 +242,7 @@ def test_sampler_refills_one_states_array_per_start_time():
         diffusion=lambda t, x, mu: 0.5 * np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
         rough=linear_state_family(0.25, 2, 2),
     )
-    axes, M = (np.linspace(-1.0, 1.0, 2),) * 2, 16 * backward._BLOCK_ROWS // 4
+    axes, M = (np.linspace(-1.0, 1.0, 4),) * 2, backward._BLOCK_ROWS
     peaks = [
         traced_peak(
             lambda: solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[idx], M, 1)
@@ -257,14 +259,50 @@ def test_sampler_refills_one_states_array_per_start_time():
 def test_measure_dependent_coefficients_are_refused():
     grid, rp = grid_and_driver()
     cs = coefficient_set(1, 1, 1, rough=mean_coupled_sin_family(0.5, 0.4))
-    with pytest.raises(ValueError):
-        solve_backward_fk(cs, rp, lambda x: x[:, 0], (np.array([-1.0, 1.0]),), grid.points[[0]], 8, 1)
+    with pytest.raises(ValueError, match="measure-free"):
+        solve_backward_fk(cs, rp, lambda x: x[:, 0], (np.linspace(-1, 1, 4),), grid.points[[0]], 8, 1)
 
 
 def test_tiny_mc_budget_is_refused():
     grid, rp, cs = shift_setup()
-    with pytest.raises(ValueError):
-        solve_backward_fk(cs, rp, lambda x: x[:, 0], (np.array([-1.0, 1.0]),), grid.points[[0]], 1, 1)
+    with pytest.raises(ValueError, match="mc_samples"):
+        solve_backward_fk(cs, rp, lambda x: x[:, 0], (np.linspace(-1, 1, 4),), grid.points[[0]], 1, 1)
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (5, 3), (3, 5)])
+def test_an_axis_below_four_points_is_refused_before_sampling(sizes):
+    grid, rp = grid_and_driver(dim=len(sizes))
+    calls = []
+
+    def drift(t, x, mu):
+        calls.append(x.shape[0])
+        return 0.0 * x
+
+    d = len(sizes)
+    cs = coefficient_set(d, d, d, drift=drift)
+    axes = tuple(np.linspace(-1.0, 1.0, n) for n in sizes)
+    with pytest.raises(ValueError) as want:
+        lattice_from_flow(None, 3)
+    with pytest.raises(ValueError) as got:
+        solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[[0]], 8, 1)
+    assert str(got.value) == str(want.value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["my square", "tab\tname", "line\n", " "])
+def test_a_terminal_name_with_whitespace_is_refused(name):
+    grid, rp, cs = shift_setup(cells=4)
+    axes = (np.linspace(-1.0, 1.0, 4),)
+    with pytest.raises(ValueError, match="whitespace"):
+        solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[[0]], 8, 1, name)
+
+
+def test_a_whitespace_free_terminal_name_loads_back(tmp_path):
+    grid, rp, cs = shift_setup(cells=4)
+    axes = (np.linspace(-1.0, 1.0, 4),)
+    sol = solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[[0]], 8, 1, "x**2+c=1")
+    save_backward_csv(sol, str(tmp_path / "u.csv"))
+    assert load_backward_csv(str(tmp_path / "u.csv")).terminal_name == "x**2+c=1"
 
 
 def test_exploding_drift_raises_with_time_stamp():

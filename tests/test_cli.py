@@ -298,7 +298,7 @@ def test_thread_count_does_not_change_results(tmp_path):
 
 def test_first_failing_chaos_job_in_job_order_sets_the_abort_time(tmp_path, monkeypatch):
     # the first job fails last in wall time; its abort time wins anyway
-    def failing_simulate(config, coeffs, rp):
+    def failing_simulate(config, coeffs, rp, **kwargs):
         if config.particle_count == 16:
             time.sleep(0.2)
             raise NumericalBlowup(0.5)

@@ -419,6 +419,83 @@ def test_simulate_holds_one_history():
     assert peak <= 1.3 * hist.nbytes
 
 
+def test_final_only_peaks_well_below_increments_plus_history():
+    # stepped in place: one cloud and per-step temporaries above the
+    # increments, where a full run also holds the (K+1, N, d) history
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: 0.5 * np.ones((x.shape[0], 1, 1)),
+        rough=moment_sin_family(0.5, 0.4),
+    )
+    cfg = make_config(n=2048, cells=256, seed=7)
+    rp = brownian_lift(3, 1, cfg.grid, 4)
+    incs = idiosyncratic_increments(cfg.seed, cfg.particle_count, cfg.grid, 1)
+    history_bytes = (cfg.grid.num_cells + 1) * cfg.particle_count * 8
+    _, given = traced_peak(lambda: simulate(cfg, cs, rp, brownian=incs, final_only=True))
+    _, drawn = traced_peak(lambda: simulate(cfg, cs, rp, final_only=True))
+    assert given <= 0.1 * history_bytes
+    assert drawn <= incs.nbytes + 0.1 * history_bytes
+
+
+# ---------------------------------------------------------------------------
+# final-only runs
+
+
+def final_only_bundle(kind):
+    rough = {
+        "measure_free": linear_signal_family(0.5),
+        "moment": mean_coupled_sin_family(0.6, 0.3),
+        "convolution": gauss_kernel_family(0.5, 0.8),
+    }[kind]
+    return coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.2 * x,
+        diffusion=lambda t, x, mu: 0.3 * np.ones((x.shape[0], 1, 1)),
+        rough=rough,
+    )
+
+
+@pytest.mark.parametrize("given", [False, True])
+@pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
+@pytest.mark.parametrize("kind", ["measure_free", "moment", "convolution"])
+def test_final_only_returns_the_last_cloud_of_a_full_run(kind, scheme, given):
+    cs = final_only_bundle(kind)
+    cfg = make_config(n=24, cells=10, seed=5, scheme=scheme)
+    rp = brownian_lift(8, 1, cfg.grid, 4)
+    brown = None
+    if given:
+        fine = idiosyncratic_increments(9, 24, TimeGrid.uniform(1.0, 20), 1)
+        brown = coarsen_increments(fine, 2)
+    full_reports, last_reports = [], []
+    _, hist = simulate(cfg, cs, rp, brownian=brown, observer=full_reports.append)
+    flow, last = simulate(
+        cfg, cs, rp, brownian=brown, observer=last_reports.append, final_only=True
+    )
+    assert flow is None
+    assert last.shape == (24, 1) and not last.flags.writeable
+    assert np.array_equal(last, hist[-1])
+    assert last_reports == full_reports
+
+
+def test_final_only_blows_up_at_the_same_time():
+    cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e8 * x**3)
+    cfg = make_config(n=4, cells=16, initial_sampler=lambda r, m: np.ones((m, 1)))
+    rp = brownian_lift(1, 1, cfg.grid, 2)
+    times, reports = [], []
+    for final_only in (False, True):
+        seen = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalBlowup) as exc:
+                simulate(cfg, cs, rp, observer=seen.append, final_only=final_only)
+        times.append(exc.value.time)
+        reports.append(seen)
+    assert 0.0 < times[0] < 1.0
+    assert times[1] == times[0]
+    # compared as text: the blown-up step's parts are not finite, and nan != nan
+    assert list(map(repr, reports[1])) == list(map(repr, reports[0]))
+
+
 # ---------------------------------------------------------------------------
 # failure reporting
 
