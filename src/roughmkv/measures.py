@@ -46,7 +46,12 @@ def symmetric_mean(a: np.ndarray, axis: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Uniform point cloud; ``points`` has shape ``(N, d)``."""
+    """Uniform point cloud; ``points`` has shape ``(N, d)``.
+
+    ``points`` is held read-only, under the rule of ``MeasureFlow``: a
+    float64 ``(N, d)`` array that is already read-only and owns its memory
+    is kept as it is, and anything else is copied.
+    """
 
     points: np.ndarray
     _mean: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -59,8 +64,9 @@ class EmpiricalMeasure:
             raise ValueError("points must be a non-empty (N, d) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        pts = pts.copy()
-        pts.setflags(write=False)
+        if pts.flags.writeable or not pts.flags.owndata:
+            pts = pts.copy()
+            pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property

@@ -164,9 +164,10 @@ def advance_states(
     its cloud average.  The new states are accumulated into ``out`` (a new
     array when None; ``states`` itself is allowed) and returned.
     """
+    # The jet terms come first, and the jet (with the area tensor, a
+    # temporary) is dropped before the drift and Brownian terms are formed,
+    # so the two groups of cloud-sized arrays are never alive together.
     fam = coeffs.rough
-    drift = coeffs.drift(t0, states, mu) * h
-    brown = np.einsum("ail,al->ai", coeffs.diffusion(t0, states, mu), db)
     jet = fam.jet(t0, states, mu, 0 if area is None else 1)
     f = jet[0]
     sig = np.einsum("aik,k->ai", f, dw)
@@ -174,6 +175,9 @@ def advance_states(
         areapart = np.einsum("aikl,kl->ai", _area_tensor(fam, t0, states, mu, jet, f), area)
     else:
         areapart = np.zeros_like(states)
+    del jet, f
+    drift = coeffs.drift(t0, states, mu) * h
+    brown = np.einsum("ail,al->ai", coeffs.diffusion(t0, states, mu), db)
     out = np.add(states, drift, out=out)
     out += brown
     out += sig
@@ -239,7 +243,9 @@ def simulate(
     Returns the measure flow and the raw trajectory block ``(K+1, N, d)``;
     the block is the flow's own read-only ``states``, not a copy.  With
     ``final_only`` the cloud is stepped in place and only the read-only
-    ``(N, d)`` cloud at the horizon is kept: the return is ``(None, last)``.
+    ``(N, d)`` cloud at the horizon is kept: the return is ``(None, last)``,
+    and ``last`` owns its memory, so ``EmpiricalMeasure(last)`` keeps it
+    without a copy.
     Pass ``brownian`` to override the materialised private increments (the
     coupled-refinement experiments do, with sums of finer draws); shape must
     be ``(N, K, m)``.  With an ``observer``, every step computes its
@@ -258,11 +264,13 @@ def simulate(
     if coeffs.dim != config.dim or coeffs.brownian_dim != config.brownian_dim:
         raise ValueError("coefficient bundle dimensions disagree with config")
 
-    N, K = config.particle_count, config.grid.num_cells
+    N, K, d = config.particle_count, config.grid.num_cells, config.dim
     # Step k reads row k % rows and writes row (k + 1) % rows: with one row
-    # the cloud is stepped in place, which advance_states allows.
-    rows = 1 if final_only else K + 1
-    history = np.empty((rows, N, config.dim))
+    # the cloud is stepped in place, which advance_states allows.  The rows
+    # are a view of ``buf``, the array returned, so it owns its memory.
+    buf = np.empty((N, d) if final_only else (K + 1, N, d))
+    history = buf.reshape(-1, N, d)
+    rows = history.shape[0]
     history[0] = initial_states(config)
     if brownian is None:
         brownian = idiosyncratic_increments(config.seed, N, config.grid, config.brownian_dim)
@@ -282,13 +290,13 @@ def simulate(
         if observer is not None:
             observer(report)
         check_finite(nxt, float(pts[k + 1]))
-    history.setflags(write=False)
+    buf.setflags(write=False)
     if final_only:
-        return None, history[0]
+        return None, buf
     flow = MeasureFlow(
-        grid=config.grid, states=history, driver_checksum=roughpath_checksum(rp)
+        grid=config.grid, states=buf, driver_checksum=roughpath_checksum(rp)
     )
-    return flow, history
+    return flow, buf
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ A Philox stream is fixed by its 128-bit key; the counter starts at zero.  The
 key of ``(seed, *tags)`` is what ``numpy.random.SeedSequence`` derives from
 that tuple, so ``substream_keys`` can compute the keys of a whole indexed
 family ``(seed, *tags, i)`` in one array pass, and ``normal_rows`` draws each
-row through one re-keyed generator instead of building a generator per row.
+row through one re-keyed generator instead of building a generator per row,
+deriving the keys in blocks of rows.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = 16
+
+# Rows keyed per ``substream_keys`` call in ``normal_rows``; the hash peaks
+# at about 100 bytes per row, so a block costs about 0.4 MiB.
+_KEY_BLOCK = 4096
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
@@ -126,19 +131,23 @@ def normal_rows(out: np.ndarray, seed: int, *tags: int) -> np.ndarray:
     Row ``i`` holds bit for bit what ``substream(seed, *tags, i)
     .standard_normal(out.shape[1:])`` returns.  One Philox is re-keyed per row
     through its public state (counter zero, buffer empty), which is the state
-    a freshly seeded Philox starts in.  ``out`` must be C-contiguous float64.
+    a freshly seeded Philox starts in.  Keys are derived for at most
+    ``_KEY_BLOCK`` rows at a time, so the hashing temporaries stay a few
+    hundred kB whatever the row count.  ``out`` must be C-contiguous float64.
     """
-    keys = substream_keys(seed, *tags, indices=np.arange(out.shape[0]))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     # The state setter reads every word by index, which is cheapest on
     # Python ints; keys are converted row by row, which keeps no second copy
-    # of the whole key array alive.
+    # of a key block alive.
     fresh = bitgen.state
     fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
     fresh["buffer"] = fresh["buffer"].tolist()
-    for row, key in zip(out, keys):
-        fresh["state"]["key"] = key.tolist()
-        bitgen.state = fresh
-        gen.standard_normal(out=row)
+    for start in range(0, out.shape[0], _KEY_BLOCK):
+        rows = out[start : start + _KEY_BLOCK]
+        keys = substream_keys(seed, *tags, indices=np.arange(start, start + rows.shape[0]))
+        for row, key in zip(rows, keys):
+            fresh["state"]["key"] = key.tolist()
+            bitgen.state = fresh
+            gen.standard_normal(out=row)
     return out

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: exit codes, artifacts, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -366,3 +367,37 @@ def test_run_experiments_script_runs_from_a_plain_checkout(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "lift_checks" / "summary.json").is_file()
+
+
+def test_run_experiments_lists_the_digest_of_every_file_it_wrote(tmp_path):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    (scenarios / "lift.ini").write_text((ROOT / "scenarios" / "lift_checks.ini").read_text())
+    listings = []
+    for out in ("a", "b"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_experiments.py"),
+             "--scenarios", str(scenarios), "--no-timestamp", "--digests",
+             "--out", str(tmp_path / out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        listings.append(done.stdout)
+    root = tmp_path / "a"
+    written = sorted(f for f in root.rglob("*") if f.is_file())
+    assert len(written) >= 2
+    want = "".join(
+        f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.relative_to(root).as_posix()}\n"
+        for f in written
+    )
+    assert listings == [want, want]
+
+
+def test_run_experiments_refuses_a_directory_without_scenarios(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"),
+         "--scenarios", str(tmp_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "no *.ini files" in done.stderr

@@ -207,6 +207,40 @@ def test_flow_keeps_a_read_only_array_that_owns_its_memory():
     assert flow.states is states
 
 
+def test_cloud_keeps_a_read_only_array_that_owns_its_memory():
+    pts = np.random.default_rng(3).standard_normal((40, 2))
+    pts.setflags(write=False)
+    mu = EmpiricalMeasure(pts)
+    assert mu.points is pts and np.shares_memory(mu.points, pts)
+
+
+def test_cloud_copies_a_writable_array_and_a_view():
+    base = np.random.default_rng(4).standard_normal((40, 2))
+    view = base.view()
+    view.setflags(write=False)
+    row = np.arange(3.0)
+    row.setflags(write=False)
+    for given, writer in (
+        (base, base),
+        (view, base),
+        (np.broadcast_to(row, (5, 3)), row),
+    ):
+        mu = EmpiricalMeasure(given)
+        assert not np.shares_memory(mu.points, given)
+        assert not mu.points.flags.writeable
+        kept = mu.points.copy()
+        writer.setflags(write=True)
+        writer += 1.0
+        assert np.array_equal(mu.points, kept)
+
+
+def test_cloud_refuses_non_finite_points_it_would_keep():
+    pts = np.array([[0.0], [np.nan]])
+    pts.setflags(write=False)
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalMeasure(pts)
+
+
 def test_flow_regularity_quotients_are_finite_and_scale():
     flow = little_flow()
     q = flow_w2_holder(flow, 0.45)

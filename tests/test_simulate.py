@@ -10,6 +10,7 @@ from conftest import (
     ornstein_uhlenbeck_set,
     traced_peak,
 )
+from step_reference import ref_advance_states, ref_moment_sin_family
 
 from roughmkv.coefficients import (
     area_coefficient,
@@ -17,6 +18,7 @@ from roughmkv.coefficients import (
     constant_rough,
     convolution_family,
     linear_state_family,
+    measure_free_family,
     moment_sin_family,
 )
 from roughmkv.grids import TimeGrid
@@ -35,7 +37,13 @@ from roughmkv.simulate import (
     simulate,
     step_davie,
 )
-from roughmkv.streams import TAG_DRIVER, TAG_PARTICLE, substream, substream_keys
+from roughmkv.streams import (
+    TAG_DRIVER,
+    TAG_PARTICLE,
+    normal_rows,
+    substream,
+    substream_keys,
+)
 
 
 def make_config(n=16, cells=8, seed=0, **kw):
@@ -95,6 +103,23 @@ def test_increments_equal_per_particle_substreams(m, n):
         for i in range(n)
     ])
     assert np.array_equal(idiosyncratic_increments(11, n, grid, m), want)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
+def test_normal_rows_equal_per_row_substreams_across_key_blocks(n):
+    # 4 096 rows are keyed per block, so these counts fill part of one
+    # block, exactly one, one plus a row and two plus a part
+    out = normal_rows(np.empty((n, 3, 2)), 13, TAG_PARTICLE)
+    want = np.stack([
+        substream(13, TAG_PARTICLE, i).standard_normal((3, 2)) for i in range(n)
+    ])
+    assert out.tobytes() == want.tobytes()
+
+
+def test_normal_rows_peak_is_the_block_it_fills():
+    # deriving all N keys in one pass held 3.3 MiB above the block here
+    out, peak = traced_peak(lambda: normal_rows(np.empty((32_000, 64)), 1, TAG_PARTICLE))
+    assert peak <= out.nbytes + 2**20
 
 
 def test_negative_seed_is_refused_like_seed_sequence():
@@ -364,6 +389,111 @@ def test_advance_states_into_out_equals_the_returned_array(bundle, scheme):
     assert np.array_equal(same, new)
 
 
+def time_controlled_family():
+    """d = n = 2, measure-free affine signal coefficient with a time control."""
+    A = np.array([[0.6, -0.2], [0.1, 0.5]])
+    B = 0.3 * np.array([[[0.4, -0.1], [0.2, 0.3]], [[-0.5, 0.2], [0.1, 0.6]]])
+    C = 0.1 * np.array([[[0.3, -0.7], [0.5, 0.2]], [[-0.4, 0.1], [0.9, -0.2]]])
+
+    def jet(t, x):
+        return A + np.einsum("ijk,aj->aik", B, x), np.broadcast_to(B, (x.shape[0],) + B.shape)
+
+    def prime(t, x):
+        return np.broadcast_to(C, (x.shape[0],) + C.shape).copy()
+
+    return measure_free_family(2, 2, jet, prime)
+
+
+def reference_bundle(kind, ref=False):
+    """Bundles for the one-step reference; ``ref`` swaps in the earlier
+    moment-sine jet."""
+    if kind in ("measure_free", "time_control"):
+        rough = linear_state_family(0.6, 2, 2) if kind == "measure_free" else time_controlled_family()
+        return coefficient_set(
+            2, 2, 2,
+            drift=lambda t, x, mu: -0.2 * x,
+            diffusion=lambda t, x, mu: 0.3 * np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
+            rough=rough,
+        )
+    def sigma(t, x, mu):
+        return 0.4 * np.ones((x.shape[0], 1, 1))
+
+    if kind == "linear_mean":
+        return coefficient_set(
+            1, 1, 1,
+            drift=lambda t, x, mu: -0.3 * x + 0.2 * mu.mean()[None, :],
+            diffusion=sigma,
+            rough=linear_signal_family(0.5),
+            drift_measure_free=False,
+        )
+    if kind == "moment":
+        rough = (ref_moment_sin_family if ref else moment_sin_family)(0.5, 0.4)
+    else:
+        rough = gauss_kernel_family(0.8, 0.7)
+    return coefficient_set(1, 1, 1, drift=lambda t, x, mu: -0.3 * x, diffusion=sigma, rough=rough)
+
+
+def signed_zero_cloud(seed, n, d):
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    x[:3] = 0.0
+    x[3:6] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("into", ["new", "states", "separate"])
+@pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
+@pytest.mark.parametrize(
+    "kind", ["measure_free", "time_control", "moment", "convolution", "linear_mean"]
+)
+def test_advance_states_is_bytewise_the_reference_step(kind, scheme, into):
+    coeffs, ref_coeffs = reference_bundle(kind), reference_bundle(kind, ref=True)
+    d = coeffs.dim
+    rp = brownian_lift(5, d, TimeGrid.uniform(1.0, 4), 4)
+    x = signed_zero_cloud(8, 40, d)
+    db = np.random.default_rng(9).standard_normal((40, d)) * 0.5
+    db[::7] = -0.0
+    mu = None if coeffs.measure_free else EmpiricalMeasure(x)
+    dw, area = rp.span(1, 2)
+    args = (mu, 0.25, 0.25, dw, area if scheme == SCHEME_FULL else None, db)
+    want, want_report = ref_advance_states(x.copy(), ref_coeffs, *args, want_report=True)
+    states = x.copy()
+    out = {"new": None, "states": states, "separate": np.full_like(x, np.nan)}[into]
+    got, report = advance_states(states, coeffs, *args, want_report=True, out=out)
+    assert out is None or got is out
+    assert got.tobytes() == want.tobytes()
+    assert report == want_report
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.4), (-0.7, 0.4), (0.5, 0.0), (0.0, -1.3)])
+@pytest.mark.parametrize("shift", [-0.8, 0.0, 0.8])
+def test_moment_sin_jet_is_bytewise_the_reference_formula(a, b, shift):
+    x = signed_zero_cloud(3, 50, 1)
+    x[6] = 1e300
+    mu = EmpiricalMeasure(x[7:] + shift)
+    got = moment_sin_family(a, b).jet(0.0, x, mu, 1)
+    want = ref_moment_sin_family(a, b).jet(0.0, x, mu, 1)
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_a_chaos_sized_moment_step_drops_its_jet_before_the_drift():
+    # one in-place step of a chaos_ladder ensemble (N = 32 000, moment_sin
+    # 0.5 0.4, linear drift, constant sigma): 1.71 MiB above its inputs,
+    # seven (N, 1) arrays counting the cloud copy of its measure, where
+    # forming every term before the sum peaked at 2.44 MiB (ten)
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: 0.5 * np.ones((x.shape[0], 1, 1)),
+        rough=moment_sin_family(0.5, 0.4),
+    )
+    rp = brownian_lift(3, 1, TimeGrid.uniform(1.0, 64), 16)
+    x = np.random.default_rng(1).standard_normal((32_000, 1))
+    db = np.random.default_rng(2).standard_normal((32_000, 1)) * 0.1
+    _, peak = traced_peak(lambda: step_davie(x, cs, rp, 3, db, out=x))
+    assert peak <= 8 * x.nbytes
+
+
 @pytest.mark.parametrize("k", [-1, 8])
 def test_step_rejects_cells_outside_the_grid(k):
     cfg = make_config(cells=8)
@@ -476,6 +606,14 @@ def test_final_only_returns_the_last_cloud_of_a_full_run(kind, scheme, given):
     assert last.shape == (24, 1) and not last.flags.writeable
     assert np.array_equal(last, hist[-1])
     assert last_reports == full_reports
+
+
+def test_final_only_cloud_becomes_a_measure_without_a_copy():
+    cs = final_only_bundle("moment")
+    cfg = make_config(n=24, cells=6, seed=5)
+    _, last = simulate(cfg, cs, brownian_lift(8, 1, cfg.grid, 4), final_only=True)
+    assert last.flags.owndata and not last.flags.writeable
+    assert np.shares_memory(EmpiricalMeasure(last).points, last)
 
 
 def test_final_only_blows_up_at_the_same_time():
