@@ -57,9 +57,6 @@ from .simulate import (
 from .weakcheck import (
     TestFunction,
     default_bank,
-    op_generator,
-    op_rough,
-    op_rough_second,
     residual_order_scan,
     weak_residual,
 )

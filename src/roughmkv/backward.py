@@ -321,13 +321,11 @@ def save_backward_csv(solution: BackwardSolution, path: str, stamp: str | None =
 
 def load_backward_csv(path: str) -> BackwardSolution:
     """The solution :func:`save_backward_csv` wrote; refuses a cut file."""
-    meta, data = read_table(path, _BACKWARD_MAGIC)
-    try:
-        d, samples, times = (int(meta[key]) for key in ("dim", "samples", "times"))
-        shape = tuple(int(n) for n in meta["points"].split("x"))
-        terminal, driver = meta["terminal"], meta["driver"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: magic line has no {exc.args[0]}= token") from None
+    meta, data = read_table(
+        path, _BACKWARD_MAGIC, ("dim", "samples", "times", "points", "terminal", "driver")
+    )
+    d, samples, times = (int(meta[key]) for key in ("dim", "samples", "times"))
+    shape = tuple(int(n) for n in meta["points"].split("x"))
     if len(shape) != d:
         raise ValueError(f"{path}: points={meta['points']} does not name {d} axes")
     if data.shape[1] != 3 + d:
@@ -347,6 +345,6 @@ def load_backward_csv(path: str) -> BackwardSolution:
         u=data[:, 1 + d].reshape(times, P),
         stderr=data[:, 2 + d].reshape(times, P),
         mc_samples=samples,
-        driver_checksum=driver,
-        terminal_name=terminal,
+        driver_checksum=meta["driver"],
+        terminal_name=meta["terminal"],
     )

@@ -51,7 +51,6 @@ __all__ = [
     "zero_rough",
     "area_coefficient",
     "lions_fd_check",
-    "lions_taylor_remainder",
     "diffusion_square",
 ]
 
@@ -91,7 +90,6 @@ class RoughFamily:
     jet: Callable                   # (t, x, mu, order) -> (f,) | (f, dx_f, dmu)
     mixing: Callable | None         # (dmu, fz) -> (A, d, n, n)
     prime: Callable | None = None   # (t, x, mu) -> (A, d, n, n)
-    lions_lip: float | None = None
 
     @property
     def measure_free(self) -> bool:
@@ -183,14 +181,7 @@ def measure_free_family(
         def prime_(t, x, mu):
             return prime(t, _as_batch(x))
 
-    return RoughFamily(
-        dim=dim,
-        channels=channels,
-        jet=jet_,
-        mixing=None,
-        prime=prime_,
-        lions_lip=0.0,
-    )
+    return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=None, prime=prime_)
 
 
 def zero_rough(dim: int, channels: int) -> RoughFamily:
@@ -221,12 +212,7 @@ def linear_state_family(c: float, d: int, n: int) -> RoughFamily:
     return measure_free_family(d, n, jet)
 
 
-def moment_family(
-    dim: int,
-    channels: int,
-    jet: Callable,
-    lions_lip: float | None = None,
-) -> RoughFamily:
+def moment_family(dim: int, channels: int, jet: Callable) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = phi(t, x, mean(mu))``.
 
     ``jet(t, x, m) -> (phi, dx_phi, dm_phi)`` with ``phi`` of shape
@@ -244,13 +230,7 @@ def moment_family(
         fbar = symmetric_mean(fz, axis=0)                    # (d, n)
         return np.einsum("aijl,jk->aikl", grad, fbar)
 
-    return RoughFamily(
-        dim=dim,
-        channels=channels,
-        jet=jet_,
-        mixing=mixing_,
-        lions_lip=lions_lip,
-    )
+    return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=mixing_)
 
 
 def moment_sin_family(a: float, b: float) -> RoughFamily:
@@ -273,15 +253,10 @@ def moment_sin_family(a: float, b: float) -> RoughFamily:
         f += cos
         return f[:, :, None], dxf[:, :, None, None], dmu[:, :, None, None]
 
-    return moment_family(1, 1, jet, lions_lip=abs(b))
+    return moment_family(1, 1, jet)
 
 
-def convolution_family(
-    dim: int,
-    channels: int,
-    kernel: Callable,
-    lions_lip: float | None = None,
-) -> RoughFamily:
+def convolution_family(dim: int, channels: int, kernel: Callable) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = avg_y g(t, x, y)`` over the cloud.
 
     ``kernel(t, x, y, order)`` receives ``x`` of shape ``(A, 1, d)`` and
@@ -306,13 +281,7 @@ def convolution_family(
     def mixing_(grads, fz):                              # grads (A, B, d, d, n)
         return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
 
-    return RoughFamily(
-        dim=dim,
-        channels=channels,
-        jet=jet_,
-        mixing=mixing_,
-        lions_lip=lions_lip,
-    )
+    return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=mixing_)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +342,6 @@ def diffusion_square(
 # diagnostics
 
 
-def _measure_response(
-    family: RoughFamily, t: float, x: np.ndarray, mu: EmpiricalMeasure, shift: np.ndarray
-) -> np.ndarray:
-    """``avg_z D_mu f(x)(Z_z) . shift_z``, shape ``(A, d, n)``, from the
-    family's order-1 jet and its ``mixing``, the pair the scheme runs; zero
-    for a measure-free family."""
-    if family.measure_free:
-        return np.zeros((x.shape[0], family.dim, family.channels))
-    return family.mixing(family.jet(t, x, mu, 1)[2], shift[:, :, None])[:, :, 0, :]
-
-
 def lions_fd_check(
     family: RoughFamily,
     t: float,
@@ -405,33 +363,11 @@ def lions_fd_check(
     up = family.jet(t, x2, EmpiricalMeasure(mu.points + h * Y), 0)[0]
     dn = family.jet(t, x2, EmpiricalMeasure(mu.points - h * Y), 0)[0]
     fd = (up - dn) / (2.0 * h)
-    analytic = _measure_response(family, t, x2, mu, Y)
+    # the family's order-1 jet paired through its ``mixing``, the pair the
+    # scheme runs; zero for a measure-free family
+    if family.measure_free:
+        analytic = np.zeros((x2.shape[0], family.dim, family.channels))
+    else:
+        analytic = family.mixing(family.jet(t, x2, mu, 1)[2], Y[:, :, None])[:, :, 0, :]
     scale = max(1.0, float(np.max(np.abs(analytic))))
     return float(np.max(np.abs(fd - analytic)) / scale)
-
-
-def lions_taylor_remainder(
-    family: RoughFamily,
-    t: float,
-    x: np.ndarray,
-    mu: EmpiricalMeasure,
-    nu_points: np.ndarray,
-) -> tuple[float, float | None]:
-    """First-order remainder along the paired coupling, with its bound.
-
-    Returns ``(|remainder|_inf, 2 * lip * paired cost)`` where the remainder
-    is ``f(nu) - f(mu) - avg_z D_mu f(x)(Z_z) . (nu_z - Z_z)``; the bound is
-    None when the family does not declare a derivative Lipschitz constant.
-    """
-    nu_pts = np.asarray(nu_points, dtype=np.float64)
-    if nu_pts.shape != mu.points.shape:
-        raise ValueError("paired clouds must have identical shape")
-    x2 = _as_batch(x)
-    diff = nu_pts - mu.points
-    first = _measure_response(family, t, x2, mu, diff)
-    f_nu = family.jet(t, x2, EmpiricalMeasure(nu_pts), 0)[0]
-    theta = f_nu - family.jet(t, x2, mu, 0)[0] - first
-    bound = None
-    if family.lions_lip is not None:
-        bound = 2.0 * family.lions_lip * float(np.mean(np.sum(diff**2, axis=1)))
-    return float(np.max(np.abs(theta))), bound

@@ -404,14 +404,14 @@ def _run_diagnostics(sc: Scenario, rep: _Report) -> None:
     parts = [(s.time, s.drift_part, s.brownian_part, s.signal_part, s.area_part) for s in steps]
     rep.table("steps.csv", ("t", "drift", "brownian", "signal", "area"), *np.array(parts).T)
 
-    ctrl2, ctrl4 = controlled_diagnostics(flow, rp, coeffs, powers=(2, 4))
-    dual_lip = flow_holder_diagnostic(flow, lip_const=1.0, alpha=rp.alpha)
+    ctrl = controlled_diagnostics(flow, rp, coeffs)
+    # the remainder depends on no power; both rows keep the table's layout
     rows = [
-        ("increment_quotient_p2", ctrl2.increment_quotient),
-        ("remainder_quotient_p2", ctrl2.remainder_quotient),
-        ("increment_quotient_p4", ctrl4.increment_quotient),
-        ("remainder_quotient_p4", ctrl4.remainder_quotient),
-        ("dual_lipschitz_quotient", dual_lip),
+        ("increment_quotient_p2", ctrl.increment_quotient_p2),
+        ("remainder_quotient_p2", ctrl.remainder_quotient),
+        ("increment_quotient_p4", ctrl.increment_quotient_p4),
+        ("remainder_quotient_p4", ctrl.remainder_quotient),
+        ("dual_lipschitz_quotient", flow_holder_diagnostic(flow, rp.alpha)),
     ]
     if sc.dim == 1:
         rows.append(("w2_quotient", flow_w2_holder(flow, rp.alpha)))

@@ -5,7 +5,8 @@ Every object in this package (driving signals, particle flows, backward
 solutions) lives on such a grid; continuous-time statements are always
 discretised on one.  Grid times are plain float64 and lookups are done with an
 absolute tolerance, so callers can pass times that went through a round trip
-without worrying about the last ulp.
+without worrying about the last ulp.  Grids, signals and flows hold their
+arrays read-only under the one rule of ``read_only``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,22 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["TimeGrid", "span_sup"]
+__all__ = ["TimeGrid", "read_only", "span_sup"]
+
+
+def read_only(a) -> np.ndarray:
+    """``a`` as a float64 array that nothing can write.
+
+    An array that is already float64, read-only and the owner of its memory
+    is returned as it is; anything else, a writable array or a read-only view
+    of memory that someone else may write, is copied and the copy frozen.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
 
 # Absolute slack used when matching a float time to a grid node.  Generous
 # enough to survive text round trips, far below any sane grid spacing.
@@ -40,10 +56,8 @@ class TimeGrid:
         dt = np.diff(pts)
         if np.any(dt <= 0):
             raise ValueError("grid times must be strictly increasing")
-        pts = pts.copy()
-        pts.setflags(write=False)
         dt.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", read_only(pts))
         object.__setattr__(self, "_dt", dt)
 
     # -- constructors ------------------------------------------------------
@@ -55,13 +69,6 @@ class TimeGrid:
         if not horizon > 0:
             raise ValueError("horizon must be positive")
         return cls(np.linspace(0.0, float(horizon), cells + 1))
-
-    @classmethod
-    def dyadic(cls, horizon: float, level: int) -> "TimeGrid":
-        """Uniform grid with ``2**level`` cells."""
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        return cls.uniform(horizon, 2**level)
 
     # -- basic queries -----------------------------------------------------
 
@@ -108,19 +115,7 @@ class TimeGrid:
         for i in range(self.num_cells):
             yield i, self.points[i + 1 :] - self.points[i]
 
-    # -- refinement --------------------------------------------------------
-
-    def refine(self, factor: int) -> "TimeGrid":
-        """Split every cell into ``factor`` equal sub-cells."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        if factor == 1:
-            return self
-        pts = self.points
-        # per-cell linspace keeps the original nodes bit-exact
-        frac = np.arange(factor, dtype=np.float64) / factor
-        fine = pts[:-1, None] + self._dt[:, None] * frac[None, :]
-        return TimeGrid(np.append(fine.ravel(), pts[-1]))
+    # -- coarsening ------------------------------------------------------
 
     def coarsen(self, factor: int) -> "TimeGrid":
         """Keep every ``factor``-th node; cell count must divide evenly."""
@@ -131,13 +126,6 @@ class TimeGrid:
                 f"cannot coarsen {self.num_cells} cells by factor {factor}"
             )
         return TimeGrid(self.points[::factor])
-
-    def is_subgrid_of(self, fine: "TimeGrid") -> bool:
-        try:
-            fine.index_of(self.points)
-        except ValueError:
-            return False
-        return True
 
 
 def span_sup(rows: Iterable[Sequence[np.ndarray]]) -> tuple[float, ...]:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import TimeGrid, span_sup
+from .grids import TimeGrid, read_only, span_sup
 from .tables import read_table, write_table
 
 __all__ = [
@@ -46,12 +46,8 @@ def symmetric_mean(a: np.ndarray, axis: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Uniform point cloud; ``points`` has shape ``(N, d)``.
-
-    ``points`` is held read-only, under the rule of ``MeasureFlow``: a
-    float64 ``(N, d)`` array that is already read-only and owns its memory
-    is kept as it is, and anything else is copied.
-    """
+    """Uniform point cloud; ``points`` has shape ``(N, d)``, held under the
+    rule of ``grids.read_only``."""
 
     points: np.ndarray
     _mean: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -64,10 +60,7 @@ class EmpiricalMeasure:
             raise ValueError("points must be a non-empty (N, d) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        if pts.flags.writeable or not pts.flags.owndata:
-            pts = pts.copy()
-            pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", read_only(pts))
 
     @property
     def size(self) -> int:
@@ -101,10 +94,7 @@ def pairing(mu: EmpiricalMeasure, phi: Callable[[np.ndarray], np.ndarray]) -> fl
 class MeasureFlow:
     """One empirical measure per grid node: ``states[k]`` is cloud at ``t_k``.
 
-    ``states`` is held read-only.  A float64 array that is already read-only
-    and owns its memory is kept as it is, since nothing else can write to
-    it; any other input, a writable array or a read-only view of memory that
-    someone else may write, is copied.
+    ``states`` is held under the rule of ``grids.read_only``.
     """
 
     grid: TimeGrid
@@ -112,15 +102,12 @@ class MeasureFlow:
     driver_checksum: str | None = None
 
     def __post_init__(self) -> None:
-        st = np.asarray(self.states, dtype=np.float64)
+        st = read_only(self.states)
         if st.ndim != 3 or st.shape[0] != self.grid.num_cells + 1:
             raise ValueError(
                 f"states must have shape (K+1, N, d), got {st.shape} for "
                 f"{self.grid.num_cells} cells"
             )
-        if st.flags.writeable or not st.flags.owndata:
-            st = st.copy()
-            st.setflags(write=False)
         object.__setattr__(self, "states", st)
 
     @property
@@ -130,9 +117,6 @@ class MeasureFlow:
     @property
     def dim(self) -> int:
         return self.states.shape[2]
-
-    def measure_at(self, t: float) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[self.grid.index_of(t)])
 
     def measure(self, k: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.states[k])
@@ -209,17 +193,14 @@ def wasserstein2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float
 # flow regularity diagnostics
 
 
-def lipschitz_bank(
-    lip_const: float, dim: int
-) -> list[tuple[str, Callable[[np.ndarray], np.ndarray]]]:
-    """Deterministic bank of test functions with Lipschitz constant <= R.
+def lipschitz_bank(dim: int) -> list[tuple[str, Callable[[np.ndarray], np.ndarray]]]:
+    """Deterministic bank of test functions with Lipschitz constant <= 1.
 
     Sinusoids of linear forms normalised by the frequency norm, plus smoothly
     clipped coordinate projections.  Used to probe a lower bound on the dual
     Lipschitz distance between snapshots; with finitely many probes upward
     (so the diagnostic under-reports, never over-reports).
     """
-    R = float(lip_const)
     bank: list[tuple[str, Callable]] = []
     for axis in range(dim):
         for freq in range(1, _BANK_MAX_FREQUENCY + 1):
@@ -229,28 +210,26 @@ def lipschitz_bank(
                 norm = np.linalg.norm(k)
 
                 def probe(x, k=k, shift=shift, norm=norm):
-                    return (R / norm) * np.sin(x @ k + shift)
+                    return (1.0 / norm) * np.sin(x @ k + shift)
 
                 bank.append((f"{tag}_ax{axis}_f{freq}", probe))
         scale = 2.0
 
         def clip(x, axis=axis, scale=scale):
-            return R * scale * np.tanh(x[:, axis] / scale)
+            return scale * np.tanh(x[:, axis] / scale)
 
         bank.append((f"clip_ax{axis}", clip))
     return bank
 
 
-def flow_holder_diagnostic(
-    flow: MeasureFlow, lip_const: float, alpha: float
-) -> float:
+def flow_holder_diagnostic(flow: MeasureFlow, alpha: float) -> float:
     """sup over grid spans and bank probes of ``|<mu_t - mu_s, phi>| / |t-s|^a``.
 
     A finite-bank lower bound for the Holder quotient of the flow in the dual
     Lipschitz metric.  The pairings read the node clouds directly, so a
     non-finite state makes the quotient NaN.
     """
-    bank = lipschitz_bank(lip_const, flow.dim)
+    bank = lipschitz_bank(flow.dim)
     clouds = flow.states.reshape(-1, flow.dim)               # every node's cloud, stacked
     vals = np.array([symmetric_mean(phi(clouds).reshape(flow.states.shape[:2]), axis=1)
                      for _, phi in bank])
@@ -302,11 +281,9 @@ def save_flow_csv(flow: MeasureFlow, path: str, stamp: str | None = None) -> Non
 
 
 def load_flow_csv(path: str) -> MeasureFlow:
-    meta, data = read_table(path, _FLOW_MAGIC)
-    try:
-        d, N, nodes = (int(meta[key]) for key in ("dim", "particles", "nodes"))
-    except KeyError as exc:
-        raise ValueError(f"{path}: magic line has no {exc.args[0]}= token") from None
+    keys = ("dim", "particles", "nodes")
+    meta, data = read_table(path, _FLOW_MAGIC, keys)
+    d, N, nodes = (int(meta[key]) for key in keys)
     if data.shape[1] != 2 + d:
         raise ValueError(f"{path}: expected {2 + d} columns, got {data.shape[1]}")
     if data.shape[0] != nodes * N:

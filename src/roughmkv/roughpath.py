@@ -32,11 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import TimeGrid, span_sup
+from .grids import TimeGrid, read_only, span_sup
 from .streams import TAG_DRIVER, substream
 from .tables import read_table, write_table
 
 __all__ = [
+    "ALPHA_MIN",
+    "ALPHA_MAX",
     "GridRoughPath",
     "GeometricityReport",
     "lift_piecewise_linear",
@@ -53,16 +55,29 @@ __all__ = [
     "roughpath_checksum",
 ]
 
-_ALPHA_LO, _ALPHA_HI = 1.0 / 3.0, 0.5
+# the admissible Holder exponents, (ALPHA_MIN, ALPHA_MAX]
+ALPHA_MIN, ALPHA_MAX = 1.0 / 3.0, 0.5
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...b->...ab", u, v)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Freeze ``a``, an array built here that nothing else holds, so that
+    ``GridRoughPath`` keeps it without a copy."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class GridRoughPath:
-    """Immutable level-2 signal on a grid: values plus adjacent-cell tensors."""
+    """Immutable level-2 signal on a grid: values plus adjacent-cell tensors.
+
+    ``values`` and ``cell_areas`` are held under the rule of
+    ``grids.read_only``, so the cached prefix cannot go stale: the builders
+    here hand over fresh frozen arrays, and a caller's array is copied.
+    """
 
     grid: TimeGrid
     values: np.ndarray      # (K+1, n)
@@ -73,8 +88,7 @@ class GridRoughPath:
     _prefix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        areas = np.ascontiguousarray(np.asarray(self.cell_areas, dtype=np.float64))
+        vals, areas = read_only(self.values), read_only(self.cell_areas)
         K = self.grid.num_cells
         if vals.ndim != 2 or vals.shape[0] != K + 1:
             raise ValueError(
@@ -89,10 +103,8 @@ class GridRoughPath:
             )
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(areas))):
             raise ValueError("signal data must be finite")
-        if not (_ALPHA_LO < self.alpha <= _ALPHA_HI):
+        if not (ALPHA_MIN < self.alpha <= ALPHA_MAX):
             raise ValueError(f"alpha must lie in (1/3, 1/2], got {self.alpha}")
-        vals.setflags(write=False)
-        areas.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "cell_areas", areas)
 
@@ -157,7 +169,7 @@ def lift_piecewise_linear(
             f"got {samples.shape[0]}"
         )
     dv = np.diff(samples, axis=0)
-    return GridRoughPath(grid, samples, 0.5 * _outer(dv, dv), alpha)
+    return GridRoughPath(grid, samples, _frozen(0.5 * _outer(dv, dv)), alpha)
 
 
 def brownian_lift(
@@ -198,7 +210,7 @@ def brownian_lift(
     )
     if convention == "ito":
         areas = areas - 0.5 * grid.dt[:, None, None] * np.eye(dim)
-    return GridRoughPath(grid, values, areas, alpha)
+    return GridRoughPath(grid, _frozen(values), _frozen(areas), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +283,7 @@ def holder_norms(rp: GridRoughPath) -> tuple[float, float]:
 def _shift_identity(rp: GridRoughPath, sign: float) -> GridRoughPath:
     eye = np.eye(rp.dim)
     areas = rp.cell_areas + sign * 0.5 * rp.grid.dt[:, None, None] * eye
-    return GridRoughPath(rp.grid, rp.values, areas, rp.alpha)
+    return GridRoughPath(rp.grid, rp.values, _frozen(areas), rp.alpha)
 
 
 def ito_from_stratonovich(rp: GridRoughPath) -> GridRoughPath:
@@ -285,7 +297,9 @@ def stratonovich_from_ito(rp: GridRoughPath) -> GridRoughPath:
 def restrict(rp: GridRoughPath, coarse: TimeGrid) -> GridRoughPath:
     """Restriction to a subgrid; coarse cell tensors accumulate fine cells."""
     idx = rp.grid.index_of(coarse.points)
-    return GridRoughPath(coarse, rp.values[idx], rp.span(idx[:-1], idx[1:])[1], rp.alpha)
+    return GridRoughPath(
+        coarse, _frozen(rp.values[idx]), _frozen(rp.span(idx[:-1], idx[1:])[1]), rp.alpha
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +339,8 @@ def save_roughpath_csv(rp: GridRoughPath, path: str, stamp: str | None = None) -
 
 
 def load_roughpath_csv(path: str) -> GridRoughPath:
-    meta, data = read_table(path, _CSV_MAGIC)
-    try:
-        n, alpha, nodes = int(meta["dim"]), float(meta["alpha"]), int(meta["nodes"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: magic line has no {exc.args[0]}= token") from None
+    meta, data = read_table(path, _CSV_MAGIC, ("dim", "alpha", "nodes"))
+    n, alpha, nodes = int(meta["dim"]), float(meta["alpha"]), int(meta["nodes"])
     if data.shape[1] != 1 + n + n * n:
         raise ValueError(f"{path}: expected {1 + n + n * n} columns, got {data.shape[1]}")
     if data.shape[0] != nodes:

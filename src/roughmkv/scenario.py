@@ -35,7 +35,15 @@ from .coefficients import (
     moment_sin_family,
 )
 from .grids import TimeGrid
-from .roughpath import GridRoughPath, brownian_lift, ito_from_stratonovich, lift_piecewise_linear
+from .roughpath import (
+    ALPHA_MAX,
+    ALPHA_MIN,
+    GridRoughPath,
+    brownian_lift,
+    ito_from_stratonovich,
+    lift_piecewise_linear,
+)
+from .simulate import SCHEME_FULL, SCHEMES
 
 __all__ = [
     "EXPERIMENTS",
@@ -67,7 +75,6 @@ _INITIAL_KINDS = {"point": 1, "gaussian": 2, "uniform": 2}
 _TERMINAL_KINDS = {"identity": 0, "square": 0, "gauss": 2}
 _DRIVER_KINDS = ("brownian", "line", "sinusoid")
 _CONVENTIONS = ("stratonovich", "ito")
-_SCHEMES = ("davie_full", "davie_no_lift")
 # A residual scan's finest grid, ``cells * 2**(levels - 1)`` cells, may not
 # exceed this; the driver and every level's flow are built on that grid.
 _MAX_SCAN_CELLS = 65536
@@ -100,7 +107,7 @@ class Scenario:
     particles: int = 256
     particle_counts: tuple[int, ...] = (250, 1000, 4000)
     initial: tuple = ("gaussian", 0.0, 1.0)
-    scheme: str = "davie_full"
+    scheme: str = SCHEME_FULL
     backward_samples: int = 4096
     terminal: tuple = ("identity",)
     x_points: int = 33
@@ -205,7 +212,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable]]] = {
         "count": ("particles", _parse_int),
         "count_list": ("particle_counts", _parse_int_list),
         "initial": ("initial", _parse_kinded(_INITIAL_KINDS)),
-        "scheme": ("scheme", _parse_choice(_SCHEMES)),
+        "scheme": ("scheme", _parse_choice(SCHEMES)),
     },
     "backward": {
         "samples": ("backward_samples", _parse_int),
@@ -274,7 +281,7 @@ def _validate(sc: Scenario) -> None:
         raise bad("grid", "cells", "must be >= 1")
     if sc.levels < 1:
         raise bad("grid", "levels", "must be >= 1")
-    if not (1.0 / 3.0 < sc.alpha <= 0.5):
+    if not (ALPHA_MIN < sc.alpha <= ALPHA_MAX):
         raise bad("driver", "alpha", f"must lie in (1/3, 1/2], got {sc.alpha}")
     if sc.refinement < 1:
         raise bad("driver", "refinement", "must be >= 1")
@@ -399,6 +406,7 @@ def build_driver(
         samples = sc.driver_scale * np.sin(
             2.0 * np.pi * chan * t / grid.horizon + 0.3 * (chan - 1)
         )
+    samples.setflags(write=False)  # handed over frozen, so the lift keeps it as it is
     rp = lift_piecewise_linear(grid, samples, alpha=sc.alpha)
     if sc.convention == "ito":
         rp = ito_from_stratonovich(rp)
@@ -470,7 +478,7 @@ def _rough_family(sc: Scenario) -> RoughFamily | None:
                 (r * a * e)[:, :, :, None, None],
             )
 
-        return convolution_family(1, 1, kernel, lions_lip=abs(a) / w2 * 2.0)
+        return convolution_family(1, 1, kernel)
     raise AssertionError(kind)
 
 

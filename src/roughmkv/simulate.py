@@ -35,6 +35,7 @@ from .streams import TAG_INITIAL, TAG_PARTICLE, normal_rows, substream
 __all__ = [
     "SCHEME_FULL",
     "SCHEME_NO_LIFT",
+    "SCHEMES",
     "NumericalBlowup",
     "check_finite",
     "SimulationConfig",
@@ -50,7 +51,7 @@ __all__ = [
 
 SCHEME_FULL = "davie_full"
 SCHEME_NO_LIFT = "davie_no_lift"
-_SCHEMES = (SCHEME_FULL, SCHEME_NO_LIFT)
+SCHEMES = (SCHEME_FULL, SCHEME_NO_LIFT)
 
 
 class NumericalBlowup(RuntimeError):
@@ -83,8 +84,8 @@ class SimulationConfig:
             raise ValueError("need at least one particle")
         if min(self.dim, self.brownian_dim, self.driver_dim) < 1:
             raise ValueError("all dimensions must be >= 1")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {_SCHEMES}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def step_davie(
     ``db`` holds each particle's private increment over the cell, ``(N, m)``;
     ``out`` receives the new states, as in ``advance_states``.
     """
-    if scheme not in _SCHEMES:
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     K = rp.grid.num_cells
     if not 0 <= k < K:
@@ -307,18 +308,15 @@ def simulate(
 class ControlledReport:
     """Grid quotients measuring how well the signal controls the ensemble."""
 
-    increment_quotient: float      # sup |dX|_{Lp} / |t-s|^alpha
+    increment_quotient_p2: float   # sup |dX|_{L2} / |t-s|^alpha
+    increment_quotient_p4: float   # sup |dX|_{L4} / |t-s|^alpha
     remainder_quotient: float      # sup |avg residual| / |t-s|^(2 alpha)
-    p: float
 
 
 def controlled_diagnostics(
-    flow: MeasureFlow,
-    rp: GridRoughPath,
-    coeffs: CoefficientSet,
-    powers: tuple[int, ...] = (2,),
-) -> tuple[ControlledReport, ...]:
-    """Estimate the two quotients behind the controlled-path ansatz.
+    flow: MeasureFlow, rp: GridRoughPath, coeffs: CoefficientSet
+) -> ControlledReport:
+    """Estimate the quotients behind the controlled-path ansatz.
 
     The candidate derivative of a trajectory at time ``s`` is the signal
     coefficient there, so the residual over ``[s, t]`` is
@@ -326,12 +324,9 @@ def controlled_diagnostics(
     for the conditional expectation given the shared signal; the quotient
     divides by ``|t-s|^(2 alpha)``.  Quadratic in the node count.
 
-    Returns one report per entry of ``powers`` (each 2 or 4), in that order;
-    one pass over the spans serves every power, and the remainder quotient,
-    which does not depend on the power, is shared.
+    One pass over the spans gives the L^2 and L^4 increment quotients and
+    the remainder quotient, which depends on no power.
     """
-    if not powers or any(p not in (2, 4) for p in powers):
-        raise ValueError(f"powers must be a non-empty tuple of 2 and 4, got {powers!r}")
     # The averaged residual is linear in the particles, so it is the node
     # means' residual xbar_j - xbar_i - fbar_i dW(i, j): order-invariant, and
     # no O(K^2 N) pass.  A NaN anywhere in a node's cloud makes its means NaN.
@@ -371,16 +366,10 @@ def controlled_diagnostics(
                 if a:
                     sq += tmp
             gap_a = gap**rp.alpha
-            inc = []
-            for p in powers:
-                pw = sq if p == 2 else np.square(sq, out=tmp)
-                inc.append((np.add.reduce(pw, axis=1) / N) ** (1.0 / p) / gap_a)
+            inc2 = (np.add.reduce(sq, axis=1) / N) ** 0.5 / gap_a
+            inc4 = (np.add.reduce(np.square(sq, out=tmp), axis=1) / N) ** 0.25 / gap_a
             dw = rp.values[i + 1 :] - rp.values[i]         # (J, n)
             avg = xbar[i + 1 :] - xbar[i] - dw @ fbar[i].T  # (J, d)
-            yield *inc, np.linalg.norm(avg, axis=1) / gap ** (2 * rp.alpha)
+            yield inc2, inc4, np.linalg.norm(avg, axis=1) / gap ** (2 * rp.alpha)
 
-    *q_inc, q_rem = span_sup(rows())
-    return tuple(
-        ControlledReport(increment_quotient=q, remainder_quotient=q_rem, p=p)
-        for q, p in zip(q_inc, powers)
-    )
+    return ControlledReport(*span_sup(rows()))

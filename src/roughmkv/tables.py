@@ -41,12 +41,15 @@ def write_table(
             fh.write("\n")
 
 
-def read_table(path: str, magic: str) -> tuple[dict[str, str], np.ndarray]:
+def read_table(
+    path: str, magic: str, required: Sequence[str]
+) -> tuple[dict[str, str], np.ndarray]:
     """The magic line's ``key=value`` tokens and the rows as a float array.
 
     A file with a header but no rows gives a ``(0, columns)`` array, with the
     column count read from the header.  Raises ``ValueError`` unless the
-    file opens with ``magic`` followed by ``key=value`` tokens only.
+    file opens with ``magic`` followed by ``key=value`` tokens only, among
+    them every key in ``required``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens, words = fh.readline().split(), magic.split()
@@ -58,6 +61,9 @@ def read_table(path: str, magic: str) -> tuple[dict[str, str], np.ndarray]:
             if not eq:
                 raise ValueError(f"{path}: magic line token {tok!r} is not key=value")
             meta[key] = value
+        for key in required:
+            if key not in meta:
+                raise ValueError(f"{path}: magic line has no {key}= token")
         header = fh.readline()
         if header.startswith(_STAMP):
             header = fh.readline()

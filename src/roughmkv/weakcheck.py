@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet, _area_tensor, diffusion_square
-from .grids import span_sup
 from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath
 from .tables import write_table
@@ -42,13 +41,9 @@ __all__ = [
     "sinusoid_function",
     "default_bank",
     "gradient_consistency",
-    "op_generator",
-    "op_rough",
-    "op_rough_second",
     "weak_residual",
     "ResidualScan",
     "residual_order_scan",
-    "controlled_pairing_check",
     "save_residual_csv",
 ]
 
@@ -58,8 +53,7 @@ class TestFunction:
     """Scalar test function with closed-form gradient and Hessian.
 
     ``value`` maps ``(N, d) -> (N,)``, ``grad`` to ``(N, d)`` and ``hess`` to
-    ``(N, d, d)``.  ``c3_bound`` is a declared bound on derivatives up to
-    third order over the region of interest; it scales defect tolerances.
+    ``(N, d, d)``.
     """
 
     __test__ = False  # keep pytest from collecting the mathematical name
@@ -68,7 +62,6 @@ class TestFunction:
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    c3_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +74,6 @@ def constant_function(c: float = 1.0) -> TestFunction:
         value=lambda x: np.full(x.shape[0], float(c)),
         grad=lambda x: np.zeros_like(x),
         hess=lambda x: np.zeros(x.shape + (x.shape[1],)),
-        c3_bound=abs(float(c)),
     )
 
 
@@ -92,7 +84,6 @@ def linear_function(a: np.ndarray) -> TestFunction:
         value=lambda x: x @ a,
         grad=lambda x: np.broadcast_to(a, x.shape).copy(),
         hess=lambda x: np.zeros(x.shape + (x.shape[1],)),
-        c3_bound=float(np.linalg.norm(a)),
     )
 
 
@@ -105,7 +96,6 @@ def quadratic_function(Q: np.ndarray) -> TestFunction:
         value=lambda x: 0.5 * np.einsum("ai,ij,aj->a", x, Q, x),
         grad=lambda x: x @ Q,
         hess=lambda x: np.broadcast_to(Q, x.shape + (x.shape[1],)).copy(),
-        c3_bound=float(np.max(np.abs(Q))),
     )
 
 
@@ -124,10 +114,7 @@ def gaussian_bump(center: np.ndarray, width: float, amp: float = 1.0) -> TestFun
         eye = np.eye(c.size) / w2
         return value(x)[:, None, None] * (np.einsum("ai,aj->aij", r, r) - eye)
 
-    # crude but valid: derivatives of a unit-width-normalised bump are within
-    # a small constant of amp / width^order
-    bound = abs(amp) * max(1.0, 1.0 / float(width)) ** 3 * 3.0
-    return TestFunction(f"bump_w{width}", value, grad, hess, bound)
+    return TestFunction(f"bump_w{width}", value, grad, hess)
 
 
 def gaussian_linear(
@@ -149,8 +136,7 @@ def gaussian_linear(
         cross = np.einsum("ai,j->aij", g, a)
         return base.hess(x) * lin + cross + np.swapaxes(cross, 1, 2)
 
-    bound = base.c3_bound * (1.0 + float(np.linalg.norm(a))) * 4.0
-    return TestFunction(f"bump_lin_w{width}", value, grad, hess, bound)
+    return TestFunction(f"bump_lin_w{width}", value, grad, hess)
 
 
 def sinusoid_function(freq: np.ndarray, phase: float = 0.0) -> TestFunction:
@@ -165,10 +151,7 @@ def sinusoid_function(freq: np.ndarray, phase: float = 0.0) -> TestFunction:
     def hess(x):
         return -value(x)[:, None, None] * np.einsum("i,j->ij", k, k)
 
-    return TestFunction(
-        f"sin_k{np.linalg.norm(k):.3g}", value, grad, hess,
-        float(max(1.0, np.linalg.norm(k)) ** 3),
-    )
+    return TestFunction(f"sin_k{np.linalg.norm(k):.3g}", value, grad, hess)
 
 
 def default_bank(dim: int) -> list[TestFunction]:
@@ -322,42 +305,6 @@ def _node_curves(
     return curves
 
 
-def _at_node(
-    mu: EmpiricalMeasure, t: float, phi: TestFunction, coeffs: CoefficientSet
-) -> _NodeCurves:
-    return _node_curves(np.array([t]), mu.points[None], [phi], coeffs)
-
-
-def op_generator(
-    mu: EmpiricalMeasure, t: float, phi: TestFunction, coeffs: CoefficientSet
-) -> float:
-    """``<mu, 0.5 a:Hess phi + b . grad phi>`` with ``a = sigma sigma^T``."""
-    return float(_at_node(mu, t, phi, coeffs).generator[0, 0])
-
-
-def op_rough(
-    mu: EmpiricalMeasure, t: float, phi: TestFunction, kappa: int,
-    coeffs: CoefficientSet,
-) -> float:
-    """``<mu, grad phi . f_kappa>``, the first-order signal pairing."""
-    return float(_at_node(mu, t, phi, coeffs).first[0, 0, kappa])
-
-
-def op_rough_second(
-    mu: EmpiricalMeasure, t: float, phi: TestFunction, kappa: int, lam: int,
-    coeffs: CoefficientSet,
-) -> float:
-    """Pairing of the second-order signal operator for channel pair (kappa, lam).
-
-    Expands to ``f_kappa . D(f_lam . grad phi)`` plus the measure-derivative
-    and time-control parts; written through the area tensor so it matches the
-    one-step scheme identically:
-
-        <mu, f^i_kap f^j_lam Hess_ij phi + area[., kap, lam] . grad phi>.
-    """
-    return float(_at_node(mu, t, phi, coeffs).second[0, 0, kappa, lam])
-
-
 def weak_residual(
     flow: MeasureFlow,
     rp: GridRoughPath,
@@ -499,40 +446,3 @@ def save_residual_csv(scan: ResidualScan, path: str, stamp: str | None = None) -
         [(names, map(str, levels), np.array(deltas), np.array(stats), np.array(floors))],
         stamp=stamp,
     )
-
-
-# ---------------------------------------------------------------------------
-# controlled-pairing diagnostic
-
-
-def controlled_pairing_check(
-    flow: MeasureFlow,
-    rp: GridRoughPath,
-    phi: TestFunction,
-    coeffs: CoefficientSet,
-) -> tuple[float, float]:
-    """Grid quotients behind the expansion's remainder hierarchy.
-
-    Returns ``(q_second, q_first_remainder)``: the plain Holder quotient (at
-    exponent alpha) of the second-order pairing curve, and the 2 alpha
-    quotient of the first-order pairing curve after removing its predicted
-    linear response to the signal, whose coefficient is the second-order
-    pairing.  Both finite means the flow carries the controlled structure the
-    expansion assumes.
-    """
-    curves = _node_curves(flow.grid.points, flow.states, [phi], coeffs)
-    first, second = curves.first[0], curves.second[0]
-
-    def rows():
-        for i, gap in flow.grid.spans():
-            dsec = second[i + 1 :] - second[i]
-            # predicted response of the first-order pairing along channel kap
-            # is sum_eta second[eta, kap] dW^eta
-            pred = np.einsum("ek,je->jk", second[i], rp.values[i + 1 :] - rp.values[i])
-            rem = np.abs(first[i + 1 :] - first[i] - pred)
-            yield (
-                np.max(np.abs(dsec.reshape(len(gap), -1)), axis=1) / gap**rp.alpha,
-                np.max(rem, axis=1) / gap ** (2 * rp.alpha),
-            )
-
-    return span_sup(rows())

@@ -1,4 +1,5 @@
-"""Shared coefficient builders and a memory probe used across the test modules."""
+"""Shared coefficient builders, a memory probe and a file editor used across
+the test modules."""
 
 import tracemalloc
 
@@ -37,7 +38,7 @@ def mean_coupled_sin_family(a: float, b: float, calls: list | None = None):
     return moment_family(1, 1, jet)
 
 
-def gauss_kernel_family(amp: float, width: float, lions_lip: float | None = None):
+def gauss_kernel_family(amp: float, width: float):
     """f(x, mu) = amp * avg_y exp(-(x - y)^2 / (2 width^2)), one dim."""
     w2 = width * width
 
@@ -52,7 +53,7 @@ def gauss_kernel_family(amp: float, width: float, lions_lip: float | None = None
             ((u / w2) * c)[..., None, None, None],
         )
 
-    return convolution_family(1, 1, kernel, lions_lip=lions_lip)
+    return convolution_family(1, 1, kernel)
 
 
 def ornstein_uhlenbeck_set(rate: float = 0.3, vol: float = 0.5) -> CoefficientSet:
@@ -82,3 +83,10 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - base
+
+
+def drop_magic_token(path, key: str) -> None:
+    """Remove the ``key=...`` token from the magic line of the file at ``path``."""
+    magic, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    kept = " ".join(t for t in magic.split() if not t.startswith(key + "="))
+    path.write_text(kept + "\n" + rest, encoding="utf-8")

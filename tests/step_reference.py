@@ -47,4 +47,4 @@ def ref_moment_sin_family(a, b):
             (bcos * sech2)[:, :, None, None],
         )
 
-    return moment_family(1, 1, jet, lions_lip=abs(b))
+    return moment_family(1, 1, jet)

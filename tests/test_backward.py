@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import linear_signal_family, mean_coupled_sin_family, traced_peak
+from conftest import drop_magic_token, linear_signal_family, mean_coupled_sin_family, traced_peak
 
 from roughmkv import backward
 from roughmkv.backward import (
@@ -512,6 +512,15 @@ def test_reloaded_flow_and_solution_pair_alike(tmp_path, setup):
     rep = duality_drift(load_flow_csv(f), load_backward_csv(b))
     assert rep.drift == duality_drift(flow, sol).drift
     assert rep.drift > 0.0
+
+
+@pytest.mark.parametrize("key", ["dim", "samples", "times", "points", "terminal", "driver"])
+def test_backward_csv_without_a_required_token_is_refused(tmp_path, key):
+    path = tmp_path / "u.csv"
+    save_backward_csv(awkward_solution(2), str(path))
+    drop_magic_token(path, key)
+    with pytest.raises(ValueError, match=rf"u\.csv: magic line has no {key}= token"):
+        load_backward_csv(str(path))
 
 
 def test_backward_csv_refuses_a_foreign_or_cut_file(tmp_path):

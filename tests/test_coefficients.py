@@ -15,7 +15,6 @@ from roughmkv.coefficients import (
     constant_rough,
     diffusion_square,
     lions_fd_check,
-    lions_taylor_remainder,
     linear_state_family,
     measure_free_family,
     moment_family,
@@ -292,18 +291,6 @@ def test_finite_difference_reads_the_mixing_the_scheme_runs():
     direction = np.random.default_rng(6).standard_normal((8, 1))
     assert lions_fd_check(family(1.0), 0.0, x, mu, direction) <= 1e-4
     assert lions_fd_check(family(2.0), 0.0, x, mu, direction) > 1e-2
-
-
-def test_taylor_remainder_and_declared_bound():
-    fam = gauss_kernel_family(1.0, 1.0, lions_lip=2.0)
-    mu = cloud(2, 10)
-    same = lions_taylor_remainder(fam, 0.0, np.array([[0.0]]), mu, mu.points)
-    assert same[0] == 0.0
-    nudged = mu.points + 0.05 * np.random.default_rng(3).standard_normal((10, 1))
-    rem, bound = lions_taylor_remainder(fam, 0.0, np.array([[0.0]]), mu, nudged)
-    assert bound is not None and rem <= bound
-    no_lip = gauss_kernel_family(1.0, 1.0)
-    assert lions_taylor_remainder(no_lip, 0.0, np.array([[0.0]]), mu, nudged)[1] is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Time grid construction, lookup, and refinement behaviour."""
+"""Time grid construction, lookup, and coarsening behaviour."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughmkv.grids import TimeGrid, span_sup
+from roughmkv.grids import TimeGrid, read_only, span_sup
 
 
 def test_uniform_layout():
@@ -16,14 +16,23 @@ def test_uniform_layout():
     assert np.allclose(g.dt, 0.25)
 
 
-def test_dyadic_matches_uniform():
-    assert np.array_equal(TimeGrid.dyadic(1.0, 4).points, TimeGrid.uniform(1.0, 16).points)
-
-
 def test_points_readonly():
     g = TimeGrid.uniform(1.0, 4)
     with pytest.raises(ValueError):
         g.points[0] = 1.0
+
+
+def test_read_only_keeps_a_frozen_owner_and_copies_the_rest():
+    owner = np.arange(6.0)
+    owner.setflags(write=False)
+    assert read_only(owner) is owner
+    view = owner[1:]                       # read-only, but not the owner
+    writable = np.arange(6.0)
+    for given in (view, writable, np.arange(6), [0.0, 1.0]):
+        held = read_only(given)
+        assert held.dtype == np.float64 and held.flags.owndata
+        assert not held.flags.writeable and not np.shares_memory(held, given)
+    assert writable.flags.writeable
 
 
 def test_rejects_bad_nodes():
@@ -53,25 +62,16 @@ def test_span_indices_orders_endpoints():
         g.span_indices(0.7, 0.2)
 
 
-def test_refine_keeps_nodes_bitwise():
-    g = TimeGrid.uniform(1.3, 7)
-    f = g.refine(4)
-    assert f.num_cells == 28
-    assert np.array_equal(f.points[::4], g.points)
-
-
-def test_coarsen_inverts_refine():
-    g = TimeGrid.uniform(0.7, 5)
-    assert np.array_equal(g.refine(3).coarsen(3).points, g.points)
+def test_coarsen_keeps_every_factor_th_node():
+    g = TimeGrid.uniform(0.7, 15)
+    c = g.coarsen(3)
+    assert c.num_cells == 5
+    assert np.array_equal(c.points, g.points[::3])
+    assert g.coarsen(1).num_cells == 15
     with pytest.raises(ValueError):
         g.coarsen(2)
-
-
-def test_is_subgrid_of():
-    g = TimeGrid.uniform(1.0, 4)
-    assert g.is_subgrid_of(g.refine(2))
-    assert not g.refine(2).is_subgrid_of(g)
-    assert not TimeGrid.uniform(1.0, 3).is_subgrid_of(TimeGrid.uniform(1.0, 8))
+    with pytest.raises(ValueError):
+        g.coarsen(0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -80,11 +80,13 @@ def test_is_subgrid_of():
     horizon=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
     factor=st.integers(min_value=2, max_value=5),
 )
-def test_refine_coarsen_round_trip_property(cells, horizon, factor):
-    g = TimeGrid.uniform(horizon, cells)
-    assert np.array_equal(g.refine(factor).coarsen(factor).points, g.points)
+def test_coarse_nodes_look_up_in_the_fine_grid_property(cells, horizon, factor):
+    fine = TimeGrid.uniform(horizon, cells * factor)
+    coarse = fine.coarsen(factor)
+    assert coarse.horizon == fine.horizon
+    assert np.array_equal(fine.index_of(coarse.points), factor * np.arange(cells + 1))
     for k in range(cells + 1):
-        assert g.index_of(float(g.points[k])) == k
+        assert coarse.index_of(float(coarse.points[k])) == k
 
 
 def test_spans_enumerate_every_pair_once():

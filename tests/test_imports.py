@@ -189,3 +189,82 @@ def test_only_the_w2_module_imports_scipy():
         if p.name not in SCIPY_MODULES
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def exported_names(source: str) -> list[str]:
+    """The module's ``__all__``, or no names when it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def read_names(source: str) -> set[str]:
+    """Names the source loads, as a bare name or as an attribute, leaving
+    out the reads inside the definition of the name itself; imports and
+    ``__all__`` strings are no reads."""
+    found = set()
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_checker_finds_an_unread_export():
+    source = (
+        "__all__ = ['used', 'unused', 'recursive']\n"
+        "def used(): return 1\n"
+        "def unused(): return used()\n"
+        "def recursive(n): return recursive(n - 1)\n"
+    )
+    unread = [n for n in exported_names(source) if n not in read_names(source)]
+    assert unread == ["unused", "recursive"]
+
+
+# Exported names that no run or script reads, each kept for a reason.
+UNREAD_EXPORTS = {
+    # loaders: everything the package saves must load back
+    "load_flow_csv": "loads flow.csv back",
+    "load_backward_csv": "loads backward.csv back",
+    # oracles the tests compare against
+    "lions_fd_check": "finite-difference oracle of the measure derivative",
+    "pairing": "particle-average oracle for <mu, phi>",
+    "wasserstein2_bruteforce": "all-permutations W2 oracle",
+    "gradient_consistency": "finite-difference oracle of the probe derivatives",
+    "constant_function": "polynomial probe with closed-form residuals",
+    "linear_function": "polynomial probe with closed-form residuals",
+    "quadratic_function": "polynomial probe with closed-form residuals",
+    # wrapped by name in scenario_bench/tracer.py
+    "area_coefficient": "the benchmark tracer wraps it",
+    "weak_residual": "the benchmark tracer wraps it",
+}
+
+
+def test_every_export_is_read_or_allowed():
+    read = set()
+    for path in MODULES:
+        read |= read_names(path.read_text(encoding="utf-8"))
+    unread = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in exported_names(path.read_text(encoding="utf-8"))
+        if name not in read
+    }
+    assert unread - UNREAD_EXPORTS.keys() == set()
+    # an allowed name that a run came to read no longer needs its entry
+    assert UNREAD_EXPORTS.keys() - unread == set()

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drop_magic_token
+
 from roughmkv import measures
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import (
@@ -145,18 +147,17 @@ def test_unequal_sizes_match_replication_to_common_denominator():
 
 
 def test_bank_members_respect_lipschitz_budget():
-    R = 2.5
-    bank = lipschitz_bank(R, 2)
+    bank = lipschitz_bank(2)
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, 400, 2)) * 3.0
     gaps = np.linalg.norm(x - y, axis=1)
     for name, probe in bank:
-        assert np.all(np.abs(probe(x) - probe(y)) <= R * gaps * (1 + 1e-9)), name
+        assert np.all(np.abs(probe(x) - probe(y)) <= gaps * (1 + 1e-9)), name
 
 
 def test_bank_is_deterministic_and_named():
-    a = lipschitz_bank(1.0, 2)
-    b = lipschitz_bank(1.0, 2)
+    a = lipschitz_bank(2)
+    b = lipschitz_bank(2)
     assert [n for n, _ in a] == [n for n, _ in b]
     assert len(set(n for n, _ in a)) == len(a)
 
@@ -177,7 +178,6 @@ def little_flow(seed: int = 0, cells: int = 8, n: int = 30) -> MeasureFlow:
 def test_flow_indexing_consistency():
     flow = little_flow()
     assert np.array_equal(flow.measure(3).points, flow.states[3])
-    assert np.array_equal(flow.measure_at(0.375).points, flow.measure(3).points)
     assert flow.num_particles == 30
     assert flow.dim == 1
 
@@ -249,13 +249,13 @@ def test_flow_regularity_quotients_are_finite_and_scale():
         grid=flow.grid, states=2.0 * flow.states, driver_checksum="test"
     )
     assert np.isclose(flow_w2_holder(shifted, 0.45), 2.0 * q, rtol=1e-10)
-    lower = flow_holder_diagnostic(flow, 1.0, 0.45)
+    lower = flow_holder_diagnostic(flow, 0.45)
     assert np.isfinite(lower) and lower <= q * (1 + 1e-9)
 
 
-def ref_flow_holder_diagnostic(flow, lip_const, alpha):
+def ref_flow_holder_diagnostic(flow, alpha):
     """The hand-written span loop ``span_sup`` replaced; a reference."""
-    bank = lipschitz_bank(lip_const, flow.dim)
+    bank = lipschitz_bank(flow.dim)
     pts = flow.grid.points
     K1 = pts.size
     vals = np.empty((len(bank), K1))
@@ -296,7 +296,7 @@ def test_flow_quotients_equal_span_loop_reference(grid, d):
     rng = np.random.default_rng(31 + d)
     states = np.cumsum(rng.standard_normal((len(grid), 13, d)), axis=0)
     flow = MeasureFlow(grid=grid, states=states, driver_checksum="test")
-    assert flow_holder_diagnostic(flow, 1.3, 0.45) == ref_flow_holder_diagnostic(flow, 1.3, 0.45)
+    assert flow_holder_diagnostic(flow, 0.45) == ref_flow_holder_diagnostic(flow, 0.45)
     if d == 1:
         assert flow_w2_holder(flow, 0.45) == ref_flow_w2_holder(flow, 0.45)
 
@@ -308,7 +308,7 @@ def test_dual_lipschitz_pairings_call_each_probe_once(monkeypatch, d):
     grid = TimeGrid.uniform(1.0, 20)
     states = np.cumsum(np.random.default_rng(7 + d).standard_normal((len(grid), 17, d)), axis=0)
     flow = MeasureFlow(grid=grid, states=states, driver_checksum="test")
-    bank = measures.lipschitz_bank(1.1, d)
+    bank = measures.lipschitz_bank(d)
     calls, means = [], []
 
     def counted(phi):
@@ -322,9 +322,9 @@ def test_dual_lipschitz_pairings_call_each_probe_once(monkeypatch, d):
         return means[-1]
 
     monkeypatch.setattr(measures, "lipschitz_bank",
-                        lambda R, dim: [(name, counted(phi)) for name, phi in bank])
+                        lambda dim: [(name, counted(phi)) for name, phi in bank])
     monkeypatch.setattr(measures, "symmetric_mean", recorded)
-    measures.flow_holder_diagnostic(flow, 1.1, 0.45)
+    measures.flow_holder_diagnostic(flow, 0.45)
     assert calls == [len(grid) * 17] * len(bank)
     per_node = np.array([[symmetric_mean(phi(cloud)) for cloud in flow.states] for _, phi in bank])
     assert np.array_equal(np.array(means), per_node)
@@ -347,8 +347,8 @@ def test_dual_lipschitz_quotient_of_a_flow_with_a_nan_state_is_nan():
     states = flow.states.copy()
     states[0, 0, 0] = np.nan
     bad = MeasureFlow(grid=flow.grid, states=states)
-    assert np.isfinite(flow_holder_diagnostic(flow, 1.0, 0.45))
-    assert np.isnan(flow_holder_diagnostic(bad, 1.0, 0.45))
+    assert np.isfinite(flow_holder_diagnostic(flow, 0.45))
+    assert np.isnan(flow_holder_diagnostic(bad, 0.45))
 
 
 def test_dual_lipschitz_quotient_stable_under_refinement():
@@ -357,10 +357,10 @@ def test_dual_lipschitz_quotient_stable_under_refinement():
     coarse = little_flow(seed=4, cells=8)
     fine_states = np.repeat(coarse.states, 2, axis=0)[:-1]
     fine = MeasureFlow(
-        grid=coarse.grid.refine(2), states=fine_states, driver_checksum="test"
+        grid=TimeGrid.uniform(1.0, 16), states=fine_states, driver_checksum="test"
     )
-    qc = flow_holder_diagnostic(coarse, 1.0, 0.45)
-    qf = flow_holder_diagnostic(fine, 1.0, 0.45)
+    qc = flow_holder_diagnostic(coarse, 0.45)
+    qf = flow_holder_diagnostic(fine, 0.45)
     assert qf >= qc * (1 - 1e-12)  # refinement only adds candidate spans
     assert qf <= 2.0 * qc + 1e-9   # held states: worst new span is a half cell
 
@@ -424,6 +424,15 @@ def test_flow_csv_magic_token_without_equals_is_named(tmp_path):
     path = tmp_path / "flow.csv"
     path.write_text("# roughmkv-flow v1 dim=1 particles=1 nodes=2 junk\nt,particle,x_1\n")
     with pytest.raises(ValueError, match=r"flow\.csv: magic line token 'junk' is not key=value"):
+        load_flow_csv(str(path))
+
+
+@pytest.mark.parametrize("key", ["dim", "particles"])  # nodes: the test below
+def test_flow_csv_without_a_required_token_is_refused(tmp_path, key):
+    path = tmp_path / "flow.csv"
+    save_flow_csv(little_flow(seed=4, cells=3, n=5), str(path))
+    drop_magic_token(path, key)
+    with pytest.raises(ValueError, match=rf"flow\.csv: magic line has no {key}= token"):
         load_flow_csv(str(path))
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drop_magic_token
+
 from roughmkv.grids import TimeGrid
 from roughmkv.roughpath import (
     GridRoughPath,
@@ -295,6 +297,39 @@ def test_constructor_validation():
         GridRoughPath(grid, bad, areas, 0.4)
 
 
+def test_signal_keeps_no_view_of_the_callers_arrays():
+    # the caller's arrays stay writable, and a write through a base array
+    # after construction reaches neither the values nor the cached prefix
+    grid = TimeGrid.uniform(1.0, 4)
+    samples = np.array([[0.0], [0.5], [0.2], [-0.3], [0.1]])
+    lift_piecewise_linear(grid, samples)
+    assert samples.flags.writeable
+    base = np.zeros((8, 1))
+    base[:5] = samples
+    vals, areas = base[:5], np.zeros((4, 1, 1))
+    rp = GridRoughPath(grid, vals, areas)
+    assert vals.flags.writeable and areas.flags.writeable
+    base[:5, 0] = [0.0, 1.0, -1.0, 2.0, 0.0]
+    areas[:] = 1.0
+    assert np.array_equal(rp.values, samples) and not np.any(rp.cell_areas)
+    assert np.array_equal(rp.span(0, 4)[1], chen_extend(rp, 0.0, 1.0))
+    assert rp.span(0, 4)[1][0, 0] != 0.0
+
+
+def test_builders_hand_over_frozen_arrays():
+    # a frozen array that owns its memory is kept as it is, so the lifts,
+    # the convention shifts and the restriction copy no signal
+    grid = TimeGrid.uniform(1.0, 4)
+    samples = np.array([[0.0], [0.5], [0.2], [-0.3], [0.1]])
+    samples.setflags(write=False)
+    rp = lift_piecewise_linear(grid, samples)
+    assert rp.values is samples
+    assert ito_from_stratonovich(rp).values is rp.values
+    for sig in (rp, brownian_lift(3, 2, grid, 4), restrict(rp, grid.coarsen(2))):
+        for a in (sig.values, sig.cell_areas):
+            assert a.flags.owndata and not a.flags.writeable
+
+
 def test_csv_round_trip_bitwise(tmp_path):
     rp = brownian_lift(13, 2, TimeGrid.uniform(1.5, 12), refinement_factor=4, alpha=0.42)
     path = str(tmp_path / "signal.csv")
@@ -334,6 +369,15 @@ def test_csv_cut_after_its_header_is_refused_by_row_count(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:3]))
     with pytest.raises(ValueError, match=r"expected 5 rows \(one per node\), got 0"):
+        load_roughpath_csv(str(path))
+
+
+@pytest.mark.parametrize("key", ["dim", "alpha"])  # nodes: the test below
+def test_csv_without_a_required_token_is_refused(tmp_path, key):
+    path = tmp_path / "signal.csv"
+    save_roughpath_csv(random_walk_path(4, 4, 2), str(path))
+    drop_magic_token(path, key)
+    with pytest.raises(ValueError, match=rf"signal\.csv: magic line has no {key}= token"):
         load_roughpath_csv(str(path))
 
 

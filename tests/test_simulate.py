@@ -1,5 +1,7 @@
 """Interacting particle stepping: exactness, determinism, symmetry, failure."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -658,13 +660,11 @@ def test_controlled_quotients_for_constant_coefficient():
     cfg = make_config(n=6, cells=10, seed=12)
     rp = brownian_lift(6, 1, cfg.grid, 8)
     flow, _ = simulate(cfg, cs, rp)
-    (rep,) = controlled_diagnostics(flow, rp, cs, powers=(2,))
+    rep = controlled_diagnostics(flow, rp, cs)
     assert rep.remainder_quotient <= 1e-12  # increments are exactly c dW
     span = rp.grid.points[-1] - rp.grid.points[0]
     dw_full = abs(rp.values[-1, 0] - rp.values[0, 0])
-    assert rep.increment_quotient >= c * dw_full / span**rp.alpha - 1e-12
-    with pytest.raises(ValueError):
-        controlled_diagnostics(flow, rp, cs, powers=(3,))
+    assert rep.increment_quotient_p2 >= c * dw_full / span**rp.alpha - 1e-12
 
 
 def test_controlled_quotients_track_moments():
@@ -672,9 +672,9 @@ def test_controlled_quotients_track_moments():
     cfg = make_config(n=64, cells=16, seed=5)
     rp = brownian_lift(9, 1, cfg.grid, 4)
     flow, _ = simulate(cfg, cs, rp)
-    r2, r4 = controlled_diagnostics(flow, rp, cs, powers=(2, 4))
-    assert np.isfinite(r2.increment_quotient) and np.isfinite(r4.increment_quotient)
-    assert r4.increment_quotient >= r2.increment_quotient  # moment monotonicity
+    rep = controlled_diagnostics(flow, rp, cs)
+    assert np.isfinite(rep.increment_quotient_p2) and np.isfinite(rep.increment_quotient_p4)
+    assert rep.increment_quotient_p4 >= rep.increment_quotient_p2  # moment monotonicity
 
 
 def ref_controlled_diagnostics(flow, rp, coeffs, p=2):
@@ -715,25 +715,18 @@ def test_one_call_controlled_diagnostics_equal_two_reference_calls():
         cfg = make_config(n=40, cells=cells, seed=8)
         rp = brownian_lift(21, 1, cfg.grid, 4)
         flow, _ = simulate(cfg, cs, rp)
-        r2, r4 = controlled_diagnostics(flow, rp, cs, powers=(2, 4))
-        assert (r2.p, r4.p) == (2, 4)
+        rep = controlled_diagnostics(flow, rp, cs)
         inc2, rem2 = ref_controlled_diagnostics(flow, rp, cs, p=2)
         inc4, rem4 = ref_controlled_diagnostics(flow, rp, cs, p=4)
         # d = 1: the squared norm is the reference's norm squared exactly,
         # since sqrt(x^2) = |x| in binary floating point
-        assert r2.increment_quotient == inc2
+        assert rep.increment_quotient_p2 == inc2
         # x^2 squared and pow(|x|, 4) may round apart, and the remainder
         # comes from node means instead of the mean of residuals
         np.testing.assert_allclose(
-            [r4.increment_quotient, r2.remainder_quotient, r4.remainder_quotient],
+            [rep.increment_quotient_p4, rep.remainder_quotient, rep.remainder_quotient],
             [inc4, rem2, rem4], rtol=1e-12,
         )
-    (only4,) = controlled_diagnostics(flow, rp, cs, powers=(4,))
-    assert only4 == r4
-    with pytest.raises(ValueError):
-        controlled_diagnostics(flow, rp, cs, powers=())
-    with pytest.raises(ValueError):
-        controlled_diagnostics(flow, rp, cs, powers=(2, 3))
 
 
 def gauss_kernel_family_2d(amp: float, width: float):
@@ -775,11 +768,11 @@ def two_dim_flow(rough, n=48, cells=12, seed=6):
 def test_controlled_diagnostics_match_the_reference_in_two_dimensions(rough):
     flow, rp, cs = two_dim_flow(rough)
     assert cs.measure_free == (rough.mixing is None)
-    reports = controlled_diagnostics(flow, rp, cs, powers=(2, 4))
-    for rep in reports:
+    rep = controlled_diagnostics(flow, rp, cs)
+    for p, inc in ((2, rep.increment_quotient_p2), (4, rep.increment_quotient_p4)):
         np.testing.assert_allclose(
-            [rep.increment_quotient, rep.remainder_quotient],
-            ref_controlled_diagnostics(flow, rp, cs, p=rep.p), rtol=1e-12,
+            [inc, rep.remainder_quotient], ref_controlled_diagnostics(flow, rp, cs, p=p),
+            rtol=1e-12,
         )
 
 
@@ -789,8 +782,8 @@ def test_controlled_remainder_ignores_the_particle_order():
     shuffled = MeasureFlow(
         grid=flow.grid, states=flow.states[:, perm], driver_checksum=flow.driver_checksum
     )
-    (rep,) = controlled_diagnostics(flow, rp, cs, powers=(2,))
-    (rep_shuffled,) = controlled_diagnostics(shuffled, rp, cs, powers=(2,))
+    rep = controlled_diagnostics(flow, rp, cs)
+    rep_shuffled = controlled_diagnostics(shuffled, rp, cs)
     assert rep_shuffled.remainder_quotient == rep.remainder_quotient
 
 
@@ -806,8 +799,8 @@ def test_controlled_quotients_of_a_flow_with_a_nan_state_are_nan():
         states = flow.states.copy()
         states[0, 0, 0] = np.nan
         bad = MeasureFlow(grid=flow.grid, states=states, driver_checksum=flow.driver_checksum)
-        for rep in controlled_diagnostics(bad, rp, cs, powers=(2, 4)):
-            assert np.isnan(rep.increment_quotient) and np.isnan(rep.remainder_quotient)
+        rep = controlled_diagnostics(bad, rp, cs)
+        assert all(np.isnan(q) for q in astuple(rep))
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])

@@ -1,4 +1,4 @@
-"""Weak-form operators, residual defects, and the dyadic order scan."""
+"""Weak-form residual defects, term by term, and the dyadic order scan."""
 
 import numpy as np
 import pytest
@@ -15,20 +15,16 @@ from roughmkv.coefficients import (
 )
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import EmpiricalMeasure, MeasureFlow, pairing, symmetric_mean
-from roughmkv.roughpath import brownian_lift, lift_piecewise_linear, restrict
+from roughmkv.roughpath import GridRoughPath, brownian_lift, lift_piecewise_linear, restrict
 from roughmkv.simulate import SimulationConfig, simulate
 from roughmkv.weakcheck import (
     ResidualScan,
     TestFunction,
     constant_function,
-    controlled_pairing_check,
     default_bank,
     gaussian_bump,
     gradient_consistency,
     linear_function,
-    op_generator,
-    op_rough,
-    op_rough_second,
     quadratic_function,
     residual_order_scan,
     save_residual_csv,
@@ -56,7 +52,6 @@ def test_bank_gradients_match_finite_differences(dim):
     pts = np.random.default_rng(0).standard_normal((50, dim))
     for phi in default_bank(dim):
         assert gradient_consistency(phi, pts) <= 5e-8, phi.name
-        assert phi.c3_bound > 0
 
 
 def test_bank_names_unique_and_dimension_aware():
@@ -67,13 +62,23 @@ def test_bank_names_unique_and_dimension_aware():
 
 
 # ---------------------------------------------------------------------------
-# operator hand values
+# one term at a time: one-cell residuals on hand-built flows and signals
+
+
+def one_cell(start, end, dw, ww, h=0.5):
+    """A one-cell flow from cloud ``start`` to cloud ``end`` and a signal with
+    increment ``dw`` and cell tensor ``ww`` over the cell ``[0, h]``."""
+    grid = TimeGrid.uniform(h, 1)
+    dw = np.atleast_1d(np.asarray(dw, dtype=np.float64))
+    n = dw.size
+    rp = GridRoughPath(grid, np.stack([np.zeros(n), dw]), np.reshape(ww, (1, n, n)))
+    return MeasureFlow(grid=grid, states=np.stack([start, end])), rp
 
 
 def test_generator_on_quadratic_is_half_trace_plus_drift():
+    # equal clouds and dW = 0, WW = 0 leave -h * generator
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((40, 2))
-    mu = EmpiricalMeasure(pts)
     S = np.array([[0.5, 0.1], [0.0, 0.3]])
     A = np.array([[0.2, -0.4], [0.7, 0.1]])
     Q = np.array([[1.0, 0.25], [0.25, 2.0]])
@@ -87,38 +92,50 @@ def test_generator_on_quadratic_is_half_trace_plus_drift():
     phi = quadratic_function(Q)
     a = S @ S.T
     want = 0.5 * np.trace(a @ Q) + np.mean(np.einsum("ai,ai->a", pts @ A.T, pts @ Q))
-    assert np.isclose(op_generator(mu, 0.0, phi, cs), want, rtol=1e-12)
+    flow, rp = one_cell(pts, pts, 0.0, 0.0, h=0.5)
+    assert np.isclose(-weak_residual(flow, rp, phi, cs, 0.0, 0.5) / 0.5, want, rtol=1e-12)
 
 
 def test_first_order_pairing_for_constant_coefficient():
-    mu = EmpiricalMeasure(np.random.default_rng(1).standard_normal((25, 1)))
+    # equal clouds, no generator and WW = 0 leave -<mu, grad phi . f_kap> dW^kap
+    pts = np.random.default_rng(1).standard_normal((25, 1))
     cs = coefficient_set(1, 1, 2, rough=constant_rough(np.array([[0.7, -0.2]])))
     phi = quadratic_function(np.array([[1.0]]))  # grad = x
-    m = float(mu.mean()[0])
-    assert np.isclose(op_rough(mu, 0.0, phi, 0, cs), 0.7 * m, rtol=1e-12)
-    assert np.isclose(op_rough(mu, 0.0, phi, 1, cs), -0.2 * m, rtol=1e-12)
+    m = float(EmpiricalMeasure(pts).mean()[0])
+    for dw, want in (([1.0, 0.0], 0.7 * m), ([0.0, 1.0], -0.2 * m)):
+        flow, rp = one_cell(pts, pts, dw, np.zeros((2, 2)))
+        assert np.isclose(-weak_residual(flow, rp, phi, cs, 0.0, 0.5), want, rtol=1e-12)
 
 
 def test_second_order_pairing_hand_values():
-    mu = EmpiricalMeasure(np.random.default_rng(2).standard_normal((30, 1)))
+    # equal clouds, no generator, dW = 0 and WW = 1 leave minus the
+    # second-order pairing
+    pts = np.random.default_rng(2).standard_normal((30, 1))
+    flow, rp = one_cell(pts, pts, 0.0, 1.0)
     # constant coefficient, quadratic probe: only f hess f survives
     cs = coefficient_set(1, 1, 1, rough=constant_rough(np.array([[0.7]])))
     phi = quadratic_function(np.array([[1.0]]))
-    assert np.isclose(op_rough_second(mu, 0.0, phi, 0, 0, cs), 0.49, rtol=1e-12)
+    assert np.isclose(-weak_residual(flow, rp, phi, cs, 0.0, 0.5), 0.49, rtol=1e-12)
     # linear coefficient, linear probe: only the area tensor survives
     cs2 = coefficient_set(1, 1, 1, rough=linear_signal_family(1.0))
     lin = linear_function(np.array([1.0]))
-    want = float(mu.mean()[0])  # area tensor is the state itself, averaged
-    assert np.isclose(op_rough_second(mu, 0.0, lin, 0, 0, cs2), want, rtol=1e-12)
+    want = float(EmpiricalMeasure(pts).mean()[0])  # area tensor is the state itself, averaged
+    assert np.isclose(-weak_residual(flow, rp, lin, cs2, 0.0, 0.5), want, rtol=1e-12)
 
 
 def test_all_operators_kill_constants():
-    mu = EmpiricalMeasure(np.random.default_rng(3).standard_normal((12, 1)))
-    cs = ornstein_uhlenbeck_set()
-    one = constant_function(1.0)
-    assert op_generator(mu, 0.0, one, cs) == 0.0
-    assert op_rough(mu, 0.0, one, 0, cs) == 0.0
-    assert op_rough_second(mu, 0.0, one, 0, 0, cs) == 0.0
+    # every term of the expansion is on: two clouds, dW and WW nonzero, a
+    # drift, a diffusion and a state-dependent signal coefficient
+    rng = np.random.default_rng(3)
+    start, end = rng.standard_normal((2, 12, 1))
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.3 * x,
+        diffusion=lambda t, x, mu: 0.5 * np.ones((x.shape[0], 1, 1)),
+        rough=linear_signal_family(0.5),
+    )
+    flow, rp = one_cell(start, end, 0.3, 0.2)
+    assert weak_residual(flow, rp, constant_function(1.0), cs, 0.0, 0.5) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +159,6 @@ def test_residual_is_linear_in_the_probe():
         value=lambda x: 3.0 * f.value(x) - 0.5 * g.value(x),
         grad=lambda x: 3.0 * f.grad(x) - 0.5 * g.grad(x),
         hess=lambda x: 3.0 * f.hess(x) - 0.5 * g.hess(x),
-        c3_bound=3.0 * f.c3_bound + 0.5 * g.c3_bound,
     )
     r = weak_residual(flow, rp, combo, cs, 0.0, 0.75)
     rf = weak_residual(flow, rp, f, cs, 0.0, 0.75)
@@ -154,67 +170,45 @@ def test_rigid_shift_residual_structure():
     c, slope = 0.8, 0.9
     flow, rp, cs = shift_flow(c=c, slope=slope)
     lin = linear_function(np.array([1.4]))
+    bump = gaussian_bump(np.array([0.1]), 0.9)
+    # a third-order budget for the bump of width 0.9: 3 / width^3
+    budget = (1.0 / 0.9) ** 3 * 3.0
     grid = flow.grid
     for k in range(grid.num_cells):
         s, t = float(grid.points[k]), float(grid.points[k + 1])
         # linear probes: the expansion is exact
         assert abs(weak_residual(flow, rp, lin, cs, s, t)) <= 1e-13
-        # smooth probes: bounded by the declared third-order budget
-        bump = gaussian_bump(np.array([0.1]), 0.9)
+        # smooth probes: bounded by the third-order budget
         dw = abs(c * (rp.values[k + 1, 0] - rp.values[k, 0]))
-        assert abs(weak_residual(flow, rp, bump, cs, s, t)) <= bump.c3_bound * dw**3
+        assert abs(weak_residual(flow, rp, bump, cs, s, t)) <= budget * dw**3
 
 
 # ---------------------------------------------------------------------------
-# controlled pairing curves
+# non-finite nodes
 
 
-def test_pairing_curves_for_constant_coefficient_quadratic_probe():
-    flow, rp, cs = shift_flow(c=0.6, cells=8, slope=1.1)
-    phi = quadratic_function(np.array([[1.0]]))
-    q_second, q_rem = controlled_pairing_check(flow, rp, phi, cs)
-    # second-order curve is constant, and it is exactly the response
-    # coefficient of the first-order curve, so both quotients collapse
-    assert q_second <= 1e-12
-    assert q_rem <= 1e-12
-
-
-def test_pairing_curves_finite_for_diffusive_flow():
-    cs = coefficient_set(
-        1, 1, 1,
-        drift=lambda t, x, mu: -0.3 * x,
-        diffusion=lambda t, x, mu: 0.4 * np.ones((x.shape[0], 1, 1)),
-        rough=linear_signal_family(0.5),
-    )
-    grid = TimeGrid.uniform(1.0, 12)
-    rp = brownian_lift(4, 1, grid, 8)
-    flow, _ = simulate(SimulationConfig(64, grid, 7, 1, 1, 1), cs, rp)
-    phi = gaussian_bump(np.array([0.0]), 1.2)
-    q_second, q_rem = controlled_pairing_check(flow, rp, phi, cs)
-    assert np.isfinite(q_second) and q_second > 0
-    assert np.isfinite(q_rem)
-
-
-def test_pairing_quotients_with_a_nan_curve_node_are_nan():
+def test_residual_with_a_nan_curve_node_is_nan():
     # at a finite but huge state the signal coefficient's square overflows,
-    # and against a linear probe's zero Hessian the second-order curve is NaN
-    # at node 0; the quotients must not fall back to the spans that avoid it
+    # and against a linear probe's zero Hessian the second-order term is NaN
+    # at node 0; every span from node 0 must show it
     cs = coefficient_set(1, 1, 1, rough=linear_signal_family(0.5))
     grid = TimeGrid.uniform(1.0, 8)
     rp = brownian_lift(3, 1, grid, 4)
     flow, _ = simulate(SimulationConfig(20, grid, 4, 1, 1, 1), cs, rp)
     phi = linear_function(np.array([1.0]))
-    assert all(np.isfinite(controlled_pairing_check(flow, rp, phi, cs)))
+    assert np.isfinite(weak_residual(flow, rp, phi, cs, 0.0, 1.0))
     states = flow.states.copy()
     states[0, 0, 0] = 1e200
     huge = MeasureFlow(grid=grid, states=states, driver_checksum=flow.driver_checksum)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert all(np.isnan(controlled_pairing_check(huge, rp, phi, cs)))
+        assert np.isnan(weak_residual(huge, rp, phi, cs, 0.0, 1.0))
+        assert np.isnan(weak_residual(huge, rp, phi, cs, 0.0, 0.125))
+        assert np.isfinite(weak_residual(huge, rp, phi, cs, 0.125, 1.0))
 
 
 @pytest.mark.parametrize("measure_free", [True, False], ids=["measure_free", "moment"])
-def test_pairing_quotients_of_a_flow_with_a_nan_state_are_nan(measure_free):
-    # a measure-dependent bundle has no measure at node 0; its curves are NaN
+def test_residual_of_a_flow_with_a_nan_state_is_nan(measure_free):
+    # a measure-dependent bundle has no measure at node 0; its terms are NaN
     # there, as a measure-free bundle's are, instead of raising
     rough = linear_signal_family(0.5) if measure_free else mean_coupled_sin_family(0.5, 0.4)
     cs = coefficient_set(1, 1, 1, rough=rough)
@@ -225,7 +219,8 @@ def test_pairing_quotients_of_a_flow_with_a_nan_state_are_nan(measure_free):
     states[0, 0, 0] = np.nan
     bad = MeasureFlow(grid=grid, states=states, driver_checksum=flow.driver_checksum)
     phi = gaussian_bump(np.array([0.0]), 1.2)
-    assert all(np.isnan(controlled_pairing_check(bad, rp, phi, cs)))
+    assert np.isnan(weak_residual(bad, rp, phi, cs, 0.0, 1.0))
+    assert np.isnan(weak_residual(bad, rp, phi, cs, 0.0, 0.125))
 
 
 # ---------------------------------------------------------------------------
@@ -419,39 +414,6 @@ def ref_residual_order_scan(runs, bank, coeffs, replicates=()):
     return ResidualScan(table=table, slopes=slopes, exact=exact)
 
 
-def ref_pairing_curves(flow, rp, phi, coeffs):
-    pts = flow.grid.points
-    n = rp.dim
-    first = np.empty((pts.size, n))
-    second = np.empty((pts.size, n, n))
-    for k in range(pts.size):
-        mu = flow.measure(k)
-        for kap in range(n):
-            first[k, kap] = ref_op_rough(mu, float(pts[k]), phi, kap, coeffs)
-            for lam in range(n):
-                second[k, kap, lam] = ref_op_rough_second(mu, float(pts[k]), phi, kap, lam, coeffs)
-    return first, second
-
-
-def ref_controlled_pairing_check(flow, rp, phi, coeffs):
-    pts = flow.grid.points
-    first, second = ref_pairing_curves(flow, rp, phi, coeffs)
-    q_second = 0.0
-    q_rem = 0.0
-    for i in range(pts.size - 1):
-        gap = pts[i + 1 :] - pts[i]
-        dsec = second[i + 1 :] - second[i]
-        q_second = max(
-            q_second,
-            float(np.max(np.max(np.abs(dsec.reshape(len(gap), -1)), axis=1) / gap**rp.alpha)),
-        )
-        dw = rp.values[i + 1 :] - rp.values[i]
-        pred = np.einsum("ek,je->jk", second[i], dw)
-        rem = np.abs(first[i + 1 :] - first[i] - pred)
-        q_rem = max(q_rem, float(np.max(np.max(rem, axis=1) / gap ** (2 * rp.alpha))))
-    return q_second, q_rem
-
-
 def moment_bundle():
     """d = m = n = 1, measure-dependent signal coefficient, diffusion on."""
     return coefficient_set(
@@ -543,9 +505,9 @@ def test_node_block_length_changes_no_number(bundle, block, monkeypatch):
     flow, rp = runs[-1]
     monkeypatch.setattr(weakcheck, "_BLOCK_POINTS", block(flow.num_particles))
     assert_same_scan(residual_order_scan(runs, bank, coeffs), ref)
-    phi = bank[2]
-    assert controlled_pairing_check(flow, rp, phi, coeffs) == ref_controlled_pairing_check(
-        flow, rp, phi, coeffs
+    phi, end = bank[2], float(flow.grid.horizon)
+    assert weak_residual(flow, rp, phi, coeffs, 0.0, end) == ref_weak_residual(
+        flow, rp, phi, coeffs, 0.0, end
     )
 
 
@@ -563,30 +525,19 @@ def test_multi_cell_residual_equals_reference(bundle):
 
 
 @pytest.mark.parametrize("bundle", sorted(BUNDLES))
-def test_controlled_pairing_check_equals_reference(bundle):
-    coeffs = BUNDLES[bundle]()
-    one_cell = bundle_runs(coeffs, levels=1, base_cells=1)[0]
-    for flow, rp in (bundle_runs(coeffs)[-1], one_cell):
-        for phi in default_bank(coeffs.dim):
-            assert controlled_pairing_check(flow, rp, phi, coeffs) == ref_controlled_pairing_check(
-                flow, rp, phi, coeffs
-            )
-
-
-@pytest.mark.parametrize("bundle", sorted(BUNDLES))
 def test_one_node_operators_equal_reference(bundle):
+    # the engine's curves at one node are the per-node reference operators
     coeffs = BUNDLES[bundle]()
     flow, _ = bundle_runs(coeffs, levels=1)[0]
     mu, t = flow.measure(2), float(flow.grid.points[2])
     n = coeffs.driver_dim
     for phi in default_bank(coeffs.dim):
-        assert op_generator(mu, t, phi, coeffs) == ref_op_generator(mu, t, phi, coeffs)
+        curves = weakcheck._node_curves(np.array([t]), mu.points[None], [phi], coeffs)
+        assert curves.generator[0, 0] == ref_op_generator(mu, t, phi, coeffs)
         for k in range(n):
-            assert op_rough(mu, t, phi, k, coeffs) == ref_op_rough(mu, t, phi, k, coeffs)
+            assert curves.first[0, 0, k] == ref_op_rough(mu, t, phi, k, coeffs)
             for l in range(n):
-                assert op_rough_second(mu, t, phi, k, l, coeffs) == ref_op_rough_second(
-                    mu, t, phi, k, l, coeffs
-                )
+                assert curves.second[0, 0, k, l] == ref_op_rough_second(mu, t, phi, k, l, coeffs)
 
 
 def test_one_signal_coefficient_evaluation_per_node():
