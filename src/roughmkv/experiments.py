@@ -282,7 +282,7 @@ def _run_residual_scan(sc: Scenario, rep: _Report) -> None:
     else:
         rep.note("slopes_reported", True, "stochastic run; slopes informational")
     rep.extra["slopes"] = {k: (None if np.isinf(v) else v) for k, v in scan.slopes.items()}
-    rep.extra["exact"] = scan.exact
+    rep.extra["exact"] = {k: bool(np.isinf(v)) for k, v in scan.slopes.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ def read_only(a) -> np.ndarray:
     return a
 
 
-# Absolute slack used when matching a float time to a grid node.  Generous
-# enough to survive text round trips, far below any sane grid spacing.
+# Absolute slack used when matching a float time to a grid node: generous
+# enough to survive text round trips, at most a quarter of the narrowest cell.
 _LOOKUP_ATOL = 1e-9
 
 
@@ -94,7 +94,7 @@ class TimeGrid:
         ``t`` may be an array of times; the result is then an index array.
         """
         pts = self.points
-        tol = _LOOKUP_ATOL * max(1.0, self.horizon)
+        tol = min(_LOOKUP_ATOL * max(1.0, self.horizon), 0.25 * float(self._dt.min()))
         t = np.asarray(t, dtype=np.float64)
         # the first node at or above t - tol is the match if any node is
         k = np.minimum(np.searchsorted(pts, t - tol), pts.size - 1)

@@ -193,7 +193,7 @@ def wasserstein2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float
 # flow regularity diagnostics
 
 
-def lipschitz_bank(dim: int) -> list[tuple[str, Callable[[np.ndarray], np.ndarray]]]:
+def lipschitz_bank(dim: int) -> list[Callable[[np.ndarray], np.ndarray]]:
     """Deterministic bank of test functions with Lipschitz constant <= 1.
 
     Sinusoids of linear forms normalised by the frequency norm, plus smoothly
@@ -201,10 +201,10 @@ def lipschitz_bank(dim: int) -> list[tuple[str, Callable[[np.ndarray], np.ndarra
     Lipschitz distance between snapshots; with finitely many probes upward
     (so the diagnostic under-reports, never over-reports).
     """
-    bank: list[tuple[str, Callable]] = []
+    bank: list[Callable] = []
     for axis in range(dim):
         for freq in range(1, _BANK_MAX_FREQUENCY + 1):
-            for shift, tag in ((0.0, "sin"), (0.5 * np.pi, "cos")):
+            for shift in (0.0, 0.5 * np.pi):
                 k = np.zeros(dim)
                 k[axis] = freq
                 norm = np.linalg.norm(k)
@@ -212,13 +212,13 @@ def lipschitz_bank(dim: int) -> list[tuple[str, Callable[[np.ndarray], np.ndarra
                 def probe(x, k=k, shift=shift, norm=norm):
                     return (1.0 / norm) * np.sin(x @ k + shift)
 
-                bank.append((f"{tag}_ax{axis}_f{freq}", probe))
+                bank.append(probe)
         scale = 2.0
 
         def clip(x, axis=axis, scale=scale):
             return scale * np.tanh(x[:, axis] / scale)
 
-        bank.append((f"clip_ax{axis}", clip))
+        bank.append(clip)
     return bank
 
 
@@ -232,7 +232,7 @@ def flow_holder_diagnostic(flow: MeasureFlow, alpha: float) -> float:
     bank = lipschitz_bank(flow.dim)
     clouds = flow.states.reshape(-1, flow.dim)               # every node's cloud, stacked
     vals = np.array([symmetric_mean(phi(clouds).reshape(flow.states.shape[:2]), axis=1)
-                     for _, phi in bank])
+                     for phi in bank])
     (worst,) = span_sup(
         (np.abs(vals[:, i + 1 :] - vals[:, i : i + 1]) / gap[None, :] ** alpha,)
         for i, gap in flow.grid.spans()

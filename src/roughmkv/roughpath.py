@@ -177,23 +177,19 @@ def brownian_lift(
     dim: int,
     grid: TimeGrid,
     refinement_factor: int = 64,
-    convention: str = "stratonovich",
     alpha: float = 0.4,
 ) -> GridRoughPath:
-    """Sampled Brownian signal with piecewise-linear second level.
+    """Sampled Brownian signal with piecewise-linear (Stratonovich) second level.
 
     Each grid cell is split into ``refinement_factor`` equal sub-steps; the
     first level is an exact-in-distribution Brownian sample on that fine
     mesh, coarsened to the target grid, and the cell tensors accumulate the
-    fine piecewise-linear areas.  ``convention='ito'`` subtracts
-    ``0.5 * cell_width * Id`` from every cell tensor.
+    fine piecewise-linear areas.  ``ito_from_stratonovich`` gives the Ito lift.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if refinement_factor < 1:
         raise ValueError("refinement_factor must be >= 1")
-    if convention not in ("stratonovich", "ito"):
-        raise ValueError(f"unknown convention {convention!r}")
 
     K, R = grid.num_cells, refinement_factor
     rng = substream(seed, TAG_DRIVER)
@@ -208,8 +204,6 @@ def brownian_lift(
     areas = 0.5 * np.einsum("kra,krb->kab", dw, dw) + np.einsum(
         "kra,krb->kab", partial, dw
     )
-    if convention == "ito":
-        areas = areas - 0.5 * grid.dt[:, None, None] * np.eye(dim)
     return GridRoughPath(grid, _frozen(values), _frozen(areas), alpha)
 
 

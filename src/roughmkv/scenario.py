@@ -392,22 +392,20 @@ def build_driver(
 ) -> GridRoughPath:
     seed = sc.driver_seed if driver_seed is None else driver_seed
     if sc.driver_kind == "brownian":
-        return brownian_lift(
-            seed, sc.driver_dim, grid,
-            refinement_factor=sc.refinement,
-            convention=sc.convention,
-            alpha=sc.alpha,
+        rp = brownian_lift(
+            seed, sc.driver_dim, grid, refinement_factor=sc.refinement, alpha=sc.alpha
         )
-    t = grid.points[:, None]
-    chan = np.arange(1, sc.driver_dim + 1)[None, :]
-    if sc.driver_kind == "line":
-        samples = sc.driver_scale * t / chan
-    else:  # sinusoid
-        samples = sc.driver_scale * np.sin(
-            2.0 * np.pi * chan * t / grid.horizon + 0.3 * (chan - 1)
-        )
-    samples.setflags(write=False)  # handed over frozen, so the lift keeps it as it is
-    rp = lift_piecewise_linear(grid, samples, alpha=sc.alpha)
+    else:
+        t = grid.points[:, None]
+        chan = np.arange(1, sc.driver_dim + 1)[None, :]
+        if sc.driver_kind == "line":
+            samples = sc.driver_scale * t / chan
+        else:  # sinusoid
+            samples = sc.driver_scale * np.sin(
+                2.0 * np.pi * chan * t / grid.horizon + 0.3 * (chan - 1)
+            )
+        samples.setflags(write=False)  # handed over frozen, so the lift keeps it as it is
+        rp = lift_piecewise_linear(grid, samples, alpha=sc.alpha)
     if sc.convention == "ito":
         rp = ito_from_stratonovich(rp)
     return rp

@@ -52,16 +52,14 @@ __all__ = [
 class TestFunction:
     """Scalar test function with closed-form gradient and Hessian.
 
-    ``value`` maps ``(N, d) -> (N,)``, ``grad`` to ``(N, d)`` and ``hess`` to
-    ``(N, d, d)``.
+    ``jet`` maps points ``(N, d)`` to ``(value (N,), grad (N, d), hess (N, d, d))``,
+    computing the subexpressions the three share once.
     """
 
     __test__ = False  # keep pytest from collecting the mathematical name
 
     name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -69,89 +67,75 @@ class TestFunction:
 
 
 def constant_function(c: float = 1.0) -> TestFunction:
-    return TestFunction(
-        name=f"const_{c}",
-        value=lambda x: np.full(x.shape[0], float(c)),
-        grad=lambda x: np.zeros_like(x),
-        hess=lambda x: np.zeros(x.shape + (x.shape[1],)),
-    )
+    def jet(x):
+        return np.full(x.shape[0], float(c)), np.zeros_like(x), np.zeros(x.shape + x.shape[1:])
+
+    return TestFunction(f"const_{c}", jet)
 
 
 def linear_function(a: np.ndarray) -> TestFunction:
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    return TestFunction(
-        name="linear",
-        value=lambda x: x @ a,
-        grad=lambda x: np.broadcast_to(a, x.shape).copy(),
-        hess=lambda x: np.zeros(x.shape + (x.shape[1],)),
-    )
+
+    def jet(x):
+        return x @ a, np.broadcast_to(a, x.shape).copy(), np.zeros(x.shape + x.shape[1:])
+
+    return TestFunction("linear", jet)
 
 
 def quadratic_function(Q: np.ndarray) -> TestFunction:
     """``phi(x) = 0.5 x^T Q x`` with ``Q`` symmetrised."""
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     Q = 0.5 * (Q + Q.T)
-    return TestFunction(
-        name="quadratic",
-        value=lambda x: 0.5 * np.einsum("ai,ij,aj->a", x, Q, x),
-        grad=lambda x: x @ Q,
-        hess=lambda x: np.broadcast_to(Q, x.shape + (x.shape[1],)).copy(),
-    )
+
+    def jet(x):
+        hess = np.broadcast_to(Q, x.shape + x.shape[1:]).copy()
+        return 0.5 * np.einsum("ai,ij,aj->a", x, Q, x), x @ Q, hess
+
+    return TestFunction("quadratic", jet)
 
 
 def gaussian_bump(center: np.ndarray, width: float, amp: float = 1.0) -> TestFunction:
     c = np.atleast_1d(np.asarray(center, dtype=np.float64))
     w2 = float(width) ** 2
+    eye = np.eye(c.size) / w2
 
-    def value(x):
-        return amp * np.exp(-0.5 * np.sum((x - c) ** 2, axis=1) / w2)
+    def jet(x):
+        diff = x - c
+        value = amp * np.exp(-0.5 * np.sum(diff**2, axis=1) / w2)
+        r = diff / w2
+        hess = value[:, None, None] * (np.einsum("ai,aj->aij", r, r) - eye)
+        return value, value[:, None] * -r, hess
 
-    def grad(x):
-        return value(x)[:, None] * (-(x - c) / w2)
-
-    def hess(x):
-        r = (x - c) / w2
-        eye = np.eye(c.size) / w2
-        return value(x)[:, None, None] * (np.einsum("ai,aj->aij", r, r) - eye)
-
-    return TestFunction(f"bump_w{width}", value, grad, hess)
+    return TestFunction(f"bump_w{width}", jet)
 
 
 def gaussian_linear(
     center: np.ndarray, width: float, slope: np.ndarray, amp: float = 1.0
 ) -> TestFunction:
     """Gaussian bump times a linear factor: mixes odd and even derivatives."""
-    base = gaussian_bump(center, width, amp)
+    base = gaussian_bump(center, width, amp).jet
     a = np.atleast_1d(np.asarray(slope, dtype=np.float64))
 
-    def value(x):
-        return base.value(x) * (x @ a)
+    def jet(x):
+        value, grad, hess = base(x)
+        lin = x @ a
+        cross = np.einsum("ai,j->aij", grad, a)
+        hess = hess * lin[:, None, None] + cross + np.swapaxes(cross, 1, 2)
+        return value * lin, grad * lin[:, None] + value[:, None] * a, hess
 
-    def grad(x):
-        return base.grad(x) * (x @ a)[:, None] + base.value(x)[:, None] * a
-
-    def hess(x):
-        lin = (x @ a)[:, None, None]
-        g = base.grad(x)
-        cross = np.einsum("ai,j->aij", g, a)
-        return base.hess(x) * lin + cross + np.swapaxes(cross, 1, 2)
-
-    return TestFunction(f"bump_lin_w{width}", value, grad, hess)
+    return TestFunction(f"bump_lin_w{width}", jet)
 
 
 def sinusoid_function(freq: np.ndarray, phase: float = 0.0) -> TestFunction:
     k = np.atleast_1d(np.asarray(freq, dtype=np.float64))
+    kk = np.einsum("i,j->ij", k, k)
 
-    def value(x):
-        return np.sin(x @ k + phase)
+    def jet(x):
+        arg = x @ k + phase
+        value = np.sin(arg)
+        return value, np.cos(arg)[:, None] * k, -value[:, None, None] * kk
 
-    def grad(x):
-        return np.cos(x @ k + phase)[:, None] * k
-
-    def hess(x):
-        return -value(x)[:, None, None] * np.einsum("i,j->ij", k, k)
-
-    return TestFunction(f"sin_k{np.linalg.norm(k):.3g}", value, grad, hess)
+    return TestFunction(f"sin_k{np.linalg.norm(k):.3g}", jet)
 
 
 def default_bank(dim: int) -> list[TestFunction]:
@@ -176,13 +160,14 @@ def gradient_consistency(phi: TestFunction, points: np.ndarray, h: float = 1e-5)
     """Max relative error of grad/hess against central differences."""
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     d = x.shape[1]
-    g, H = phi.grad(x), phi.hess(x)
+    _, g, H = phi.jet(x)
     worst = 0.0
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
-        fd_g = (phi.value(x + e) - phi.value(x - e)) / (2 * h)
-        fd_H = (phi.grad(x + e) - phi.grad(x - e)) / (2 * h)
+        (v_up, g_up, _), (v_dn, g_dn, _) = phi.jet(x + e), phi.jet(x - e)
+        fd_g = (v_up - v_dn) / (2 * h)
+        fd_H = (g_up - g_dn) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(g))), float(np.max(np.abs(H))))
         worst = max(
             worst,
@@ -253,8 +238,8 @@ def _node_curves(
     """Node curves of ``bank`` along the clouds ``states[k]`` at ``times[k]``.
 
     The coefficient tensors are evaluated once per node (the callables take a
-    scalar time and the node's measure); each probe's value, gradient and
-    Hessian are evaluated once per block on the stacked particle rows.  The
+    scalar time and the node's measure); each probe's jet (value, gradient
+    and Hessian) is evaluated once per block on the stacked particle rows.  The
     integrands are written once, here, as
 
         generator:  0.5 a:Hess phi + b . grad phi,    a = sigma sigma^T,
@@ -288,8 +273,8 @@ def _node_curves(
         )
         x = states[lo:hi].reshape(-1, d)
         for p, phi in enumerate(bank):
-            grad, hess = phi.grad(x), phi.hess(x)
-            curves.value[p, lo:hi] = node_mean(phi.value(x))
+            value, grad, hess = phi.jet(x)
+            curves.value[p, lo:hi] = node_mean(value)
             curves.generator[p, lo:hi] = node_mean(
                 0.5 * np.einsum("aij,aij->a", a, hess) + np.einsum("ai,ai->a", b, grad)
             )
@@ -377,7 +362,6 @@ class ResidualScan:
 
     table: list[tuple[str, int, float, float, float]]
     slopes: dict[str, float]
-    exact: dict[str, bool]
 
 
 _MACHINE_FLOOR = 1e-13
@@ -411,7 +395,6 @@ def residual_order_scan(
 
     table: list[tuple[str, int, float, float, float]] = []
     slopes: dict[str, float] = {}
-    exact: dict[str, bool] = {}
     for p, phi in enumerate(bank):
         deltas, stats = [], []
         for level, (flow, _) in enumerate(runs):
@@ -426,15 +409,13 @@ def residual_order_scan(
             deltas.append(delta)
             stats.append(stat)
         if max(stats) < _MACHINE_FLOOR:
-            exact[phi.name] = True
             slopes[phi.name] = float("inf")
         else:
-            exact[phi.name] = False
             clipped = np.maximum(stats, 1e-300)
             slopes[phi.name] = float(
                 np.polyfit(np.log(deltas), np.log(clipped), 1)[0]
             )
-    return ResidualScan(table=table, slopes=slopes, exact=exact)
+    return ResidualScan(table=table, slopes=slopes)
 
 
 def save_residual_csv(scan: ResidualScan, path: str, stamp: str | None = None) -> None:

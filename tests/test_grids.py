@@ -55,6 +55,18 @@ def test_index_of_exact_and_tolerant():
         g.index_of(np.array([0.2, 0.35]))
 
 
+def test_index_of_on_cells_narrower_than_the_slack():
+    # the slack is capped at a quarter of the narrowest cell, so each node of
+    # a grid with cells of 1.5625e-10 matches itself and no neighbour
+    g = TimeGrid.uniform(1e-8, 64)
+    assert np.array_equal(g.index_of(g.points), np.arange(65))
+    assert g.index_of(float(g.points[7]) + 1e-12) == 7
+    with pytest.raises(ValueError):
+        g.index_of(0.5 * float(g.points[1]))
+    ragged = TimeGrid(np.array([0.0, 1e-12, 0.5, 1.0]))
+    assert np.array_equal(ragged.index_of(ragged.points), np.arange(4))
+
+
 def test_span_indices_orders_endpoints():
     g = TimeGrid.uniform(1.0, 10)
     assert g.span_indices(0.2, 0.7) == (2, 7)

@@ -108,7 +108,7 @@ SPAN_GRIDS = {
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("grid", SPAN_GRIDS.values(), ids=SPAN_GRIDS.keys())
 def test_span_is_the_one_reconstruction(grid, dim):
-    rp = brownian_lift(11 + dim, dim, grid, 4, convention="ito")
+    rp = ito_from_stratonovich(brownian_lift(11 + dim, dim, grid, 4))
     pts = rp.grid.points
     I, J = np.triu_indices(pts.size)          # every span i <= j
     dw_all, ww_all = rp.span(I, J)
@@ -178,6 +178,25 @@ def test_convention_round_trip_tight():
     back = stratonovich_from_ito(ito_from_stratonovich(rp))
     assert np.max(np.abs(back.cell_areas - rp.cell_areas)) <= 1e-13
     assert np.array_equal(back.values, rp.values)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("grid", [SPAN_GRIDS["uniform"], SPAN_GRIDS["nonuniform"]],
+                         ids=["uniform", "ragged"])
+def test_ito_shift_equals_the_former_in_lift_subtraction(grid, dim):
+    # the Ito lift used to subtract 0.5 dt Id inside brownian_lift; the one
+    # shift, ito_from_stratonovich, gives the same signal bit for bit
+    eye = np.eye(dim)
+    for seed in range(40):
+        strat = brownian_lift(seed, dim, grid, 4)
+        areas = strat.cell_areas - 0.5 * grid.dt[:, None, None] * eye
+        old = GridRoughPath(grid, strat.values, areas, strat.alpha)
+        new = ito_from_stratonovich(strat)
+        assert np.array_equal(new.values, old.values)
+        assert np.array_equal(new.cell_areas, old.cell_areas)
+        assert np.array_equal(np.signbit(new.cell_areas), np.signbit(old.cell_areas))
+        assert np.array_equal(new._prefix, old._prefix)
+        assert roughpath_checksum(new) == roughpath_checksum(old)
 
 
 def test_brownian_ito_lift_mean_area_and_conversion():
@@ -271,6 +290,17 @@ def test_restrict_preserves_accumulated_tensors():
         s, t = float(coarse.points[k]), float(coarse.points[k + 1])
         assert np.array_equal(sub.cell_areas[k], rp.second(s, t))
     assert sym_defect(sub).max_defect <= 1e-12
+
+
+def test_restrict_on_cells_narrower_than_the_lookup_slack():
+    # cells of 1.5625e-10 are far below the 1e-9 slack of a unit horizon;
+    # the coarse nodes must still find their own fine nodes
+    fine_grid = TimeGrid.uniform(1e-8, 64)
+    rp = brownian_lift(5, 2, fine_grid, refinement_factor=4)
+    sub = restrict(rp, fine_grid.coarsen(4))
+    assert np.array_equal(sub.values, rp.values[::4])
+    nodes = np.arange(0, 65, 4)
+    assert np.array_equal(sub.cell_areas, rp.span(nodes[:-1], nodes[1:])[1])
 
 
 def test_restrict_rejects_off_grid_nodes():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughmkv.grids import TimeGrid
-from roughmkv.roughpath import sym_defect
+from roughmkv.roughpath import ito_from_stratonovich, roughpath_checksum, sym_defect
 from roughmkv.scenario import (
     Scenario,
     ScenarioError,
@@ -269,6 +269,20 @@ def test_brownian_driver_ito_convention():
     grid = TimeGrid.uniform(1.0, 8)
     ito = build_driver(sc, grid)
     assert sym_defect(ito).max_defect > 1e-3  # genuinely non geometric
+
+
+@pytest.mark.parametrize("kind", ["brownian", "line", "sinusoid"])
+def test_ito_driver_is_the_shifted_stratonovich_driver(kind):
+    # build_driver applies the one convention shift to every driver kind
+    text = (
+        "[scenario]\nname = b\nexperiment = lift_checks\ndriver_dim = 2\n"
+        f"[driver]\nkind = {kind}\nrefinement = 4\n"
+    )
+    grid = TimeGrid(np.array([0.0, 0.1, 0.3, 1.0 / 3.0, 0.7, 0.71, 1.3]))
+    ito = build_driver(parse_scenario_text(text + "convention = ito\n"), grid)
+    want = ito_from_stratonovich(build_driver(parse_scenario_text(text), grid))
+    assert np.array_equal(ito.cell_areas, want.cell_areas)
+    assert roughpath_checksum(ito) == roughpath_checksum(want)
 
 
 def test_coefficient_builders_evaluate():

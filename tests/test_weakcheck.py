@@ -1,5 +1,7 @@
 """Weak-form residual defects, term by term, and the dyadic order scan."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,140 @@ def test_bank_names_unique_and_dimension_aware():
     two = default_bank(2)
     assert len({p.name for p in one}) == len(one)
     assert len(two) > len(one) or any("cross" in p.name for p in two)
+
+
+# The constructors as they were written before each probe became one jet:
+# three callables that each re-derive the shared subexpressions.  The jets
+# must give the same numbers, bit for bit.
+
+
+RefProbe = namedtuple("RefProbe", "name value grad hess")
+
+
+def ref_constant_function(c=1.0):
+    return RefProbe(
+        f"const_{c}",
+        lambda x: np.full(x.shape[0], float(c)),
+        lambda x: np.zeros_like(x),
+        lambda x: np.zeros(x.shape + (x.shape[1],)),
+    )
+
+
+def ref_linear_function(a):
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    return RefProbe(
+        "linear",
+        lambda x: x @ a,
+        lambda x: np.broadcast_to(a, x.shape).copy(),
+        lambda x: np.zeros(x.shape + (x.shape[1],)),
+    )
+
+
+def ref_quadratic_function(Q):
+    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
+    Q = 0.5 * (Q + Q.T)
+    return RefProbe(
+        "quadratic",
+        lambda x: 0.5 * np.einsum("ai,ij,aj->a", x, Q, x),
+        lambda x: x @ Q,
+        lambda x: np.broadcast_to(Q, x.shape + (x.shape[1],)).copy(),
+    )
+
+
+def ref_gaussian_bump(center, width, amp=1.0):
+    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
+    w2 = float(width) ** 2
+
+    def value(x):
+        return amp * np.exp(-0.5 * np.sum((x - c) ** 2, axis=1) / w2)
+
+    def grad(x):
+        return value(x)[:, None] * (-(x - c) / w2)
+
+    def hess(x):
+        r = (x - c) / w2
+        eye = np.eye(c.size) / w2
+        return value(x)[:, None, None] * (np.einsum("ai,aj->aij", r, r) - eye)
+
+    return RefProbe(f"bump_w{width}", value, grad, hess)
+
+
+def ref_gaussian_linear(center, width, slope, amp=1.0):
+    base = ref_gaussian_bump(center, width, amp)
+    a = np.atleast_1d(np.asarray(slope, dtype=np.float64))
+
+    def value(x):
+        return base.value(x) * (x @ a)
+
+    def grad(x):
+        return base.grad(x) * (x @ a)[:, None] + base.value(x)[:, None] * a
+
+    def hess(x):
+        lin = (x @ a)[:, None, None]
+        cross = np.einsum("ai,j->aij", base.grad(x), a)
+        return base.hess(x) * lin + cross + np.swapaxes(cross, 1, 2)
+
+    return RefProbe(f"bump_lin_w{width}", value, grad, hess)
+
+
+def ref_sinusoid_function(freq, phase=0.0):
+    k = np.atleast_1d(np.asarray(freq, dtype=np.float64))
+
+    def value(x):
+        return np.sin(x @ k + phase)
+
+    def grad(x):
+        return np.cos(x @ k + phase)[:, None] * k
+
+    def hess(x):
+        return -value(x)[:, None, None] * np.einsum("i,j->ij", k, k)
+
+    return RefProbe(f"sin_k{np.linalg.norm(k):.3g}", value, grad, hess)
+
+
+REF_CONSTRUCTORS = {
+    "constant_function": ref_constant_function,
+    "linear_function": ref_linear_function,
+    "quadratic_function": ref_quadratic_function,
+    "gaussian_bump": ref_gaussian_bump,
+    "gaussian_linear": ref_gaussian_linear,
+    "sinusoid_function": ref_sinusoid_function,
+}
+
+
+def constructor_args(kind, d, rng):
+    center, slope, freq = rng.standard_normal((3, d))
+    return {
+        "constant_function": (-0.4,),
+        "linear_function": (slope,),
+        "quadratic_function": (rng.standard_normal((d, d)),),
+        "gaussian_bump": (center, 1.3, 0.8),
+        "gaussian_linear": (center, 1.2, slope, 0.9),
+        "sinusoid_function": (freq, 0.7),
+    }[kind]
+
+
+def same_bits(a, b):
+    """Equal values with equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(REF_CONSTRUCTORS))
+def test_jet_equals_three_callable_reference(kind, d):
+    rng = np.random.default_rng(10 * d + len(kind))
+    args = constructor_args(kind, d, rng)
+    phi, ref = getattr(weakcheck, kind)(*args), REF_CONSTRUCTORS[kind](*args)
+    x = rng.standard_normal((40, d))
+    x[:6] = 0.0                                     # signed zeros, whole rows and mixed
+    x[6:12] = -0.0
+    x[12:18] = np.where(rng.random((6, d)) < 0.5, -0.0, 0.0)
+    x[18:24, 0] = -0.0
+    value, grad, hess = phi.jet(x)
+    assert phi.name == ref.name
+    assert same_bits(value, ref.value(x))
+    assert same_bits(grad, ref.grad(x))
+    assert same_bits(hess, ref.hess(x))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +291,7 @@ def test_residual_is_linear_in_the_probe():
     f = gaussian_bump(np.array([0.2]), 1.1)
     g = sinusoid_function(np.array([2.0]), phase=0.3)
     combo = TestFunction(
-        name="combo",
-        value=lambda x: 3.0 * f.value(x) - 0.5 * g.value(x),
-        grad=lambda x: 3.0 * f.grad(x) - 0.5 * g.grad(x),
-        hess=lambda x: 3.0 * f.hess(x) - 0.5 * g.hess(x),
+        "combo", lambda x: tuple(3.0 * u - 0.5 * v for u, v in zip(f.jet(x), g.jet(x)))
     )
     r = weak_residual(flow, rp, combo, cs, 0.0, 0.75)
     rf = weak_residual(flow, rp, f, cs, 0.0, 0.75)
@@ -244,9 +377,7 @@ def test_scan_reports_exact_probes_and_decaying_ones():
     bank = [linear_function(np.array([1.0])), gaussian_bump(np.array([0.0]), 1.0)]
     scan = residual_order_scan(runs, bank, cs)
     lin_name, bump_name = bank[0].name, bank[1].name
-    assert scan.exact[lin_name]
     assert scan.slopes[lin_name] == np.inf
-    assert not scan.exact[bump_name]
     assert scan.slopes[bump_name] > 2.0  # third order for a smooth driver
     assert len(scan.table) == 2 * 3
     for _, _, delta, resid, floor in scan.table:
@@ -334,9 +465,8 @@ def ref_op_generator(mu, t, phi, coeffs):
     marg = None if coeffs.measure_free else mu
     a = diffusion_square(coeffs, t, x, marg)
     b = coeffs.drift(t, x, marg)
-    integrand = 0.5 * np.einsum("aij,aij->a", a, phi.hess(x)) + np.einsum(
-        "ai,ai->a", b, phi.grad(x)
-    )
+    _, grad, hess = phi.jet(x)
+    integrand = 0.5 * np.einsum("aij,aij->a", a, hess) + np.einsum("ai,ai->a", b, grad)
     return float(symmetric_mean(integrand))
 
 
@@ -344,7 +474,7 @@ def ref_op_rough(mu, t, phi, kappa, coeffs):
     x = mu.points
     marg = None if coeffs.measure_free else mu
     f = coeffs.rough.jet(t, x, marg, 0)[0]
-    return float(symmetric_mean(np.einsum("ai,ai->a", phi.grad(x), f[:, :, kappa])))
+    return float(symmetric_mean(np.einsum("ai,ai->a", phi.jet(x)[1], f[:, :, kappa])))
 
 
 def ref_op_rough_second(mu, t, phi, kappa, lam, coeffs):
@@ -352,9 +482,10 @@ def ref_op_rough_second(mu, t, phi, kappa, lam, coeffs):
     marg = None if coeffs.measure_free else mu
     f = coeffs.rough.jet(t, x, marg, 0)[0]
     area = area_coefficient(coeffs, t, x, marg)
+    _, grad, hess = phi.jet(x)
     integrand = np.einsum(
-        "ai,aj,aij->a", f[:, :, kappa], f[:, :, lam], phi.hess(x)
-    ) + np.einsum("ai,ai->a", area[:, :, kappa, lam], phi.grad(x))
+        "ai,aj,aij->a", f[:, :, kappa], f[:, :, lam], hess
+    ) + np.einsum("ai,ai->a", area[:, :, kappa, lam], grad)
     return float(symmetric_mean(integrand))
 
 
@@ -363,7 +494,10 @@ def ref_weak_residual(flow, rp, phi, coeffs, s, t):
     if i == j:
         return 0.0
     mu_s, mu_t = flow.measure(i), flow.measure(j)
-    lhs = pairing(mu_t, phi.value) - pairing(mu_s, phi.value)
+    def value(x):
+        return phi.jet(x)[0]
+
+    lhs = pairing(mu_t, value) - pairing(mu_s, value)
     pts = flow.grid.points
     gen = np.array(
         [ref_op_generator(flow.measure(k), float(pts[k]), phi, coeffs) for k in range(i, j + 1)]
@@ -390,7 +524,7 @@ def ref_residual_order_scan(runs, bank, coeffs, replicates=()):
             for k in range(flow.grid.num_cells)
         )
 
-    table, slopes, exact = [], {}, {}
+    table, slopes = [], {}
     for phi in bank:
         deltas, stats = [], []
         for level, (flow, rp) in enumerate(runs):
@@ -405,13 +539,11 @@ def ref_residual_order_scan(runs, bank, coeffs, replicates=()):
             deltas.append(delta)
             stats.append(stat)
         if max(stats) < 1e-13:
-            exact[phi.name] = True
             slopes[phi.name] = float("inf")
         else:
-            exact[phi.name] = False
             clipped = np.maximum(stats, 1e-300)
             slopes[phi.name] = float(np.polyfit(np.log(deltas), np.log(clipped), 1)[0])
-    return ResidualScan(table=table, slopes=slopes, exact=exact)
+    return ResidualScan(table=table, slopes=slopes)
 
 
 def moment_bundle():
@@ -470,7 +602,6 @@ def bundle_runs(coeffs, levels=3, base_cells=4, particles=24, seed=5):
 def assert_same_scan(scan, ref):
     assert scan.table == ref.table
     assert scan.slopes == ref.slopes
-    assert scan.exact == ref.exact
 
 
 @pytest.mark.parametrize("bundle", sorted(BUNDLES))
@@ -546,3 +677,21 @@ def test_one_signal_coefficient_evaluation_per_node():
     states = np.random.default_rng(4).standard_normal((5, 12, 1))
     weakcheck._node_curves(np.linspace(0.0, 1.0, 5), states, weakcheck.default_bank(1), cs)
     assert calls == [12] * 5
+
+
+def test_one_jet_per_probe_per_node_block(monkeypatch):
+    # 5 nodes of 12 particles in blocks of 2 nodes: rows 24, 24 and 12
+    calls = []
+
+    def counted(p, phi):
+        def jet(x):
+            calls.append((p, x.shape[0]))
+            return phi.jet(x)
+        return TestFunction(phi.name, jet)
+
+    cs = coefficient_set(1, 1, 1, rough=mean_coupled_sin_family(0.5, 0.4))
+    bank = [counted(p, phi) for p, phi in enumerate(default_bank(1))]
+    states = np.random.default_rng(4).standard_normal((5, 12, 1))
+    monkeypatch.setattr(weakcheck, "_BLOCK_POINTS", 24)
+    weakcheck._node_curves(np.linspace(0.0, 1.0, 5), states, bank, cs)
+    assert calls == [(p, rows) for rows in (24, 24, 12) for p in range(len(bank))]
