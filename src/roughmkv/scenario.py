@@ -1,12 +1,14 @@
 """Scenario files: a small sectioned key-value format for experiment runs.
 
-A scenario is UTF-8 text in INI syntax with a fixed set of sections and keys
-(see the schema below; everything except ``[scenario] name`` and
-``[scenario] experiment`` has a documented default).  Parsing is strict:
-unknown sections or keys are errors that name the nearest valid spelling,
-and every value error names its section and key.  ``canonical_text`` emits a
-normal form listing every field; parsing the normal form reproduces the same
-scenario, and its SHA-256 is the scenario checksum embedded in reports.
+A scenario is UTF-8 text in INI syntax with a fixed set of sections and keys.
+Each ``Scenario`` field declares its section, key, parser, default and
+optional lower bound; every field except ``[scenario] name`` and
+``[scenario] experiment`` has a default.  Parsing is strict: unknown
+sections (``[DEFAULT]`` included) or keys are errors that name the nearest
+valid spelling, and every value error names its section and key.
+``canonical_text`` emits a normal form listing every field; parsing the
+normal form reproduces the same scenario, and its SHA-256 is the scenario
+checksum embedded in reports.
 
 Value grammar for composite fields is ``kind arg arg ...`` with
 space-separated float arguments, e.g. ``drift = linear_mean -0.5 0.25``.
@@ -19,7 +21,7 @@ import difflib
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -84,37 +86,6 @@ class ScenarioError(ValueError):
     """Malformed scenario text; message pins down section and key."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    experiment: str
-    seed: int = 0
-    dim: int = 1
-    brownian_dim: int = 1
-    driver_dim: int = 1
-    horizon: float = 1.0
-    cells: int = 64
-    levels: int = 4
-    driver_kind: str = "brownian"
-    driver_seed: int = 1
-    refinement: int = 64
-    alpha: float = 0.4
-    convention: str = "stratonovich"
-    driver_scale: float = 1.0
-    drift: tuple = ("none",)
-    sigma: tuple = ("none",)
-    rough: tuple = ("none",)
-    particles: int = 256
-    particle_counts: tuple[int, ...] = (250, 1000, 4000)
-    initial: tuple = ("gaussian", 0.0, 1.0)
-    scheme: str = SCHEME_FULL
-    backward_samples: int = 4096
-    terminal: tuple = ("identity",)
-    x_points: int = 33
-    time_points: int = 5
-
-
-# (section, key) -> (scenario field, parser)
 def _parse_int(sec: str, key: str, raw: str) -> int:
     try:
         return int(raw.strip())
@@ -181,46 +152,52 @@ def _parse_str(sec: str, key: str, raw: str) -> str:
     return val
 
 
-_SCHEMA: dict[str, dict[str, tuple[str, Callable]]] = {
-    "scenario": {
-        "name": ("name", _parse_str),
-        "experiment": ("experiment", _parse_choice(EXPERIMENTS)),
-        "seed": ("seed", _parse_int),
-        "dim": ("dim", _parse_int),
-        "brownian_dim": ("brownian_dim", _parse_int),
-        "driver_dim": ("driver_dim", _parse_int),
-    },
-    "grid": {
-        "horizon": ("horizon", _parse_float),
-        "cells": ("cells", _parse_int),
-        "levels": ("levels", _parse_int),
-    },
-    "driver": {
-        "kind": ("driver_kind", _parse_choice(_DRIVER_KINDS)),
-        "driver_seed": ("driver_seed", _parse_int),
-        "refinement": ("refinement", _parse_int),
-        "alpha": ("alpha", _parse_float),
-        "convention": ("convention", _parse_choice(_CONVENTIONS)),
-        "scale": ("driver_scale", _parse_float),
-    },
-    "coefficients": {
-        "drift": ("drift", _parse_kinded(_DRIFT_KINDS)),
-        "sigma": ("sigma", _parse_kinded(_SIGMA_KINDS)),
-        "rough": ("rough", _parse_kinded(_ROUGH_KINDS)),
-    },
-    "particles": {
-        "count": ("particles", _parse_int),
-        "count_list": ("particle_counts", _parse_int_list),
-        "initial": ("initial", _parse_kinded(_INITIAL_KINDS)),
-        "scheme": ("scheme", _parse_choice(SCHEMES)),
-    },
-    "backward": {
-        "samples": ("backward_samples", _parse_int),
-        "terminal": ("terminal", _parse_kinded(_TERMINAL_KINDS)),
-        "x_points": ("x_points", _parse_int),
-        "time_points": ("time_points", _parse_int),
-    },
-}
+def _key(sec: str, key: str, parse: Callable, default=MISSING, least: int | None = None):
+    """A field read from ``[sec] key`` by ``parse``; ``least`` is an inclusive lower bound."""
+    meta = {"section": sec, "key": key, "parse": parse, "least": least}
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Every key of the format; the declaration order is the canonical order."""
+
+    name: str = _key("scenario", "name", _parse_str)
+    experiment: str = _key("scenario", "experiment", _parse_choice(EXPERIMENTS))
+    seed: int = _key("scenario", "seed", _parse_int, 0, least=0)
+    dim: int = _key("scenario", "dim", _parse_int, 1, least=1)
+    brownian_dim: int = _key("scenario", "brownian_dim", _parse_int, 1, least=1)
+    driver_dim: int = _key("scenario", "driver_dim", _parse_int, 1, least=1)
+    horizon: float = _key("grid", "horizon", _parse_float, 1.0)
+    cells: int = _key("grid", "cells", _parse_int, 64, least=1)
+    levels: int = _key("grid", "levels", _parse_int, 4, least=1)
+    driver_kind: str = _key("driver", "kind", _parse_choice(_DRIVER_KINDS), "brownian")
+    driver_seed: int = _key("driver", "driver_seed", _parse_int, 1, least=0)
+    refinement: int = _key("driver", "refinement", _parse_int, 64, least=1)
+    alpha: float = _key("driver", "alpha", _parse_float, 0.4)
+    convention: str = _key("driver", "convention", _parse_choice(_CONVENTIONS), "stratonovich")
+    driver_scale: float = _key("driver", "scale", _parse_float, 1.0)
+    drift: tuple = _key("coefficients", "drift", _parse_kinded(_DRIFT_KINDS), ("none",))
+    sigma: tuple = _key("coefficients", "sigma", _parse_kinded(_SIGMA_KINDS), ("none",))
+    rough: tuple = _key("coefficients", "rough", _parse_kinded(_ROUGH_KINDS), ("none",))
+    particles: int = _key("particles", "count", _parse_int, 256, least=1)
+    particle_counts: tuple[int, ...] = _key(
+        "particles", "count_list", _parse_int_list, (250, 1000, 4000)
+    )
+    initial: tuple = _key(
+        "particles", "initial", _parse_kinded(_INITIAL_KINDS), ("gaussian", 0.0, 1.0)
+    )
+    scheme: str = _key("particles", "scheme", _parse_choice(SCHEMES), SCHEME_FULL)
+    backward_samples: int = _key("backward", "samples", _parse_int, 4096, least=2)
+    terminal: tuple = _key("backward", "terminal", _parse_kinded(_TERMINAL_KINDS), ("identity",))
+    x_points: int = _key("backward", "x_points", _parse_int, 33, least=4)
+    time_points: int = _key("backward", "time_points", _parse_int, 5, least=2)
+
+
+# section -> key -> field, in declaration order
+_SECTIONS: dict[str, dict[str, Field]] = {}
+for _f in fields(Scenario):
+    _SECTIONS.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = _f
 
 
 def _nearest(word: str, options) -> str:
@@ -229,7 +206,9 @@ def _nearest(word: str, options) -> str:
 
 
 def parse_scenario_text(text: str) -> Scenario:
-    cp = configparser.ConfigParser(interpolation=None, strict=True)
+    # configparser would copy a [DEFAULT] section's keys into every section;
+    # "" is never a header, so [DEFAULT] parses as an (unknown) section
+    cp = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     cp.optionxform = str  # keys are case-sensitive
     try:
         cp.read_string(text)
@@ -238,23 +217,23 @@ def parse_scenario_text(text: str) -> Scenario:
 
     values: dict[str, object] = {}
     for sec in cp.sections():
-        if sec not in _SCHEMA:
+        if sec not in _SECTIONS:
             raise ScenarioError(
-                f"unknown section [{sec}];{_nearest(sec, _SCHEMA)} "
-                f"valid: {', '.join(_SCHEMA)}"
+                f"unknown section [{sec}];{_nearest(sec, _SECTIONS)} "
+                f"valid: {', '.join(_SECTIONS)}"
             )
+        keys = _SECTIONS[sec]
         for key, raw in cp.items(sec):
-            if key not in _SCHEMA[sec]:
+            if key not in keys:
                 raise ScenarioError(
-                    f"unknown key {key!r} in [{sec}];{_nearest(key, _SCHEMA[sec])} "
-                    f"valid: {', '.join(_SCHEMA[sec])}"
+                    f"unknown key {key!r} in [{sec}];{_nearest(key, keys)} "
+                    f"valid: {', '.join(keys)}"
                 )
-            field_name, parser = _SCHEMA[sec][key]
-            values[field_name] = parser(sec, key, raw)
+            values[keys[key].name] = keys[key].metadata["parse"](sec, key, raw)
 
-    for required in ("name", "experiment"):
-        if required not in values:
-            raise ScenarioError(f"[scenario] {required} is required")
+    for f in fields(Scenario):
+        if f.default is MISSING and f.name not in values:
+            raise ScenarioError(f"[{f.metadata['section']}] {f.metadata['key']} is required")
     sc = Scenario(**values)
     _validate(sc)
     return sc
@@ -262,37 +241,25 @@ def parse_scenario_text(text: str) -> Scenario:
 
 def parse_scenario_file(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_scenario_text(text)
 
 
 def _validate(sc: Scenario) -> None:
     def bad(sec: str, key: str, msg: str) -> ScenarioError:
         return ScenarioError(f"[{sec}] {key}: {msg}")
 
-    if sc.seed < 0:
-        raise bad("scenario", "seed", "must be >= 0")
-    if sc.driver_seed < 0:
-        raise bad("driver", "driver_seed", "must be >= 0")
-    if min(sc.dim, sc.brownian_dim, sc.driver_dim) < 1:
-        raise bad("scenario", "dim", "all dimensions must be >= 1")
+    for f in fields(sc):
+        least = f.metadata["least"]
+        if least is not None and getattr(sc, f.name) < least:
+            raise bad(f.metadata["section"], f.metadata["key"], f"must be >= {least}")
     if sc.horizon <= 0:
         raise bad("grid", "horizon", "must be positive")
-    if sc.cells < 1:
-        raise bad("grid", "cells", "must be >= 1")
-    if sc.levels < 1:
-        raise bad("grid", "levels", "must be >= 1")
     if not (ALPHA_MIN < sc.alpha <= ALPHA_MAX):
         raise bad("driver", "alpha", f"must lie in (1/3, 1/2], got {sc.alpha}")
-    if sc.refinement < 1:
-        raise bad("driver", "refinement", "must be >= 1")
-    if sc.particles < 1:
-        raise bad("particles", "count", "must be >= 1")
-    if sc.backward_samples < 2:
-        raise bad("backward", "samples", "must be >= 2")
-    if sc.x_points < 4:
-        raise bad("backward", "x_points", "must be >= 4")
-    if sc.time_points < 2:
-        raise bad("backward", "time_points", "must be >= 2")
     if sc.initial[0] == "gaussian" and sc.initial[2] <= 0:
         raise bad("particles", "initial", "gaussian std must be positive")
     if sc.initial[0] == "uniform" and sc.initial[1] >= sc.initial[2]:
@@ -345,6 +312,8 @@ def _validate(sc: Scenario) -> None:
                 "(the reference comparison duplicates atoms to a square assignment)",
             )
     if sc.experiment == "residual_scan":
+        if sc.convention == "ito":  # the weak-form expansion has no bracket term
+            raise bad("driver", "convention", "the scan needs a geometric (stratonovich) signal")
         if sc.levels < 2:
             raise bad("grid", "levels", "residual scan needs at least two levels")
         # the shift is exact for integers and stays cheap for any ``levels``
@@ -371,10 +340,10 @@ def canonical_text(sc: Scenario) -> str:
         return str(v)
 
     out = io.StringIO()
-    for sec, keys in _SCHEMA.items():
+    for sec, keys in _SECTIONS.items():
         out.write(f"[{sec}]\n")
-        for key, (field_name, _) in keys.items():
-            out.write(f"{key} = {fmt(getattr(sc, field_name))}\n")
+        for key, f in keys.items():
+            out.write(f"{key} = {fmt(getattr(sc, f.name))}\n")
         out.write("\n")
     return out.getvalue()
 

@@ -93,6 +93,23 @@ def test_non_finite_horizon_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_utf8_scenario_exits_one(tmp_path, capsys):
+    bad = tmp_path / "latin1.ini"
+    bad.write_bytes(FAST_LIFT.replace("fast_lift", "caf\u00e9").encode("latin-1"))
+    out = tmp_path / "latin1"
+    assert main(["--scenario", str(bad), "--out", str(out)]) == 1
+    assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ito_residual_scan_exits_one(tmp_path, capsys):
+    scan = "[scenario]\nname = s\nexperiment = residual_scan\n[driver]\nconvention = ito\n"
+    code, out = run_cli(tmp_path, scan, "ito_scan")
+    assert code == 1
+    assert "error: [driver] convention: the scan needs a geometric" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_override_exits_one_before_any_output(tmp_path, capsys):
     good = tmp_path / "good.ini"
     good.write_text(FAST_LIFT)
@@ -401,3 +418,21 @@ def test_run_experiments_refuses_a_directory_without_scenarios(tmp_path):
     )
     assert done.returncode == 2
     assert "no *.ini files" in done.stderr
+
+
+def test_run_experiments_reports_a_non_utf8_scenario_and_runs_the_rest(tmp_path):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    (scenarios / "a_latin1.ini").write_bytes(
+        FAST_LIFT.replace("fast_lift", "caf\u00e9").encode("latin-1")
+    )
+    (scenarios / "b_valid.ini").write_text(FAST_LIFT)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"),
+         "--scenarios", str(scenarios), "--no-timestamp", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert f"error: {scenarios / 'a_latin1.ini'}: not UTF-8 text" in done.stderr
+    assert "a_latin1: exit 1" in done.stdout and "b_valid: exit 0" in done.stdout
+    assert (tmp_path / "out" / "b_valid" / "summary.json").is_file()

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, canonical form, and builders."""
 
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from roughmkv.scenario import (
     scenario_checksum,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 MINIMAL = """
 [scenario]
@@ -170,6 +172,73 @@ def test_duplicate_keys_rejected():
         parse_scenario_text(MINIMAL + "\n[grid]\ncells = 4\ncells = 8\n")
 
 
+# (section, key, inclusive lower bound) of every bounded key
+BOUNDS = [
+    ("scenario", "seed", 0),
+    ("scenario", "dim", 1),
+    ("scenario", "brownian_dim", 1),
+    ("scenario", "driver_dim", 1),
+    ("grid", "cells", 1),
+    ("grid", "levels", 1),
+    ("driver", "driver_seed", 0),
+    ("driver", "refinement", 1),
+    ("particles", "count", 1),
+    ("backward", "samples", 2),
+    ("backward", "x_points", 4),
+    ("backward", "time_points", 2),
+]
+
+
+@pytest.mark.parametrize("section, key, least", BOUNDS)
+def test_every_bounded_key_refuses_one_below_its_bound(section, key, least):
+    head = MINIMAL + ("" if section == "scenario" else f"[{section}]\n")
+    sc = parse_scenario_text(head + f"{key} = {least}\n")
+    assert canonical_text(sc).count(f"\n{key} = {least}\n") == 1
+    with pytest.raises(ScenarioError, match=rf"^\[{section}\] {key}: must be >= {least}$"):
+        parse_scenario_text(head + f"{key} = {least - 1}\n")
+
+
+def test_fields_and_section_keys_map_one_to_one():
+    declared = fields(Scenario)
+    pairs = {(f.metadata["section"], f.metadata["key"]): f for f in declared}
+    assert len(pairs) == len(declared) == 26
+    bounded = [(*pair, f.metadata["least"]) for pair, f in pairs.items()]
+    assert [b for b in bounded if b[2] is not None] == BOUNDS
+    assert [f.name for f in declared if f.default is MISSING] == ["name", "experiment"]
+
+
+def test_default_section_is_refused():
+    valid = "valid: scenario, grid, driver, coefficients, particles, backward"
+    # configparser would copy these keys into every section
+    for text in (
+        "[DEFAULT]\nseed = 5\n" + MINIMAL,
+        "[DEFAULT]\ncells = 8\n" + MINIMAL + "[grid]\nlevels = 2\n",
+        "[DEFAULT]\n" + MINIMAL,
+    ):
+        with pytest.raises(ScenarioError, match=re.escape(f"unknown section [DEFAULT]; {valid}")):
+            parse_scenario_text(text)
+
+
+def test_residual_scan_refuses_ito():
+    want = "[driver] convention: the scan needs a geometric (stratonovich) signal"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(want)}$"):
+        parse_scenario_text(SCAN + "[driver]\nconvention = ito\n")
+    for experiment in ("lift_checks", "chaos_scan", "duality", "diagnostics"):
+        sc = parse_scenario_text(
+            f"[scenario]\nname = i\nexperiment = {experiment}\n[driver]\nconvention = ito\n"
+        )
+        assert sc.convention == "ito"
+
+
+def test_readme_scenario_example_parses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```\n(\[coefficients\]\n.*?)^```$", readme, re.M | re.S).group(1)
+    sc = parse_scenario_text(MINIMAL + block)
+    assert sc.drift == ("linear_mean", -0.5, 0.25)
+    assert sc.sigma == ("constant", 0.3)
+    assert sc.rough == ("moment_sin", 0.5, 0.4)
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 
@@ -218,6 +287,53 @@ def test_round_trip_property(seed, cells, horizon, alpha, drift_a, scale):
     )
     again = parse_scenario_text(canonical_text(sc))
     assert again == sc
+
+
+MINIMAL_CANONICAL = """\
+[scenario]
+name = demo
+experiment = lift_checks
+seed = 0
+dim = 1
+brownian_dim = 1
+driver_dim = 1
+
+[grid]
+horizon = 1.0
+cells = 64
+levels = 4
+
+[driver]
+kind = brownian
+driver_seed = 1
+refinement = 64
+alpha = 0.4
+convention = stratonovich
+scale = 1.0
+
+[coefficients]
+drift = none
+sigma = none
+rough = none
+
+[particles]
+count = 256
+count_list = 250 1000 4000
+initial = gaussian 0.0 1.0
+scheme = davie_full
+
+[backward]
+samples = 4096
+terminal = identity
+x_points = 33
+time_points = 5
+
+"""
+
+
+def test_canonical_text_of_the_minimal_scenario_is_pinned():
+    # every default, key and section in order: any change moves every checksum
+    assert canonical_text(parse_scenario_text(MINIMAL)) == MINIMAL_CANONICAL
 
 
 def test_checksum_tracks_content():
