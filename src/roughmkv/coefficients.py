@@ -32,22 +32,26 @@ All cloud averages go through the order-invariant sorted mean from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .measures import EmpiricalMeasure, symmetric_mean
 
 __all__ = [
+    "Kind",
+    "ROUGH_KINDS",
     "RoughFamily",
     "CoefficientSet",
     "coefficient_set",
     "measure_free_family",
     "constant_rough",
     "linear_state_family",
+    "sin_state_family",
     "moment_family",
     "moment_sin_family",
     "convolution_family",
+    "convolution_gauss_family",
     "zero_rough",
     "area_coefficient",
     "lions_fd_check",
@@ -212,6 +216,17 @@ def linear_state_family(c: float, d: int, n: int) -> RoughFamily:
     return measure_free_family(d, n, jet)
 
 
+def sin_state_family(c: float, d: int, n: int) -> RoughFamily:
+    """``f(x)^i_kap = c sin(x_i)`` when ``i == kap``, else 0."""
+    sel = np.eye(d, n)
+    diag = np.eye(d)[:, :, None] * sel[None, :, :]   # (d, d, n) selector
+
+    def jet(t, x):
+        return c * np.sin(x)[:, :, None] * sel, c * np.cos(x)[:, :, None, None] * diag
+
+    return measure_free_family(d, n, jet)
+
+
 def moment_family(dim: int, channels: int, jet: Callable) -> RoughFamily:
     """Coefficient ``f(t, x, mu) = phi(t, x, mean(mu))``.
 
@@ -282,6 +297,64 @@ def convolution_family(dim: int, channels: int, kernel: Callable) -> RoughFamily
         return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
 
     return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=mixing_)
+
+
+def convolution_gauss_family(a: float, w: float) -> RoughFamily:
+    """``f(x, mu) = a avg_y exp(-(x - y)^2 / 2 w^2)``, one dim, one channel."""
+    w2 = w * w
+
+    def kernel(t, x, y, order):
+        u = x - y
+        e = np.exp(-0.5 * u**2 / w2)
+        g = (a * e)[:, :, :, None]
+        if not order:
+            return (g,)
+        r = u / w2
+        return g, (-r * a * e)[:, :, :, None, None], (r * a * e)[:, :, :, None, None]
+
+    return convolution_family(1, 1, kernel)
+
+
+# ---------------------------------------------------------------------------
+# scenario kinds
+
+
+class Kind(NamedTuple):
+    """A kind of a composite scenario key ``kind arg ...``.  ``build`` and ``refuse``
+    take ``(d, n, *args)``; ``refuse``, if any, returns why they do not fit, or None."""
+
+    arity: int
+    build: Callable
+    refuse: Callable | None = None
+
+
+def _needs_square(kind: str) -> Callable:
+    return lambda d, n, *args: None if d == n else f"{kind} needs dim == driver_dim"
+
+
+def _needs_scalar(kind: str, width: bool = False) -> Callable:
+    """Refuses all but d = n = 1 and, with ``width``, a width ``args[1] <= 0``."""
+    msg = f"{kind} is implemented for dim = driver_dim = 1"
+    return lambda d, n, *args: msg if d != 1 or n != 1 else (
+        "kernel width must be positive" if width and args[1] <= 0 else None
+    )
+
+
+# ``[coefficients] rough``, n the driver dimension, in the unknown-kind message's order
+ROUGH_KINDS = {
+    "none": Kind(0, zero_rough),
+    "constant": Kind(1, lambda d, n, c: constant_rough(c * np.eye(d, n))),
+    "linear_state": Kind(
+        1, lambda d, n, c: linear_state_family(c, d, n), _needs_square("linear_state")
+    ),
+    "sin_state": Kind(1, lambda d, n, c: sin_state_family(c, d, n), _needs_square("sin_state")),
+    "moment_sin": Kind(2, lambda d, n, a, b: moment_sin_family(a, b), _needs_scalar("moment_sin")),
+    "convolution_gauss": Kind(
+        2,
+        lambda d, n, a, w: convolution_gauss_family(a, w),
+        _needs_scalar("convolution_gauss", width=True),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

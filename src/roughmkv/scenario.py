@@ -10,8 +10,11 @@ valid spelling, and every value error names its section and key.
 normal form reproduces the same scenario, and its SHA-256 is the scenario
 checksum embedded in reports.
 
-Value grammar for composite fields is ``kind arg arg ...`` with
-space-separated float arguments, e.g. ``drift = linear_mean -0.5 0.25``.
+A composite field is ``kind arg arg ...`` with space-separated float
+arguments, e.g. ``drift = linear_mean -0.5 0.25``.  Each kind is one
+``coefficients.Kind`` entry, with its arity, builder and refusal, in its key's
+table: ``coefficients.ROUGH_KINDS`` for ``rough`` and the tables below for
+``drift``, ``sigma``, ``initial`` and ``terminal``.
 """
 
 from __future__ import annotations
@@ -26,16 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import (
-    CoefficientSet,
-    RoughFamily,
-    coefficient_set,
-    constant_rough,
-    convolution_family,
-    linear_state_family,
-    measure_free_family,
-    moment_sin_family,
-)
+from .coefficients import ROUGH_KINDS, CoefficientSet, Kind, coefficient_set
 from .grids import TimeGrid
 from .roughpath import (
     ALPHA_MAX,
@@ -63,18 +57,6 @@ __all__ = [
 
 EXPERIMENTS = ("lift_checks", "residual_scan", "chaos_scan", "duality", "diagnostics")
 
-_DRIFT_KINDS = {"none": 0, "linear": 1, "linear_mean": 2, "tanh": 1}
-_SIGMA_KINDS = {"none": 0, "constant": 1}
-_ROUGH_KINDS = {
-    "none": 0,
-    "constant": 1,
-    "linear_state": 1,
-    "sin_state": 1,
-    "moment_sin": 2,
-    "convolution_gauss": 2,
-}
-_INITIAL_KINDS = {"point": 1, "gaussian": 2, "uniform": 2}
-_TERMINAL_KINDS = {"identity": 0, "square": 0, "gauss": 2}
 _DRIVER_KINDS = ("brownian", "line", "sinusoid")
 _CONVENTIONS = ("stratonovich", "ito")
 # A residual scan's finest grid, ``cells * 2**(levels - 1)`` cells, may not
@@ -107,27 +89,21 @@ def _parse_choice(choices) -> Callable[[str, str, str], str]:
     def parse(sec: str, key: str, raw: str) -> str:
         val = raw.strip()
         if val not in choices:
-            hint = _nearest(val, choices)
-            raise ScenarioError(
-                f"[{sec}] {key}: unknown value {val!r};{hint} valid: {', '.join(choices)}"
-            )
+            raise ScenarioError(f"[{sec}] {key}: " + _unknown(f"value {val!r}", val, choices))
         return val
 
     return parse
 
 
-def _parse_kinded(kinds: dict[str, int]) -> Callable[[str, str, str], tuple]:
+def _parse_kinded(kinds: dict[str, Kind]) -> Callable[[str, str, str], tuple]:
     def parse(sec: str, key: str, raw: str) -> tuple:
         toks = raw.split()
         if not toks:
             raise ScenarioError(f"[{sec}] {key}: empty value")
         kind = toks[0]
         if kind not in kinds:
-            hint = _nearest(kind, kinds)
-            raise ScenarioError(
-                f"[{sec}] {key}: unknown kind {kind!r};{hint} valid: {', '.join(kinds)}"
-            )
-        arity = kinds[kind]
+            raise ScenarioError(f"[{sec}] {key}: " + _unknown(f"kind {kind!r}", kind, kinds))
+        arity = kinds[kind].arity
         if len(toks) - 1 != arity:
             raise ScenarioError(
                 f"[{sec}] {key}: kind {kind!r} takes {arity} argument(s), "
@@ -152,10 +128,57 @@ def _parse_str(sec: str, key: str, raw: str) -> str:
     return val
 
 
-def _key(sec: str, key: str, parse: Callable, default=MISSING, least: int | None = None):
+def _key(sec: str, key: str, parse: Callable, default=MISSING, least: int | None = None, **kinded):
     """A field read from ``[sec] key`` by ``parse``; ``least`` is an inclusive lower bound."""
-    meta = {"section": sec, "key": key, "parse": parse, "least": least}
+    meta = {"section": sec, "key": key, "parse": parse, "least": least, "kinds": None} | kinded
     return field(default=default, metadata=meta)
+
+
+def _kinded(sec: str, key: str, kinds: dict[str, Kind], default: tuple, n: str = "driver_dim"):
+    """A ``kind arg ...`` field; its kinds take the field named ``n`` as channel dimension."""
+    return _key(sec, key, _parse_kinded(kinds), default, kinds=kinds, n=n)
+
+
+def _constant_diffusion(mat: np.ndarray) -> Callable:
+    return lambda t, x, mu: np.broadcast_to(mat, (x.shape[0],) + mat.shape)
+
+
+# The kinds of the other composite keys, in the unknown-kind message's order; they
+# build (drift or None, measure-free), the diffusion or None, a sampler or g(x_T).
+_DRIFT_KINDS = {
+    "none": Kind(0, lambda d, n: (None, True)),
+    "linear": Kind(1, lambda d, n, a: ((lambda t, x, mu: a * x), True)),
+    "linear_mean": Kind(
+        2, lambda d, n, a, c: ((lambda t, x, mu: a * x + c * mu.mean()[None, :]), False)
+    ),
+    "tanh": Kind(1, lambda d, n, a: ((lambda t, x, mu: a * np.tanh(x)), True)),
+}
+_SIGMA_KINDS = {
+    "none": Kind(0, lambda d, n: None),
+    "constant": Kind(1, lambda d, n, s: _constant_diffusion(s * np.eye(d, n))),
+}
+_INITIAL_KINDS = {
+    "point": Kind(1, lambda d, n, x0: lambda rng, k: np.full((k, d), x0)),
+    "gaussian": Kind(
+        2,
+        lambda d, n, mean, std: lambda rng, k: mean + std * rng.standard_normal((k, d)),
+        lambda d, n, mean, std: None if std > 0 else "gaussian std must be positive",
+    ),
+    "uniform": Kind(
+        2,
+        lambda d, n, lo, hi: lambda rng, k: rng.uniform(lo, hi, size=(k, d)),
+        lambda d, n, lo, hi: None if lo < hi else "uniform needs lo < hi",
+    ),
+}
+_TERMINAL_KINDS = {
+    "identity": Kind(0, lambda d, n: lambda x: x.sum(axis=1)),
+    "square": Kind(0, lambda d, n: lambda x: np.sum(x**2, axis=1)),
+    "gauss": Kind(
+        2,
+        lambda d, n, c, w: lambda x: np.exp(-0.5 * np.sum((x - c) ** 2, axis=1) / w**2),
+        lambda d, n, c, w: None if w > 0 else "gauss width must be positive",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -177,32 +200,34 @@ class Scenario:
     alpha: float = _key("driver", "alpha", _parse_float, 0.4)
     convention: str = _key("driver", "convention", _parse_choice(_CONVENTIONS), "stratonovich")
     driver_scale: float = _key("driver", "scale", _parse_float, 1.0)
-    drift: tuple = _key("coefficients", "drift", _parse_kinded(_DRIFT_KINDS), ("none",))
-    sigma: tuple = _key("coefficients", "sigma", _parse_kinded(_SIGMA_KINDS), ("none",))
-    rough: tuple = _key("coefficients", "rough", _parse_kinded(_ROUGH_KINDS), ("none",))
+    drift: tuple = _kinded("coefficients", "drift", _DRIFT_KINDS, ("none",))
+    sigma: tuple = _kinded("coefficients", "sigma", _SIGMA_KINDS, ("none",), n="brownian_dim")
+    rough: tuple = _kinded("coefficients", "rough", ROUGH_KINDS, ("none",))
     particles: int = _key("particles", "count", _parse_int, 256, least=1)
     particle_counts: tuple[int, ...] = _key(
         "particles", "count_list", _parse_int_list, (250, 1000, 4000)
     )
-    initial: tuple = _key(
-        "particles", "initial", _parse_kinded(_INITIAL_KINDS), ("gaussian", 0.0, 1.0)
-    )
+    initial: tuple = _kinded("particles", "initial", _INITIAL_KINDS, ("gaussian", 0.0, 1.0))
     scheme: str = _key("particles", "scheme", _parse_choice(SCHEMES), SCHEME_FULL)
     backward_samples: int = _key("backward", "samples", _parse_int, 4096, least=2)
-    terminal: tuple = _key("backward", "terminal", _parse_kinded(_TERMINAL_KINDS), ("identity",))
+    terminal: tuple = _kinded("backward", "terminal", _TERMINAL_KINDS, ("identity",))
     x_points: int = _key("backward", "x_points", _parse_int, 33, least=4)
     time_points: int = _key("backward", "time_points", _parse_int, 5, least=2)
 
 
+_FIELDS: dict[str, Field] = {f.name: f for f in fields(Scenario)}
 # section -> key -> field, in declaration order
 _SECTIONS: dict[str, dict[str, Field]] = {}
-for _f in fields(Scenario):
+for _f in _FIELDS.values():
     _SECTIONS.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = _f
 
 
-def _nearest(word: str, options) -> str:
+def _unknown(what: str, word: str, options) -> str:
+    """``unknown <what>``, the nearest of ``options`` to ``word`` if any is
+    near, and every option."""
     close = difflib.get_close_matches(word, list(options), n=1)
-    return f" did you mean {close[0]!r}?" if close else ""
+    hint = f" did you mean {close[0]!r}?" if close else ""
+    return f"unknown {what};{hint} valid: {', '.join(options)}"
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -218,17 +243,11 @@ def parse_scenario_text(text: str) -> Scenario:
     values: dict[str, object] = {}
     for sec in cp.sections():
         if sec not in _SECTIONS:
-            raise ScenarioError(
-                f"unknown section [{sec}];{_nearest(sec, _SECTIONS)} "
-                f"valid: {', '.join(_SECTIONS)}"
-            )
+            raise ScenarioError(_unknown(f"section [{sec}]", sec, _SECTIONS))
         keys = _SECTIONS[sec]
         for key, raw in cp.items(sec):
             if key not in keys:
-                raise ScenarioError(
-                    f"unknown key {key!r} in [{sec}];{_nearest(key, keys)} "
-                    f"valid: {', '.join(keys)}"
-                )
+                raise ScenarioError(_unknown(f"key {key!r} in [{sec}]", key, keys))
             values[keys[key].name] = keys[key].metadata["parse"](sec, key, raw)
 
     for f in fields(Scenario):
@@ -260,22 +279,10 @@ def _validate(sc: Scenario) -> None:
         raise bad("grid", "horizon", "must be positive")
     if not (ALPHA_MIN < sc.alpha <= ALPHA_MAX):
         raise bad("driver", "alpha", f"must lie in (1/3, 1/2], got {sc.alpha}")
-    if sc.initial[0] == "gaussian" and sc.initial[2] <= 0:
-        raise bad("particles", "initial", "gaussian std must be positive")
-    if sc.initial[0] == "uniform" and sc.initial[1] >= sc.initial[2]:
-        raise bad("particles", "initial", "uniform needs lo < hi")
-    if sc.terminal[0] == "gauss" and sc.terminal[2] <= 0:
-        raise bad("backward", "terminal", "gauss width must be positive")
-
-    state_channel = {"linear_state", "sin_state"}
-    if sc.rough[0] in state_channel and sc.dim != sc.driver_dim:
-        raise bad("coefficients", "rough", f"{sc.rough[0]} needs dim == driver_dim")
-    if sc.rough[0] in ("moment_sin", "convolution_gauss") and (
-        sc.dim != 1 or sc.driver_dim != 1
-    ):
-        raise bad("coefficients", "rough", f"{sc.rough[0]} is implemented for dim = driver_dim = 1")
-    if sc.rough[0] == "convolution_gauss" and sc.rough[2] <= 0:
-        raise bad("coefficients", "rough", "kernel width must be positive")
+    for f in fields(sc):
+        why = f.metadata["kinds"] and _kind_call(sc, f.name, "refuse")
+        if why:
+            raise bad(f.metadata["section"], f.metadata["key"], why)
 
     if sc.experiment == "duality":
         if not build_coefficients(sc).measure_free:
@@ -380,108 +387,26 @@ def build_driver(
     return rp
 
 
-def _drift_callable(sc: Scenario) -> tuple[Callable | None, bool]:
-    kind = sc.drift[0]
-    if kind == "none":
-        return None, True
-    if kind == "linear":
-        a = sc.drift[1]
-        return (lambda t, x, mu: a * x), True
-    if kind == "tanh":
-        a = sc.drift[1]
-        return (lambda t, x, mu: a * np.tanh(x)), True
-    if kind == "linear_mean":
-        a, c = sc.drift[1], sc.drift[2]
-        return (lambda t, x, mu: a * x + c * mu.mean()[None, :]), False
-    raise AssertionError(kind)
-
-
-def _sigma_callable(sc: Scenario) -> Callable | None:
-    kind = sc.sigma[0]
-    if kind == "none":
-        return None
-    s = sc.sigma[1]
-    mat = s * np.eye(sc.dim, sc.brownian_dim)
-    return lambda t, x, mu: np.broadcast_to(mat, (x.shape[0],) + mat.shape)
-
-
-def _rough_family(sc: Scenario) -> RoughFamily | None:
-    kind = sc.rough[0]
-    d, n = sc.dim, sc.driver_dim
-    if kind == "none":
-        return None
-    if kind == "constant":
-        return constant_rough(sc.rough[1] * np.eye(d, n))
-    if kind == "linear_state":
-        return linear_state_family(sc.rough[1], d, n)
-    if kind == "sin_state":
-        c = sc.rough[1]
-        # channel kap is driven by state coordinate kap alone
-        sel = np.eye(d, n)
-        diag = np.eye(d)[:, :, None] * sel[None, :, :]   # (d, d, n) selector
-
-        def jet(t, x):
-            return (
-                c * np.sin(x)[:, :, None] * sel[None, :, :],
-                c * np.cos(x)[:, :, None, None] * diag[None, :, :, :],
-            )
-
-        return measure_free_family(d, n, jet)
-    if kind == "moment_sin":
-        return moment_sin_family(sc.rough[1], sc.rough[2])
-    if kind == "convolution_gauss":
-        a, w = sc.rough[1], sc.rough[2]
-        w2 = w * w
-
-        def kernel(t, x, y, order):
-            u = x - y
-            e = np.exp(-0.5 * u**2 / w2)
-            if not order:
-                return ((a * e)[:, :, :, None],)
-            r = u / w2
-            return (
-                (a * e)[:, :, :, None],
-                (-r * a * e)[:, :, :, None, None],
-                (r * a * e)[:, :, :, None, None],
-            )
-
-        return convolution_family(1, 1, kernel)
-    raise AssertionError(kind)
+def _kind_call(sc: Scenario, name: str, part: str = "build"):
+    """Call ``part`` (``build`` or ``refuse``) of the kind of composite field
+    ``name`` with ``(d, n, *args)``; a kind without a refusal refuses nothing."""
+    f = _FIELDS[name]
+    kind, *args = getattr(sc, name)
+    call = getattr(f.metadata["kinds"][kind], part)
+    return call and call(sc.dim, getattr(sc, f.metadata["n"]), *args)
 
 
 def build_coefficients(sc: Scenario) -> CoefficientSet:
-    drift, drift_free = _drift_callable(sc)
+    drift, drift_free = _kind_call(sc, "drift")
     return coefficient_set(
-        sc.dim,
-        sc.brownian_dim,
-        sc.driver_dim,
-        drift=drift,
-        diffusion=_sigma_callable(sc),
-        rough=_rough_family(sc),
-        drift_measure_free=drift_free,
+        sc.dim, sc.brownian_dim, sc.driver_dim, drift=drift, diffusion=_kind_call(sc, "sigma"),
+        rough=_kind_call(sc, "rough"), drift_measure_free=drift_free,
     )
 
 
 def build_initial_sampler(sc: Scenario) -> Callable[[np.random.Generator, int], np.ndarray]:
-    kind = sc.initial[0]
-    d = sc.dim
-    if kind == "point":
-        x0 = sc.initial[1]
-        return lambda rng, n: np.full((n, d), x0)
-    if kind == "gaussian":
-        mean, std = sc.initial[1], sc.initial[2]
-        return lambda rng, n: mean + std * rng.standard_normal((n, d))
-    lo, hi = sc.initial[1], sc.initial[2]
-    return lambda rng, n: rng.uniform(lo, hi, size=(n, d))
+    return _kind_call(sc, "initial")
 
 
 def build_terminal(sc: Scenario) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
-    kind = sc.terminal[0]
-    if kind == "identity":
-        return kind, lambda x: x.sum(axis=1)
-    if kind == "square":
-        return kind, lambda x: np.sum(x**2, axis=1)
-    center, width = sc.terminal[1], sc.terminal[2]
-    return kind, lambda x: np.exp(
-        -0.5 * np.sum((x - center) ** 2, axis=1) / width**2
-    )
+    return sc.terminal[0], _kind_call(sc, "terminal")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import gauss_kernel_family, linear_signal_family, mean_coupled_sin_family
 
 from roughmkv.coefficients import (
+    ROUGH_KINDS,
     RoughFamily,
     _area_tensor,
     area_coefficient,
@@ -29,9 +30,9 @@ def cloud(seed: int, n: int, d: int = 1) -> EmpiricalMeasure:
     return EmpiricalMeasure(np.random.default_rng(seed).standard_normal((n, d)))
 
 
-def scenario_family(rough: str):
+def scenario_family(rough: str, dim: int = 1):
     sc = parse_scenario_text(
-        "[scenario]\nname = j\nexperiment = diagnostics\n"
+        f"[scenario]\nname = j\nexperiment = diagnostics\ndim = {dim}\ndriver_dim = {dim}\n"
         f"[coefficients]\nrough = {rough}\n"
     )
     return build_coefficients(sc).rough
@@ -131,6 +132,8 @@ JET_CASES = {
     "linear_state": (lambda: linear_state_family(0.7, 3, 2), "free", ref_linear_state(0.7, 3, 2)),
     "linear_signal": (lambda: linear_signal_family(0.5), "free", ref_linear_state(0.5, 1, 1)),
     "sin_state": (lambda: scenario_family("sin_state 0.8"), "free", ref_sin_state(0.8, 1, 1)),
+    "sin_state_2": (lambda: scenario_family("sin_state 0.8", 2), "free", ref_sin_state(0.8, 2, 2)),
+    "sin_state_3": (lambda: scenario_family("sin_state 0.8", 3), "free", ref_sin_state(0.8, 3, 3)),
     "moment_sin": (lambda: moment_sin_family(0.5, 0.4), "moment", ref_moment_sin(0.5, 0.4)),
     "scenario_moment_sin": (
         lambda: scenario_family("moment_sin 0.3 0.7"), "moment", ref_moment_sin(0.3, 0.7),
@@ -175,6 +178,18 @@ def test_jet_equals_the_separate_formulas(name):
 
 # ---------------------------------------------------------------------------
 # evaluation oracles
+
+
+def test_every_rough_builder_fits_the_dimensions_its_refusal_accepts():
+    for kind, entry in ROUGH_KINDS.items():
+        args = (0.5, 0.7)[: entry.arity]
+        dims = [(d, n) for d in (1, 2, 3) for n in (1, 2, 3)]
+        accepted = [(d, n) for d, n in dims if not (entry.refuse and entry.refuse(d, n, *args))]
+        assert accepted, kind
+        for d, n in accepted:
+            fam = entry.build(d, n, *args)
+            assert (fam.dim, fam.channels) == (d, n), kind
+            assert coefficient_set(d, 1, n, rough=fam).rough is fam
 
 
 def test_moment_family_evaluates_through_the_mean():

@@ -72,9 +72,112 @@ def test_unknown_kind_suggests_nearest():
         parse_scenario_text(text)
 
 
-def test_kind_arity_is_checked():
-    with pytest.raises(ScenarioError, match="argument"):
-        parse_scenario_text(MINIMAL + "\n[coefficients]\ndrift = linear\n")
+# (section, key) -> kind -> arity, every kind of every composite key in
+# the order the unknown-kind message lists them
+KIND_ARITY = {
+    ("coefficients", "drift"): {"none": 0, "linear": 1, "linear_mean": 2, "tanh": 1},
+    ("coefficients", "sigma"): {"none": 0, "constant": 1},
+    ("coefficients", "rough"): {
+        "none": 0, "constant": 1, "linear_state": 1, "sin_state": 1,
+        "moment_sin": 2, "convolution_gauss": 2,
+    },
+    ("particles", "initial"): {"point": 1, "gaussian": 2, "uniform": 2},
+    ("backward", "terminal"): {"identity": 0, "square": 0, "gauss": 2},
+}
+# arguments every kind accepts at dim = brownian_dim = driver_dim = 1
+KIND_ARGS = ("0.25", "0.5", "0.75")
+
+
+@pytest.mark.parametrize(
+    "section, key, kind, arity",
+    [
+        pytest.param(sec, key, kind, arity, id=f"{key}-{kind}")
+        for (sec, key), kinds in KIND_ARITY.items()
+        for kind, arity in kinds.items()
+    ],
+)
+def test_kind_arity_is_checked(section, key, kind, arity):
+    def text(count):
+        return MINIMAL + f"[{section}]\n{key} = {' '.join((kind,) + KIND_ARGS[:count])}\n"
+
+    sc = parse_scenario_text(text(arity))
+    assert getattr(sc, key) == (kind,) + tuple(float(a) for a in KIND_ARGS[:arity])
+    build_coefficients(sc)
+    assert build_initial_sampler(sc)(np.random.default_rng(0), 3).shape == (3, 1)
+    assert build_terminal(sc)[1](np.zeros((3, 1))).shape == (3,)
+    for got in (arity - 1, arity + 1):
+        if got < 0:
+            continue
+        want = f"[{section}] {key}: kind {kind!r} takes {arity} argument(s), got {got}"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_text(text(got))
+        assert str(exc.value) == want
+
+
+def dims_text(dim: int, driver_dim: int, section: str, line: str) -> str:
+    return (
+        f"[scenario]\nname = k\nexperiment = diagnostics\ndim = {dim}\n"
+        f"driver_dim = {driver_dim}\n[{section}]\n{line}\n"
+    )
+
+
+# every refusal a kind makes: (dim, driver_dim, section, line, reason); the
+# whole message is "[section] key: reason"
+KIND_REFUSALS = [
+    *(
+        (d, n, "coefficients", f"rough = {kind} 0.5", f"{kind} needs dim == driver_dim")
+        for kind in ("linear_state", "sin_state")
+        for d, n in ((2, 1), (1, 2), (3, 2))
+    ),
+    *(
+        (d, n, "coefficients", f"rough = {kind} 0.5 0.7",
+         f"{kind} is implemented for dim = driver_dim = 1")
+        for kind in ("moment_sin", "convolution_gauss")
+        for d, n in ((2, 1), (1, 2), (2, 2))
+    ),
+    *(
+        (1, 1, "coefficients", f"rough = convolution_gauss 0.5 {w}",
+         "kernel width must be positive")
+        for w in ("0", "-0.5")
+    ),
+    *(
+        (1, 1, "particles", f"initial = gaussian 0.0 {s}", "gaussian std must be positive")
+        for s in ("0", "-1.0")
+    ),
+    *(
+        (1, 1, "particles", f"initial = uniform {lo} {hi}", "uniform needs lo < hi")
+        for lo, hi in (("1.0", "1.0"), ("2.0", "1.0"))
+    ),
+    *(
+        (1, 1, "backward", f"terminal = gauss 0.0 {w}", "gauss width must be positive")
+        for w in ("0", "-0.5")
+    ),
+    *(
+        (1, 1, sec, f"{key} = xyzzy 1.0", f"unknown kind 'xyzzy'; valid: {', '.join(kinds)}")
+        for (sec, key), kinds in KIND_ARITY.items()
+    ),
+]
+
+
+@pytest.mark.parametrize("dim, driver_dim, section, line, reason", KIND_REFUSALS)
+def test_kind_refusals_are_pinned(dim, driver_dim, section, line, reason):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario_text(dims_text(dim, driver_dim, section, line))
+    assert str(exc.value) == f"[{section}] {line.split()[0]}: {reason}"
+
+
+def test_several_kind_refusals_report_the_first_declared_key():
+    # each file breaks the rules of the keys from the i-th on, in declaration order
+    broken = [
+        ("coefficients", "rough = convolution_gauss 0.5 0", "rough: kernel width must be positive"),
+        ("particles", "initial = uniform 1.0 1.0", "initial: uniform needs lo < hi"),
+        ("backward", "terminal = gauss 0.0 0", "terminal: gauss width must be positive"),
+    ]
+    for i, (_, _, want) in enumerate(broken):
+        text = MINIMAL + "".join(f"[{sec}]\n{line}\n" for sec, line, _ in broken[i:])
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_text(text)
+        assert str(exc.value) == f"[{broken[i][0]}] {want}"
 
 
 def test_type_errors_name_section_and_key():
@@ -237,6 +340,20 @@ def test_readme_scenario_example_parses():
     assert sc.drift == ("linear_mean", -0.5, 0.25)
     assert sc.sigma == ("constant", 0.3)
     assert sc.rough == ("moment_sin", 0.5, 0.4)
+
+
+def test_readme_lists_every_kind_of_every_composite_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed: dict[str, list[str]] = {}
+    for key, kind in re.findall(r"^\| `(\[\w+\] \w+)` +\| `(\w+)` +\|", readme, re.M):
+        listed.setdefault(key, []).append(kind)
+    tables = {
+        f"[{f.metadata['section']}] {f.metadata['key']}": list(f.metadata["kinds"])
+        for f in fields(Scenario)
+        if f.metadata["kinds"]
+    }
+    assert tables == {f"[{sec}] {k}": list(kinds) for (sec, k), kinds in KIND_ARITY.items()}
+    assert listed == tables
 
 
 # ---------------------------------------------------------------------------
