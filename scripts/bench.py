@@ -1,0 +1,199 @@
+"""Layer micro-benchmarks of the package, timed in process time.
+
+Three layers that dominate the bundled runs, each timed in this process on
+fixed inputs:
+
+``increments``  ``simulate.idiosyncratic_increments``, microseconds per particle
+``forward``     ``simulate.simulate`` on increments drawn beforehand, keeping
+                the last cloud only, nanoseconds per particle-step
+``backward``    ``backward.solve_backward_fk`` from one start time,
+                nanoseconds per path-step
+
+The first two sweep the particle count N from 250 to 64 000 on the bundle of
+the scenario benchmark's ``chaos_ladder`` workload (64 cells, ``moment_sin``
+signal coefficient); the backward sampler runs the bundle of its
+``duality_mc`` workload on 33 lattice points x 1 024 samples x 64 cells.
+Each round times every case once, in a fixed round-robin order, so a drift
+of the host's speed spreads over all of them; one untimed round runs first.
+Each case reports the best and the median of its rounds and the spread,
+(q75 - q25) / median.  The JSON file also records the core count and the
+Python, numpy and scipy versions.
+
+    python3 scripts/bench.py --out BENCH.json
+    python3 scripts/bench.py --compare OLD.json
+"""
+
+import argparse
+import importlib.metadata
+import json
+import os
+import pathlib
+import platform
+import sys
+import time
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from roughmkv.backward import solve_backward_fk  # noqa: E402
+from roughmkv.grids import TimeGrid  # noqa: E402
+from roughmkv.scenario import (  # noqa: E402
+    build_coefficients,
+    build_driver,
+    build_initial_sampler,
+    build_terminal,
+    parse_scenario_text,
+)
+from roughmkv.simulate import SimulationConfig, idiosyncratic_increments, simulate  # noqa: E402
+
+COUNTS = (250, 1000, 4000, 16000, 64000)
+
+FORWARD = """
+[scenario]
+name = bench_forward
+experiment = chaos_scan
+[grid]
+cells = 64
+[driver]
+driver_seed = 3
+refinement = 16
+[coefficients]
+drift = linear -0.3
+sigma = constant 0.5
+rough = moment_sin 0.5 0.4
+"""
+
+BACKWARD = """
+[scenario]
+name = bench_backward
+experiment = duality
+[grid]
+cells = 64
+[driver]
+driver_seed = 5
+refinement = 16
+[coefficients]
+drift = linear -0.4
+sigma = constant 0.3
+rough = linear_state 0.25
+[backward]
+terminal = square
+"""
+LATTICE_POINTS, SAMPLES = 33, 1024
+
+
+def forward_cases() -> list:
+    """``(name, unit, work, scale, run)`` per increments and forward case."""
+    sc = parse_scenario_text(FORWARD)
+    grid = TimeGrid.uniform(sc.horizon, sc.cells)
+    rp = build_driver(sc, grid)
+    coeffs = build_coefficients(sc)
+    cases = []
+    for n in COUNTS:
+        config = SimulationConfig(
+            particle_count=n, grid=grid, seed=1, dim=sc.dim, brownian_dim=sc.brownian_dim,
+            driver_dim=sc.driver_dim, initial_sampler=build_initial_sampler(sc),
+        )
+
+        def increments(n=n):
+            return idiosyncratic_increments(1, n, grid, sc.brownian_dim)
+
+        def forward(config=config, incs=increments()):   # drawn once, untimed
+            return simulate(config, coeffs, rp, brownian=incs, final_only=True)
+
+        cases.append((f"increments.n{n}", "us/particle", n, 1e6, increments))
+        cases.append((f"forward.n{n}", "ns/particle-step", n * grid.num_cells, 1e9, forward))
+    return cases
+
+
+def backward_case() -> tuple:
+    sc = parse_scenario_text(BACKWARD)
+    grid = TimeGrid.uniform(sc.horizon, sc.cells)
+    rp = build_driver(sc, grid)
+    coeffs = build_coefficients(sc)
+    name, terminal = build_terminal(sc)
+    axes = [np.linspace(-2.0, 2.0, LATTICE_POINTS)]
+
+    def run():
+        return solve_backward_fk(coeffs, rp, terminal, axes, [0.0], SAMPLES, seed=7,
+                                 terminal_name=name)
+
+    return ("backward", "ns/path-step", LATTICE_POINTS * SAMPLES * grid.num_cells, 1e9, run)
+
+
+def measure(rounds: int) -> dict:
+    cases = forward_cases() + [backward_case()]
+    samples = {name: [] for name, *_ in cases}
+    for r in range(rounds + 1):
+        for name, _, work, scale, run in cases:
+            start = time.process_time()
+            run()
+            if r:                                   # round 0 warms up
+                samples[name].append((time.process_time() - start) * scale / work)
+    out = {}
+    for name, unit, work, _, _ in cases:
+        s = np.array(samples[name])
+        q25, median, q75 = np.percentile(s, [25, 50, 75])
+        out[name] = {"unit": unit, "work": work, "best": float(s.min()),
+                     "median": float(median), "spread": float((q75 - q25) / median),
+                     "samples": s.tolist()}
+    return out
+
+
+def environment() -> dict:
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": importlib.metadata.version("scipy"),
+            "clock": "process_time"}
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """One line per case in both files: the new/old ratios of median and best,
+    each side's spread, and whether the medians differ by more than the old
+    file's quartile distance."""
+    lines = [f"{'case':<18}{'unit':<18}{'old med':>10}{'new med':>10}"
+             f"{'ratio':>8}{'best':>8}{'old spr':>9}{'new spr':>9}  verdict"]
+    for name, b in new["cases"].items():
+        a = old["cases"].get(name)
+        if a is None:
+            continue
+        iqr = a["spread"] * a["median"]
+        verdict = "within spread" if abs(b["median"] - a["median"]) <= iqr else (
+            "faster" if b["median"] < a["median"] else "slower")
+        lines.append(
+            f"{name:<18}{b['unit']:<18}{a['median']:>10.4g}{b['median']:>10.4g}"
+            f"{b['median'] / a['median']:>8.3f}{b['best'] / a['best']:>8.3f}"
+            f"{a['spread']:>9.3f}{b['spread']:>9.3f}  {verdict}"
+        )
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--rounds", type=int, default=7, help="timed rounds per case")
+    ap.add_argument("--out", help="write the results as JSON here")
+    ap.add_argument("--compare", metavar="OLD.json", help="print ratios against an earlier file")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be >= 1")
+
+    result = {"environment": environment(), "rounds": args.rounds,
+              "cases": measure(args.rounds)}
+    for name, c in result["cases"].items():
+        print(f"{name:<18}{c['unit']:<18}best {c['best']:10.4g}  median {c['median']:10.4g}"
+              f"  spread {c['spread']:.3f}")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as fh:
+            old = json.load(fh)
+        print(f"against {args.compare} ({old['environment']})")
+        print("\n".join(compare(old, result)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

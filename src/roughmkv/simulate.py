@@ -252,7 +252,7 @@ def simulate(
     be ``(N, K, m)``.  With an ``observer``, every step computes its
     ``StepReport`` and passes it to ``observer`` in grid order, before the
     step's finiteness check, so the step that blew up is observed too.
-    Raises ``NumericalBlowup`` at the first non-finite state.
+    Raises ``NumericalBlowup`` at the first non-finite state, initial cloud included.
     """
     if rp.grid is not config.grid and not np.array_equal(
         rp.grid.points, config.grid.points
@@ -273,6 +273,7 @@ def simulate(
     history = buf.reshape(-1, N, d)
     rows = history.shape[0]
     history[0] = initial_states(config)
+    check_finite(history[0], float(config.grid.points[0]))
     if brownian is None:
         brownian = idiosyncratic_increments(config.seed, N, config.grid, config.brownian_dim)
     brownian = np.asarray(brownian, dtype=np.float64)

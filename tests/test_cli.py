@@ -1,6 +1,7 @@
 """End-to-end command line behaviour: exit codes, artifacts, reproducibility."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -144,6 +145,20 @@ def test_numerical_abort_exits_three(tmp_path):
     assert summary["driver_checksum"] == read_summary(calm)["driver_checksum"]
 
 
+@pytest.mark.parametrize("rough", ["moment_sin 0.5 0.4", "constant 0.3"])
+def test_non_finite_initial_cloud_exits_three_at_the_first_node(tmp_path, rough):
+    # a std of 1e308 overflows some initial draws to inf; a measure-dependent
+    # step raised ValueError on such a cloud, a measure-free one reported t_1
+    text = FAST_DIAG.replace("linear_state 0.5", rough) + "initial = gaussian 0 1e308\n"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, text, "inf_start")
+    assert code == 3
+    summary = read_summary(out)
+    assert summary["passed"] is False
+    assert summary["aborted_at"] == 0.0
+    assert summary["artifacts"] == []
+
+
 BACKWARD_BOOM = """
 [scenario]
 name = backward_boom
@@ -206,6 +221,26 @@ count = 8
     assert 0.0 < summary["aborted_at"] <= 1.0
     assert summary["driver_checksum"] is None
     assert summary["artifacts"] == []
+
+
+def test_residual_scan_reads_its_noise_from_the_diffusion(tmp_path):
+    # sigma = constant 0.0 builds a diffusion that moves no particle: the
+    # scan runs once, as for sigma = none, and keeps its slope gates
+    bundled = (ROOT / "scenarios" / "residual_scan.ini").read_text(encoding="utf-8")
+    runs = {}
+    for sigma in ("none", "constant 0.0", "constant 0.3"):
+        text = bundled.replace("[coefficients]\n", f"[coefficients]\nsigma = {sigma}\n")
+        code, out = run_cli(tmp_path, text, sigma.replace(" ", "_"), "--no-timestamp",
+                            "--seed-override", "21")
+        runs[sigma] = code, (out / "residuals.csv").read_bytes(), read_summary(out)
+    none, zero, noisy = runs.values()
+    assert zero[:2] == none[:2] and none[0] == 0
+    assert zero[2]["invariants"] == none[2]["invariants"]
+    assert len([k for k in none[2]["invariants"] if k.startswith("slope[")]) == 5
+    # a noisy scan adds two replicate seeds: a noise floor, and no slope gate
+    assert list(noisy[2]["invariants"]) == ["slopes_reported"]
+    floors = [row.split(",")[-1] for row in noisy[1].decode().splitlines()[1:]]
+    assert any(float(f) > 0 for f in floors)
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +471,23 @@ def test_run_experiments_reports_a_non_utf8_scenario_and_runs_the_rest(tmp_path)
     assert f"error: {scenarios / 'a_latin1.ini'}: not UTF-8 text" in done.stderr
     assert "a_latin1: exit 1" in done.stdout and "b_valid: exit 0" in done.stdout
     assert (tmp_path / "out" / "b_valid" / "summary.json").is_file()
+
+
+def test_bench_compare_reads_medians_against_the_old_quartiles():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def case(median, spread):
+        return {"unit": "ns", "work": 1, "best": 0.5 * median, "median": median,
+                "spread": spread, "samples": []}
+
+    old = {"cases": {"a": case(100.0, 0.1), "b": case(100.0, 0.1), "c": case(100.0, 0.1),
+                     "gone": case(1.0, 0.0)}}
+    new = {"cases": {"a": case(109.0, 0.3), "b": case(80.0, 0.3), "c": case(125.0, 0.3),
+                     "added": case(1.0, 0.0)}}
+    _, *rows = bench.compare(old, new)
+    # only cases in both files; the old quartile distance is 10 ns
+    assert [row.split()[0] for row in rows] == ["a", "b", "c"]
+    assert [row.split("  ")[-1] for row in rows] == ["within spread", "faster", "slower"]
+    assert rows[1].split()[4:8] == ["0.800", "0.800", "0.100", "0.300"]

@@ -1,8 +1,10 @@
-"""Every name a package module or script imports is used there or
-re-exported, and no module or script reads another object's private
-attribute."""
+"""Every name a package module or script imports is used there or listed
+in its ``__all__``, no module or script reads another object's private
+attribute, and the package file re-exports nothing: the submodules are the
+API."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -35,10 +37,29 @@ def test_checker_finds_a_dead_import():
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
-# everything the package ``__init__`` imports is its public surface
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
-    (ROOT / "scripts").glob("*.py")
-)
+# each submodule's ``__all__`` is its public surface; ``__init__`` holds none
+SUBMODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = SUBMODULES + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def test_package_file_is_its_module_map_and_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+    doc, *rest = tree.body
+    assert ast.get_docstring(tree) is not None
+    assert [type(n).__name__ for n in rest] == ["Assign"]
+    assert [ast.unparse(t) for t in rest[0].targets] == ["__version__"]
+    # the docstring's module map names every submodule
+    assert [p.stem for p in SUBMODULES if f"``{p.stem}``" not in doc.value.value] == []
+
+
+@pytest.mark.parametrize("path", SUBMODULES, ids=lambda p: p.stem)
+def test_no_package_attribute_shadows_a_submodule(path):
+    # ``import roughmkv.<name> as m`` binds the package attribute, so it
+    # must be the submodule itself
+    package = importlib.import_module("roughmkv")
+    module = importlib.import_module(f"roughmkv.{path.stem}")
+    assert getattr(package, path.stem) is module
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

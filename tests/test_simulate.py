@@ -650,6 +650,26 @@ def test_blowup_raises_with_time_stamp():
     assert 0.0 < exc.value.time <= 1.0
 
 
+@pytest.mark.parametrize("final_only", [False, True])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["measure_free", "moment"])
+def test_a_non_finite_initial_cloud_blows_up_at_the_first_node(kind, bad, final_only):
+    # a measure-dependent step would refuse the cloud with a ValueError, and
+    # a measure-free one would report the first step's end instead
+    family = {"measure_free": constant_rough(np.array([[0.3]])),
+              "moment": moment_sin_family(0.5, 0.4)}[kind]
+    cs = coefficient_set(1, 1, 1, rough=family)
+    cfg = make_config(
+        n=8, cells=8, initial_sampler=lambda r, m: np.where(np.arange(m)[:, None] == 5, bad, 0.0)
+    )
+    reports = []
+    with pytest.raises(NumericalBlowup) as exc:
+        simulate(cfg, cs, brownian_lift(1, 1, cfg.grid, 2), observer=reports.append,
+                 final_only=final_only)
+    assert exc.value.time == 0.0
+    assert reports == []
+
+
 # ---------------------------------------------------------------------------
 # controlled structure diagnostics
 
