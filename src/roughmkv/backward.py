@@ -26,7 +26,7 @@ from .coefficients import CoefficientSet
 from .measures import MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, roughpath_checksum
 from .simulate import advance_states, check_finite
-from .streams import TAG_BACKWARD, substream
+from .streams import TAG_BACKWARD, bulk_stream
 from .tables import read_table, write_table
 
 __all__ = [
@@ -203,6 +203,13 @@ def solve_backward_fk(
     ``terminal_name`` may hold no whitespace, so ``save_backward_csv`` can
     write it into its magic line; both are refused before any sampling.
 
+    Each start time draws its private noise from its own SFC64 stream,
+    ``bulk_stream(seed, TAG_BACKWARD, start)``, in row order, block by
+    block, so neither the block length nor the other start times change its
+    numbers.  These normals are most of the sampler's cost, and SFC64 draws
+    them cheaper than the Philox streams of the driver, the initial cloud and
+    the particles, which keep their numbers.
+
     Requires a measure-free bundle: with measure dependence the backward
     problem stops being a per-path expectation and this representation is
     wrong, so the solver refuses rather than silently drifting.  Raises
@@ -242,7 +249,7 @@ def solve_backward_fk(
     se = np.empty((len(t_idx), P))
     states = np.empty((rows, coeffs.dim))                       # refilled per start time
     for row, start in enumerate(t_idx):
-        rng = substream(seed, TAG_BACKWARD, start)
+        rng = bulk_stream(seed, TAG_BACKWARD, start)
         states.reshape(P, M, -1)[...] = lattice[:, None, :]
         for k in range(start, grid.num_cells):
             h = float(grid.dt[k])

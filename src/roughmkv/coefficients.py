@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .grids import broadcast_view, read_only
 from .measures import EmpiricalMeasure, symmetric_mean
 
 __all__ = [
@@ -194,12 +195,13 @@ def zero_rough(dim: int, channels: int) -> RoughFamily:
 
 def constant_rough(matrix: np.ndarray) -> RoughFamily:
     """Constant coefficient ``f = c``; every derivative vanishes."""
-    c = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    c = read_only(np.atleast_2d(matrix))
+    zero = read_only(0.0)
     d, n = c.shape
 
     def jet(t, x):
         A = x.shape[0]
-        return np.broadcast_to(c, (A, d, n)).copy(), np.broadcast_to(0.0, (A, d, d, n))
+        return broadcast_view(c, (A, d, n)).copy(), broadcast_view(zero, (A, d, d, n))
 
     return measure_free_family(d, n, jet)
 
@@ -208,10 +210,10 @@ def linear_state_family(c: float, d: int, n: int) -> RoughFamily:
     """``f(x)^i_kap = c x_i`` when ``i == kap``, else 0: channel kap is driven
     by state coordinate kap alone."""
     sel = np.eye(d, n)
-    jac = c * (np.eye(d)[:, :, None] * sel[None, :, :])   # (d, d, n) selector, scaled
+    jac = read_only(c * (np.eye(d)[:, :, None] * sel[None, :, :]))   # (d, d, n) selector, scaled
 
     def jet(t, x):
-        return c * x[:, :, None] * sel[None, :, :], np.broadcast_to(jac, (x.shape[0], d, d, n))
+        return c * x[:, :, None] * sel[None, :, :], broadcast_view(jac, (x.shape[0], d, d, n))
 
     return measure_free_family(d, n, jet)
 

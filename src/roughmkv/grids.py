@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["TimeGrid", "read_only", "span_sup"]
+__all__ = ["TimeGrid", "broadcast_view", "read_only", "span_sup"]
 
 
 def read_only(a) -> np.ndarray:
@@ -31,6 +31,19 @@ def read_only(a) -> np.ndarray:
         a = a.copy()
         a.setflags(write=False)
     return a
+
+
+def broadcast_view(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """The read-only ``np.broadcast_to(a, shape)`` of a ``read_only`` array ``a``.
+
+    ``a.shape`` must be the tail of ``shape`` (``()`` for a scalar); the
+    leading axes get stride 0, as ``np.broadcast_to`` gives them, so the view
+    has the same strides and reads the same numbers.  It skips that
+    function's argument handling, which costs several times more than the
+    view when a coefficient is evaluated once per step.  A view of a
+    read-only array is read-only.
+    """
+    return np.ndarray(shape, a.dtype, a, 0, (0,) * (len(shape) - a.ndim) + a.strides)
 
 
 # Absolute slack used when matching a float time to a grid node: generous

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import ROUGH_KINDS, CoefficientSet, Kind, coefficient_set
-from .grids import TimeGrid
+from .grids import TimeGrid, broadcast_view, read_only
 from .roughpath import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -140,7 +140,8 @@ def _kinded(sec: str, key: str, kinds: dict[str, Kind], default: tuple, n: str =
 
 
 def _constant_diffusion(mat: np.ndarray) -> Callable:
-    return lambda t, x, mu: np.broadcast_to(mat, (x.shape[0],) + mat.shape)
+    mat = read_only(mat)
+    return lambda t, x, mu: broadcast_view(mat, (x.shape[0],) + mat.shape)
 
 
 # The kinds of the other composite keys, in the unknown-kind message's order; they

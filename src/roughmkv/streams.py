@@ -1,17 +1,28 @@
 """Deterministic random streams.
 
-All randomness in the package flows through counter-based Philox generators
-keyed by ``(seed, *tags)``.  Tags are small integers naming the consumer (one
-per particle, one for the driving signal, one per backward start time, ...),
-so distinct consumers never share a stream and every draw is reproducible
-from the seed alone, independent of evaluation order.
+Every random draw in the package comes from a generator keyed by ``(seed,
+*tags)``.  Tags are small integers naming the consumer (one per particle, one
+for the driving signal, one per backward start time, ...), so distinct
+consumers never share a stream and every draw is reproducible from the seed
+alone, independent of evaluation order.  ``numpy.random.SeedSequence`` turns
+the tuple into the generator's seed; two bit generators read it:
+
+* counter-based Philox (``substream``, ``normal_rows``) for the driving
+  signal, the initial cloud and each particle's private increments;
+* SFC64 (``bulk_stream``) for the backward sampler, one stream per start
+  time.
+
+The sampler draws tens of millions of normals from a handful of streams, so
+the cost of a normal draw is most of its run time, and SFC64 draws them
+cheaper than Philox.  The other consumers keep Philox, so their streams, and
+every artifact computed from them alone, keep their numbers.
 
 A Philox stream is fixed by its 128-bit key; the counter starts at zero.  The
-key of ``(seed, *tags)`` is what ``numpy.random.SeedSequence`` derives from
-that tuple, so ``substream_keys`` can compute the keys of a whole indexed
-family ``(seed, *tags, i)`` in one array pass, and ``normal_rows`` draws each
-row through one re-keyed generator instead of building a generator per row,
-deriving the keys in blocks of rows.
+key of ``(seed, *tags)`` is what ``SeedSequence`` derives from that tuple, so
+``substream_keys`` can compute the keys of a whole indexed family ``(seed,
+*tags, i)`` in one array pass, and ``normal_rows`` draws each row through one
+re-keyed generator instead of building a generator per row, deriving the
+keys in blocks of rows.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "substream",
+    "bulk_stream",
     "substream_keys",
     "normal_rows",
     "TAG_DRIVER",
@@ -51,10 +63,22 @@ _XSHIFT = 16
 _KEY_BLOCK = 4096
 
 
+def _sequence(seed: int, tags: tuple) -> np.random.SeedSequence:
+    return np.random.SeedSequence((int(seed),) + tuple(int(t) for t in tags))
+
+
 def substream(seed: int, *tags: int) -> np.random.Generator:
-    """Independent generator for the consumer named by ``(seed, *tags)``."""
-    seq = np.random.SeedSequence((int(seed),) + tuple(int(t) for t in tags))
-    return np.random.Generator(np.random.Philox(seq))
+    """Independent Philox generator for the consumer named by ``(seed, *tags)``."""
+    return np.random.Generator(np.random.Philox(_sequence(seed, tags)))
+
+
+def bulk_stream(seed: int, *tags: int) -> np.random.Generator:
+    """Independent SFC64 generator for the consumer named by ``(seed, *tags)``.
+
+    For consumers that draw long runs from few streams; it shares no draw
+    with ``substream`` of the same tags.
+    """
+    return np.random.Generator(np.random.SFC64(_sequence(seed, tags)))
 
 
 def _words(n: int) -> list[int]:

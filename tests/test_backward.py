@@ -30,7 +30,7 @@ from roughmkv.simulate import (
     check_finite,
     simulate,
 )
-from roughmkv.streams import TAG_BACKWARD, substream
+from roughmkv.streams import TAG_BACKWARD, bulk_stream
 
 
 def grid_and_driver(cells=16, seed=5, dim=1):
@@ -129,7 +129,7 @@ def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
     u, se = [], []
     for t in times:
         start = grid.index_of(float(t))
-        rng = substream(seed, TAG_BACKWARD, start)
+        rng = bulk_stream(seed, TAG_BACKWARD, start)
         states = np.repeat(lattice, M, axis=0)
         for k in range(start, grid.num_cells):
             h = float(grid.dt[k])
@@ -193,6 +193,20 @@ def test_blocked_sampler_equals_one_shot_draw(monkeypatch, bundle, block):
     u, se = one_shot_reference(cs, rp, terminal, axes, times, M, 17)
     assert np.array_equal(sol.u, u)
     assert np.array_equal(sol.stderr, se)
+
+
+@pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
+def test_each_start_time_equals_its_solve_alone(bundle):
+    # every start time draws from its own stream and refills its own states,
+    # so the others change none of its numbers
+    rp, cs, axes, M = bundle()
+    times = rp.grid.points[[0, 3, 5, 8]]
+    terminal = lambda x: np.sum(x**2, axis=1)
+    sol = solve_backward_fk(cs, rp, terminal, axes, times, M, 17)
+    for row, t in enumerate(times):
+        alone = solve_backward_fk(cs, rp, terminal, axes, [t], M, 17)
+        assert np.array_equal(sol.u[row], alone.u[0])
+        assert np.array_equal(sol.stderr[row], alone.stderr[0])
 
 
 def test_blowup_in_a_later_block_keeps_its_time(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughmkv.grids import TimeGrid, read_only, span_sup
+from roughmkv.grids import TimeGrid, broadcast_view, read_only, span_sup
 
 
 def test_uniform_layout():
@@ -33,6 +33,18 @@ def test_read_only_keeps_a_frozen_owner_and_copies_the_rest():
         assert held.dtype == np.float64 and held.flags.owndata
         assert not held.flags.writeable and not np.shares_memory(held, given)
     assert writable.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "a, shape",
+    [(0.0, (5, 2, 2, 3)), (np.arange(6.0).reshape(2, 3), (5, 2, 3)), (np.eye(2), (0, 2, 2))],
+)
+def test_broadcast_view_is_broadcast_to_of_a_frozen_array(a, shape):
+    held = read_only(a)
+    got, want = broadcast_view(held, shape), np.broadcast_to(held, shape)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
 
 
 def test_rejects_bad_nodes():
