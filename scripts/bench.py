@@ -15,9 +15,15 @@ signal coefficient); the backward sampler runs the bundle of its
 ``duality_mc`` workload on 33 lattice points x 1 024 samples x 64 cells.
 Each round times every case once, in a fixed round-robin order, so a drift
 of the host's speed spreads over all of them; one untimed round runs first.
-Each case reports the best and the median of its rounds and the spread,
-(q75 - q25) / median.  The JSON file also records the core count and the
-Python, numpy and scipy versions.
+One timed sample repeats its case until it has run at least 50 ms and is
+divided by the number of calls, so a short case is not read off one call of
+a few milliseconds.  Each case reports the best and the median of its rounds
+and the spread, (q75 - q25) / median, and keeps every sample.  The JSON file
+also records the core count and the Python, numpy and scipy versions.
+
+``--compare`` reads both files' quartiles from their samples and calls a case
+``faster`` only when the new q75 lies below the old q25, ``slower`` only when
+the new q25 lies above the old q75, and ``within spread`` otherwise.
 
     python3 scripts/bench.py --out BENCH.json
     python3 scripts/bench.py --compare OLD.json
@@ -82,6 +88,7 @@ rough = linear_state 0.25
 terminal = square
 """
 LATTICE_POINTS, SAMPLES = 33, 1024
+MIN_SAMPLE_S = 0.05
 
 
 def forward_cases() -> list:
@@ -123,15 +130,25 @@ def backward_case() -> tuple:
     return ("backward", "ns/path-step", LATTICE_POINTS * SAMPLES * grid.num_cells, 1e9, run)
 
 
+def per_call(run) -> float:
+    """Process seconds per call of ``run``, over calls filling MIN_SAMPLE_S."""
+    calls, start = 0, time.process_time()
+    while True:
+        run()
+        calls += 1
+        elapsed = time.process_time() - start
+        if elapsed >= MIN_SAMPLE_S:
+            return elapsed / calls
+
+
 def measure(rounds: int) -> dict:
     cases = forward_cases() + [backward_case()]
     samples = {name: [] for name, *_ in cases}
     for r in range(rounds + 1):
         for name, _, work, scale, run in cases:
-            start = time.process_time()
-            run()
+            seconds = per_call(run)
             if r:                                   # round 0 warms up
-                samples[name].append((time.process_time() - start) * scale / work)
+                samples[name].append(seconds * scale / work)
     out = {}
     for name, unit, work, _, _ in cases:
         s = np.array(samples[name])
@@ -150,21 +167,21 @@ def environment() -> dict:
 
 def compare(old: dict, new: dict) -> list[str]:
     """One line per case in both files: the new/old ratios of median and best,
-    each side's spread, and whether the medians differ by more than the old
-    file's quartile distance."""
+    each side's spread, and a verdict that needs the two files' quartile
+    ranges, read from their samples, to be apart."""
     lines = [f"{'case':<18}{'unit':<18}{'old med':>10}{'new med':>10}"
              f"{'ratio':>8}{'best':>8}{'old spr':>9}{'new spr':>9}  verdict"]
     for name, b in new["cases"].items():
         a = old["cases"].get(name)
         if a is None:
             continue
-        iqr = a["spread"] * a["median"]
-        verdict = "within spread" if abs(b["median"] - a["median"]) <= iqr else (
-            "faster" if b["median"] < a["median"] else "slower")
+        (a25, a50, a75), (b25, b50, b75) = (
+            np.percentile(c["samples"], [25, 50, 75]) for c in (a, b))
+        verdict = "faster" if b75 < a25 else "slower" if b25 > a75 else "within spread"
         lines.append(
-            f"{name:<18}{b['unit']:<18}{a['median']:>10.4g}{b['median']:>10.4g}"
-            f"{b['median'] / a['median']:>8.3f}{b['best'] / a['best']:>8.3f}"
-            f"{a['spread']:>9.3f}{b['spread']:>9.3f}  {verdict}"
+            f"{name:<18}{b['unit']:<18}{a50:>10.4g}{b50:>10.4g}"
+            f"{b50 / a50:>8.3f}{b['best'] / a['best']:>8.3f}"
+            f"{(a75 - a25) / a50:>9.3f}{(b75 - b25) / b50:>9.3f}  {verdict}"
         )
     return lines
 

@@ -5,7 +5,9 @@ particle dynamics admits a sampling representation: the value at ``(s, x)``
 is the mean of ``g`` applied to states launched at ``x`` and driven forward
 to the horizon by the *same* signal cells, with fresh private Brownian noise.
 The solver evaluates that representation on a spatial lattice for a set of
-start times.
+start times.  Its paths come in antithetic pairs: the two paths of a pair
+see the same signal and opposite Brownian increments, so each path is still
+an exact sample, and the independent pair means give the standard error.
 
 The duality probe interpolates the value function onto the particles of a
 forward flow sharing the identical signal (checksums are compared, not
@@ -39,9 +41,9 @@ __all__ = [
     "load_backward_csv",
 ]
 
-# Sampled states advance through each grid cell this many rows at a time, so
-# the one-step map's per-point temporaries stay cache-sized; the draws do not
-# depend on it.
+# Sampled states advance through each grid cell this many rows at a time,
+# rounded down to whole antithetic pairs, so the one-step map's per-point
+# temporaries stay cache-sized; the draws do not depend on it.
 _BLOCK_ROWS = 16384
 
 _BACKWARD_MAGIC = "# roughmkv-backward v1"
@@ -203,12 +205,21 @@ def solve_backward_fk(
     ``terminal_name`` may hold no whitespace, so ``save_backward_csv`` can
     write it into its magic line; both are refused before any sampling.
 
-    Each start time draws its private noise from its own SFC64 stream,
-    ``bulk_stream(seed, TAG_BACKWARD, start)``, in row order, block by
-    block, so neither the block length nor the other start times change its
+    ``mc_samples`` must be even and at least 4: the paths come in antithetic
+    pairs, and a standard error needs at least two pairs.  Each start time
+    draws its private noise from its own SFC64 stream,
+    ``bulk_stream(seed, TAG_BACKWARD, start)``, one normal row ``z_r`` per
+    pair and cell, in row order, block by block; path rows ``2r`` and
+    ``2r + 1`` take ``+sqrt(h) z_r`` and ``-sqrt(h) z_r``.  Blocks hold whole
+    pairs, so neither the block length nor the other start times change its
     numbers.  These normals are most of the sampler's cost, and SFC64 draws
     them cheaper than the Philox streams of the driver, the initial cloud and
     the particles, which keep their numbers.
+
+    ``u`` is the mean over a lattice point's M rows.  Pairs never straddle
+    lattice points, so the M/2 pair means of a point are independent, and
+    ``stderr`` is their sample standard deviation (ddof = 1) over
+    ``sqrt(M / 2)``: the exact standard error of ``u``.
 
     Requires a measure-free bundle: with measure dependence the backward
     problem stops being a per-path expectation and this representation is
@@ -220,8 +231,11 @@ def solve_backward_fk(
             "backward sampling representation needs measure-free coefficients; "
             "this bundle depends on the cloud"
         )
-    if mc_samples < 2:
-        raise ValueError("mc_samples must be >= 2 for a standard error")
+    if mc_samples < 4 or mc_samples % 2:
+        raise ValueError(
+            f"mc_samples must be even and >= 4 (antithetic pairs, two for a "
+            f"standard error), got {mc_samples}"
+        )
     axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
     if len(axes) != coeffs.dim:
         raise ValueError(f"need {coeffs.dim} lattice axes, got {len(axes)}")
@@ -242,9 +256,10 @@ def solve_backward_fk(
     M = int(mc_samples)
 
     rows = P * M
-    block = min(_BLOCK_ROWS, rows)
+    block = max(2, min(_BLOCK_ROWS, rows) // 2 * 2)             # whole pairs
     chunk = max(1, _BLOCK_ROWS // M)                            # lattice points per terminal pass
-    db = np.empty((block, coeffs.brownian_dim))                 # reused draw buffer
+    z = np.empty((block // 2, coeffs.brownian_dim))             # one normal row per pair
+    db = np.empty((block // 2, 2, coeffs.brownian_dim))         # the pairs' +/- increments
     u = np.empty((len(t_idx), P))
     se = np.empty((len(t_idx), P))
     states = np.empty((rows, coeffs.dim))                       # refilled per start time
@@ -255,15 +270,20 @@ def solve_backward_fk(
             h = float(grid.dt[k])
             s_t, t_t = float(pts[k]), float(pts[k + 1])
             dw, area = rp.span(k, k + 1)
-            # Blocks walk the rows in order, so the stream is consumed exactly
-            # as one (P*M, m) draw would consume it.
+            # Blocks walk the pairs in order, so the stream is consumed exactly
+            # as one (P*M/2, m) draw would consume it.
             for lo in range(0, rows, block):
                 hi = min(lo + block, rows)
-                buf = db[: hi - lo]
-                rng.standard_normal(out=buf)
-                buf *= np.sqrt(h)
+                half = z[: (hi - lo) // 2]
+                rng.standard_normal(out=half)
+                pairs = db[: half.shape[0]]
+                np.multiply(half, np.sqrt(h), out=pairs[:, 0])
+                np.negative(pairs[:, 0], out=pairs[:, 1])
                 rows_k = states[lo:hi]
-                advance_states(rows_k, coeffs, None, s_t, h, dw, area, buf, out=rows_k)
+                advance_states(
+                    rows_k, coeffs, None, s_t, h, dw, area,
+                    pairs.reshape(hi - lo, -1), out=rows_k,
+                )
                 check_finite(rows_k, t_t)
         # per-point reductions, so whole points per pass change no number
         for lo in range(0, P, chunk):
@@ -271,7 +291,8 @@ def solve_backward_fk(
             vals = np.asarray(terminal(states[lo * M : hi * M]), dtype=np.float64)
             vals = vals.reshape(hi - lo, M)
             u[row, lo:hi] = vals.mean(axis=1)
-            se[row, lo:hi] = vals.std(axis=1, ddof=1) / np.sqrt(M)
+            pair_means = vals.reshape(hi - lo, M // 2, 2).mean(axis=2)
+            se[row, lo:hi] = pair_means.std(axis=1, ddof=1) / np.sqrt(M // 2)
     return BackwardSolution(
         axes=axes,
         times=np.asarray([float(pts[i]) for i in t_idx]),

@@ -210,7 +210,7 @@ class Scenario:
     )
     initial: tuple = _kinded("particles", "initial", _INITIAL_KINDS, ("gaussian", 0.0, 1.0))
     scheme: str = _key("particles", "scheme", _parse_choice(SCHEMES), SCHEME_FULL)
-    backward_samples: int = _key("backward", "samples", _parse_int, 4096, least=2)
+    backward_samples: int = _key("backward", "samples", _parse_int, 4096, least=4)
     terminal: tuple = _kinded("backward", "terminal", _TERMINAL_KINDS, ("identity",))
     x_points: int = _key("backward", "x_points", _parse_int, 33, least=4)
     time_points: int = _key("backward", "time_points", _parse_int, 5, least=2)
@@ -276,6 +276,8 @@ def _validate(sc: Scenario) -> None:
         least = f.metadata["least"]
         if least is not None and getattr(sc, f.name) < least:
             raise bad(f.metadata["section"], f.metadata["key"], f"must be >= {least}")
+    if sc.backward_samples % 2:
+        raise bad("backward", "samples", "must be even (the sampler draws antithetic pairs)")
     if sc.horizon <= 0:
         raise bad("grid", "horizon", "must be positive")
     if not (ALPHA_MIN < sc.alpha <= ALPHA_MAX):

@@ -116,12 +116,62 @@ def test_stderr_shrinks_like_sqrt_mc_budget():
     assert abs(ratio - 0.5) <= 0.15  # 4x samples, about half the error
 
 
+def test_antithetic_pairs_cancel_on_a_linear_terminal():
+    # diffusion only: the two paths of a pair end at x + S and x - S, so every
+    # pair mean is the start point, up to rounding
+    grid, rp = grid_and_driver()
+    cs = coefficient_set(1, 1, 1, diffusion=lambda t, x, mu: 0.3 * np.ones((x.shape[0], 1, 1)))
+    axes = (np.linspace(-1.0, 1.0, 5),)
+    times = grid.points[[0, 8]]
+    sol = solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, times, 64, 4)
+    for row in range(len(times)):
+        assert np.max(np.abs(sol.u[row] - axes[0])) <= 1e-14
+        assert np.all(sol.stderr[row] <= 1e-14)
+
+
+def nonlinear_bundle():
+    """State-dependent drift, diffusion and signal term; 16 cells."""
+    grid, rp = grid_and_driver(cells=16)
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: -0.4 * x + np.sin(3.0 * x),
+        diffusion=lambda t, x, mu: (0.3 + 0.2 * np.cos(x))[:, :, None],
+        rough=linear_state_family(0.25, 1, 1),
+    )
+    return grid, rp, cs
+
+
+@pytest.mark.parametrize(
+    "terminal",
+    [lambda x: x[:, 0] ** 2, lambda x: np.cos(x[:, 0]), lambda x: np.tanh(x[:, 0])],
+    ids=["square", "cosine", "tanh"],
+)
+def test_stderr_matches_the_seed_to_seed_spread(terminal):
+    # the reported standard error is that of u: over 40 seeds the spread of u
+    # is its mean, within the error of a 40-sample spread
+    grid, rp, cs = nonlinear_bundle()
+    axes = (np.linspace(-1.5, 1.5, 5),)
+    sols = [solve_backward_fk(cs, rp, terminal, axes, grid.points[[0]], 256, seed)
+            for seed in range(40)]
+    u = np.array([sol.u[0] for sol in sols])
+    se = np.array([sol.stderr[0] for sol in sols]).mean(axis=0)
+    live = se > 0.0
+    assert np.any(live)
+    ratio = u.std(axis=0, ddof=1)[live] / se[live]
+    assert np.all((0.7 <= ratio) & (ratio <= 1.4)), ratio
+
+
 # ---------------------------------------------------------------------------
 # row blocking changes no number
 
 
 def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
-    """Oracle: every sampled state advanced as one batch, one draw per cell."""
+    """Oracle: every sampled state advanced as one batch, one draw per cell.
+
+    Each cell draws one ``(P*M/2, m)`` normal block; row ``r`` drives path
+    rows ``2r`` (plus) and ``2r + 1`` (minus), and ``stderr`` is the spread
+    of the pair means.
+    """
     grid, pts = rp.grid, rp.grid.points
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
@@ -133,7 +183,9 @@ def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
         states = np.repeat(lattice, M, axis=0)
         for k in range(start, grid.num_cells):
             h = float(grid.dt[k])
-            db = rng.standard_normal((states.shape[0], coeffs.brownian_dim)) * np.sqrt(h)
+            z = rng.standard_normal((states.shape[0] // 2, coeffs.brownian_dim)) * np.sqrt(h)
+            db = np.empty((states.shape[0], coeffs.brownian_dim))
+            db[0::2], db[1::2] = z, -z
             s_t, t_t = float(pts[k]), float(pts[k + 1])
             states, _ = advance_states(
                 states, coeffs, None, s_t, h, rp.increment(s_t, t_t), rp.second(s_t, t_t), db
@@ -141,7 +193,8 @@ def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
             check_finite(states, t_t)
         vals = terminal(states).reshape(P, M)
         u.append(vals.mean(axis=1))
-        se.append(vals.std(axis=1, ddof=1) / np.sqrt(M))
+        pair_means = (vals[:, 0::2] + vals[:, 1::2]) / 2.0
+        se.append(pair_means.std(axis=1, ddof=1) / np.sqrt(M // 2))
     return np.array(u), np.array(se)
 
 
@@ -175,17 +228,19 @@ def planar_bundle():
         diffusion=lambda t, x, mu: np.einsum("ai,ij->aij", 1.0 + 0.1 * x**2, 0.3 * np.eye(2)),
         rough=measure_free_family(2, 1, jet),
     )
-    return rp, cs, (np.linspace(-1.0, 1.0, 4), np.linspace(-2.0, 2.0, 4)), 5   # 80 rows
+    return rp, cs, (np.linspace(-1.0, 1.0, 4), np.linspace(-2.0, 2.0, 4)), 4   # 64 rows
 
 
 @pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
 @pytest.mark.parametrize("block", ["above", "exact", "ragged", "two_points"])
 def test_blocked_sampler_equals_one_shot_draw(monkeypatch, bundle, block):
-    # the block size also sets the terminal pass: _BLOCK_ROWS // M points
+    # the block size also sets the terminal pass: _BLOCK_ROWS // M points;
+    # the sampler rounds the block down to whole pairs
     rp, cs, axes, M = bundle()
     rows = M * int(np.prod([a.size for a in axes]))
-    size = {"above": rows + 4, "exact": rows, "ragged": 7, "two_points": 2 * M + 1}[block]
-    assert block != "ragged" or rows % size != 0
+    size = {"above": rows + 4, "exact": rows, "ragged": 14, "two_points": 2 * M + 1}[block]
+    effective = max(2, min(size, rows) // 2 * 2)
+    assert block != "ragged" or rows % effective != 0
     monkeypatch.setattr(backward, "_BLOCK_ROWS", size)
     times = rp.grid.points[[0, 5, 8]]
     terminal = lambda x: np.sum(x**2, axis=1)
@@ -212,7 +267,8 @@ def test_each_start_time_equals_its_solve_alone(bundle):
 def test_blowup_in_a_later_block_keeps_its_time(monkeypatch):
     grid, rp = grid_and_driver()
     cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e3 * x**3)
-    # 16 rows in blocks of 5: only the node at 50 explodes, in rows 12..15
+    # 16 rows in blocks of 5, rounded down to 4 (whole pairs): only the node
+    # at 50 explodes, in the last block, rows 12..15
     axes = (np.array([0.0, 1e-3, 2e-3, 50.0]),)
     monkeypatch.setattr(backward, "_BLOCK_ROWS", 5)
     times = grid.points[[0, 8]]
@@ -281,6 +337,22 @@ def test_tiny_mc_budget_is_refused():
     grid, rp, cs = shift_setup()
     with pytest.raises(ValueError, match="mc_samples"):
         solve_backward_fk(cs, rp, lambda x: x[:, 0], (np.linspace(-1, 1, 4),), grid.points[[0]], 1, 1)
+
+
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_an_odd_or_single_pair_budget_is_refused_before_sampling(M):
+    # antithetic pairs need an even M, and a spread needs two pairs
+    grid, rp = grid_and_driver()
+    calls = []
+
+    def drift(t, x, mu):
+        calls.append(x.shape[0])
+        return 0.0 * x
+
+    cs = coefficient_set(1, 1, 1, drift=drift)
+    with pytest.raises(ValueError, match=rf"^mc_samples must be even and >= 4 .*, got {M}$"):
+        solve_backward_fk(cs, rp, lambda x: x[:, 0], (np.linspace(-1, 1, 4),), grid.points[[0]], M, 1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sizes", [(2,), (3,), (5, 3), (3, 5)])

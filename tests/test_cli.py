@@ -194,6 +194,14 @@ def test_backward_blowup_exits_three(tmp_path):
     assert summary["driver_checksum"] == read_summary(calm)["driver_checksum"]
 
 
+def test_odd_backward_samples_exit_one(tmp_path, capsys):
+    code, out = run_cli(tmp_path, BACKWARD_BOOM.replace("samples = 4", "samples = 4097"), "odd")
+    assert code == 1
+    want = "error: [backward] samples: must be even (the sampler draws antithetic pairs)"
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_residual_scan_blowup_exits_three_without_driver(tmp_path):
     # the scan's driver is the finest level of its coupled runs, which never
     # finished, so the summary names none
@@ -473,21 +481,27 @@ def test_run_experiments_reports_a_non_utf8_scenario_and_runs_the_rest(tmp_path)
     assert (tmp_path / "out" / "b_valid" / "summary.json").is_file()
 
 
-def test_bench_compare_reads_medians_against_the_old_quartiles():
+def test_bench_compare_calls_a_change_only_when_the_quartile_ranges_are_apart():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
 
-    def case(median, spread):
-        return {"unit": "ns", "work": 1, "best": 0.5 * median, "median": median,
-                "spread": spread, "samples": []}
+    def case(*samples):
+        return {"unit": "ns", "work": 1, "best": min(samples),
+                "median": float(np.median(samples)), "spread": None, "samples": list(samples)}
 
-    old = {"cases": {"a": case(100.0, 0.1), "b": case(100.0, 0.1), "c": case(100.0, 0.1),
-                     "gone": case(1.0, 0.0)}}
-    new = {"cases": {"a": case(109.0, 0.3), "b": case(80.0, 0.3), "c": case(125.0, 0.3),
-                     "added": case(1.0, 0.0)}}
+    tight = case(98.0, 99.0, 100.0, 101.0, 102.0)               # quartiles 99 and 101
+    old = {"cases": {"wide": tight, "b": tight, "c": tight, "edge": tight,
+                     "gone": case(1.0)}}
+    new = {"cases": {"wide": case(80.0, 90.0, 95.0, 100.0, 110.0),
+                     "b": case(70.0, 75.0, 80.0, 85.0, 90.0),
+                     "c": case(120.0, 122.0, 125.0, 128.0, 130.0),
+                     "edge": case(90.0, 95.0, 97.0, 99.0, 100.0),
+                     "added": case(1.0)}}
     _, *rows = bench.compare(old, new)
-    # only cases in both files; the old quartile distance is 10 ns
-    assert [row.split()[0] for row in rows] == ["a", "b", "c"]
-    assert [row.split("  ")[-1] for row in rows] == ["within spread", "faster", "slower"]
-    assert rows[1].split()[4:8] == ["0.800", "0.800", "0.100", "0.300"]
+    # only cases in both files; "wide" has its median 5 below the old one,
+    # past the old quartile distance of 2, but its q75 of 100 is not below 99
+    assert [row.split()[0] for row in rows] == ["wide", "b", "c", "edge"]
+    assert [row.split("  ")[-1] for row in rows] == [
+        "within spread", "faster", "slower", "within spread"]
+    assert rows[1].split()[2:8] == ["100", "80", "0.800", "0.714", "0.020", "0.125"]

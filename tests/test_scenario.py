@@ -286,7 +286,7 @@ BOUNDS = [
     ("driver", "driver_seed", 0),
     ("driver", "refinement", 1),
     ("particles", "count", 1),
-    ("backward", "samples", 2),
+    ("backward", "samples", 4),
     ("backward", "x_points", 4),
     ("backward", "time_points", 2),
 ]
@@ -299,6 +299,15 @@ def test_every_bounded_key_refuses_one_below_its_bound(section, key, least):
     assert canonical_text(sc).count(f"\n{key} = {least}\n") == 1
     with pytest.raises(ScenarioError, match=rf"^\[{section}\] {key}: must be >= {least}$"):
         parse_scenario_text(head + f"{key} = {least - 1}\n")
+
+
+@pytest.mark.parametrize("samples", [5, 4097])
+def test_odd_backward_samples_are_refused(samples):
+    want = "[backward] samples: must be even (the sampler draws antithetic pairs)"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(want)}$"):
+        parse_scenario_text(MINIMAL + f"[backward]\nsamples = {samples}\n")
+    even = parse_scenario_text(MINIMAL + f"[backward]\nsamples = {samples + 1}\n")
+    assert even.backward_samples == samples + 1
 
 
 def test_fields_and_section_keys_map_one_to_one():
