@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
+from .grids import read_only
 from .measures import MeasureFlow, symmetric_mean
-from .roughpath import GridRoughPath, roughpath_checksum
+from .roughpath import GridRoughPath, check_signal, roughpath_checksum
 from .simulate import advance_states, check_finite
 from .streams import TAG_BACKWARD, bulk_stream
 from .tables import read_table, write_table
@@ -201,9 +202,11 @@ def solve_backward_fk(
     """Sample the backward value function on a lattice of start points.
 
     ``terminal`` maps ``(n, d)`` states to ``(n,)`` values row by row.  Each
-    axis needs at least 4 points, as the cubic interpolant does, and
-    ``terminal_name`` may hold no whitespace, so ``save_backward_csv`` can
-    write it into its magic line; both are refused before any sampling.
+    axis is held under ``grids.read_only`` (finite) and needs at least 4
+    sorted points, as the cubic interpolant does; ``rp`` needs the bundle's
+    channels, and ``terminal_name`` may hold no whitespace, so
+    ``save_backward_csv`` can write it into its magic line.  All are refused
+    before any sampling.
 
     ``mc_samples`` must be even and at least 4: the paths come in antithetic
     pairs, and a standard error needs at least two pairs.  Each start time
@@ -236,7 +239,8 @@ def solve_backward_fk(
             f"mc_samples must be even and >= 4 (antithetic pairs, two for a "
             f"standard error), got {mc_samples}"
         )
-    axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
+    check_signal(rp, rp.grid, coeffs.driver_dim)
+    axes = tuple(read_only(a) for a in axes)
     if len(axes) != coeffs.dim:
         raise ValueError(f"need {coeffs.dim} lattice axes, got {len(axes)}")
     for a in axes:

@@ -55,6 +55,7 @@ __all__ = [
     "convolution_gauss_family",
     "zero_rough",
     "area_coefficient",
+    "area_tensor",
     "lions_fd_check",
     "diffusion_square",
 ]
@@ -381,10 +382,10 @@ def area_coefficient(
     fam = coeffs.rough
     x = _as_batch(x)
     fz = None if fam.measure_free else fam.jet(t, mu.points, mu, 0)[0]
-    return _area_tensor(fam, t, x, mu, fam.jet(t, x, mu, 1), fz)
+    return area_tensor(fam, t, x, mu, fam.jet(t, x, mu, 1), fz)
 
 
-def _area_tensor(
+def area_tensor(
     fam: RoughFamily,
     t: float,
     x: np.ndarray,

@@ -11,6 +11,7 @@ arrays read-only under the one rule of ``read_only``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -20,13 +21,18 @@ __all__ = ["TimeGrid", "broadcast_view", "read_only", "span_sup"]
 
 
 def read_only(a) -> np.ndarray:
-    """``a`` as a float64 array that nothing can write.
+    """``a`` as a float64 array that nothing can write, every entry finite.
 
+    A NaN or infinite entry is refused with ``ValueError``, whether or not
+    ``a`` is copied: a held grid, signal, cloud or flow is finite.  The test
+    reads ``min`` and ``max``, so it allocates no array-sized temporary.
     An array that is already float64, read-only and the owner of its memory
     is returned as it is; anything else, a writable array or a read-only view
     of memory that someone else may write, is copied and the copy frozen.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise ValueError("held arrays must be finite")
     if a.flags.writeable or not a.flags.owndata:
         a = a.copy()
         a.setflags(write=False)
@@ -59,18 +65,16 @@ class TimeGrid:
     _dt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = read_only(self.points)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two time points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("grid times must be finite")
         if pts[0] != 0.0:
             raise ValueError(f"grid must start at 0, got {pts[0]!r}")
         dt = np.diff(pts)
         if np.any(dt <= 0):
             raise ValueError("grid times must be strictly increasing")
         dt.setflags(write=False)
-        object.__setattr__(self, "points", read_only(pts))
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_dt", dt)
 
     # -- constructors ------------------------------------------------------

@@ -58,8 +58,6 @@ class EmpiricalMeasure:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("points must be a non-empty (N, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
         object.__setattr__(self, "points", read_only(pts))
 
     @property
@@ -226,8 +224,7 @@ def flow_holder_diagnostic(flow: MeasureFlow, alpha: float) -> float:
     """sup over grid spans and bank probes of ``|<mu_t - mu_s, phi>| / |t-s|^a``.
 
     A finite-bank lower bound for the Holder quotient of the flow in the dual
-    Lipschitz metric.  The pairings read the node clouds directly, so a
-    non-finite state makes the quotient NaN.
+    Lipschitz metric.
     """
     bank = lipschitz_bank(flow.dim)
     clouds = flow.states.reshape(-1, flow.dim)               # every node's cloud, stacked

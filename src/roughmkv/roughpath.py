@@ -40,7 +40,7 @@ __all__ = [
     "ALPHA_MIN",
     "ALPHA_MAX",
     "GridRoughPath",
-    "GeometricityReport",
+    "check_signal",
     "lift_piecewise_linear",
     "brownian_lift",
     "chen_extend",
@@ -101,8 +101,6 @@ class GridRoughPath:
             raise ValueError(
                 f"cell_areas must have shape ({K}, {n}, {n}), got {areas.shape}"
             )
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(areas))):
-            raise ValueError("signal data must be finite")
         if not (ALPHA_MIN < self.alpha <= ALPHA_MAX):
             raise ValueError(f"alpha must lie in (1/3, 1/2], got {self.alpha}")
         object.__setattr__(self, "values", vals)
@@ -141,11 +139,16 @@ class GridRoughPath:
         return self.span(*self.grid.span_indices(s, t))[1]
 
 
-@dataclass(frozen=True)
-class GeometricityReport:
-    """Worst symmetric-part defect over all grid spans."""
+def check_signal(rp: GridRoughPath, grid: TimeGrid, channels: int) -> None:
+    """Refuse a signal that is not on ``grid`` or has not ``channels`` channels.
 
-    max_defect: float
+    A coefficient bundle with one channel would otherwise broadcast against
+    a wider signal, and a flow would pair its nodes with another grid's.
+    """
+    if rp.grid is not grid and not np.array_equal(rp.grid.points, grid.points):
+        raise ValueError("signal grid differs from the grid it is paired with")
+    if rp.dim != channels:
+        raise ValueError(f"signal has {rp.dim} channels, the coefficients take {channels}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,7 @@ def chen_residual(rp: GridRoughPath, s: float, u: float, t: float) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def sym_defect(rp: GridRoughPath) -> GeometricityReport:
+def sym_defect(rp: GridRoughPath) -> float:
     """Max over all grid spans of ``|Sym WW(s,t) - 0.5 dW (x) dW|`` (max-abs).
 
     The defect field G(s,t) = Sym WW(s,t) - 0.5 dW(x)dW is additive across
@@ -249,7 +252,7 @@ def sym_defect(rp: GridRoughPath) -> GeometricityReport:
     w0 = rp.values - rp.values[0]                        # (K+1, n)
     H = 0.5 * (rp._prefix + np.swapaxes(rp._prefix, 1, 2)) - 0.5 * _outer(w0, w0)
     flat = H.reshape(H.shape[0], -1)
-    return GeometricityReport(max_defect=float(np.ptp(flat, axis=0).max()))
+    return float(np.ptp(flat, axis=0).max())
 
 
 def holder_norms(rp: GridRoughPath) -> tuple[float, float]:

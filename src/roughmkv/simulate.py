@@ -26,10 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientSet, _area_tensor
+from .coefficients import CoefficientSet, area_tensor
 from .grids import TimeGrid, span_sup
 from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
-from .roughpath import GridRoughPath, roughpath_checksum
+from .roughpath import GridRoughPath, check_signal, roughpath_checksum
 from .streams import TAG_INITIAL, TAG_PARTICLE, normal_rows, substream
 
 __all__ = [
@@ -173,7 +173,7 @@ def advance_states(
     f = jet[0]
     sig = np.einsum("aik,k->ai", f, dw)
     if area is not None:
-        areapart = np.einsum("aikl,kl->ai", _area_tensor(fam, t0, states, mu, jet, f), area)
+        areapart = np.einsum("aikl,kl->ai", area_tensor(fam, t0, states, mu, jet, f), area)
     else:
         areapart = np.zeros_like(states)
     del jet, f
@@ -254,16 +254,11 @@ def simulate(
     step's finiteness check, so the step that blew up is observed too.
     Raises ``NumericalBlowup`` at the first non-finite state, initial cloud included.
     """
-    if rp.grid is not config.grid and not np.array_equal(
-        rp.grid.points, config.grid.points
+    if (coeffs.dim, coeffs.brownian_dim, coeffs.driver_dim) != (
+        config.dim, config.brownian_dim, config.driver_dim
     ):
-        raise ValueError("signal and simulation grid differ")
-    if rp.dim != config.driver_dim:
-        raise ValueError(
-            f"signal dimension {rp.dim} != configured driver_dim {config.driver_dim}"
-        )
-    if coeffs.dim != config.dim or coeffs.brownian_dim != config.brownian_dim:
         raise ValueError("coefficient bundle dimensions disagree with config")
+    check_signal(rp, config.grid, coeffs.driver_dim)
 
     N, K, d = config.particle_count, config.grid.num_cells, config.dim
     # Step k reads row k % rows and writes row (k + 1) % rows: with one row
@@ -330,21 +325,14 @@ def controlled_diagnostics(
     """
     # The averaged residual is linear in the particles, so it is the node
     # means' residual xbar_j - xbar_i - fbar_i dW(i, j): order-invariant, and
-    # no O(K^2 N) pass.  A NaN anywhere in a node's cloud makes its means NaN.
+    # no O(K^2 N) pass.
+    check_signal(rp, flow.grid, coeffs.driver_dim)
     X = flow.states                                 # (K+1, N, d)
     pts = flow.grid.points
     xbar = symmetric_mean(X, axis=1)                # (K+1, d)
     fbar = np.empty((pts.size, coeffs.dim, coeffs.driver_dim))
     for k in range(pts.size):
-        if coeffs.measure_free:
-            mu = None
-        elif np.all(np.isfinite(X[k])):
-            mu = flow.measure(k)
-        else:
-            # no measure at a cloud with a non-finite point; the NaN reaches
-            # every span from this node, as the state's own NaN does
-            fbar[k] = np.nan
-            continue
+        mu = None if coeffs.measure_free else flow.measure(k)
         fbar[k] = symmetric_mean(coeffs.rough.jet(float(pts[k]), X[k], mu, 0)[0], axis=0)
 
     # The L^p increments reduce squared norms (p = 2) or their squares

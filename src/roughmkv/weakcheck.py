@@ -21,14 +21,15 @@ order for every admissible ``alpha``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet, _area_tensor, diffusion_square
+from .coefficients import CoefficientSet, area_tensor, diffusion_square
 from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
-from .roughpath import GridRoughPath
+from .roughpath import GridRoughPath, check_signal
 from .tables import write_table
 
 __all__ = [
@@ -207,25 +208,15 @@ def _node_tensors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Probe-independent tensors at one node: ``b``, ``sigma sigma^T``, ``f``, area.
 
-    A measure-dependent bundle has no measure at a cloud with a non-finite
-    point, so every tensor there is NaN, as the coefficients of a
-    measure-free bundle are at a NaN state.
+    ``cloud`` is a flow's node, so it is finite and has its empirical measure.
     """
-    if coeffs.measure_free:
-        marg = None
-    elif np.all(np.isfinite(cloud)):
-        marg = EmpiricalMeasure(cloud)
-    else:
-        d, n = coeffs.dim, coeffs.driver_dim
-        return tuple(
-            np.full(cloud.shape + tail, np.nan) for tail in ((), (d,), (n,), (n, n))
-        )
+    marg = None if coeffs.measure_free else EmpiricalMeasure(cloud)
     jet = coeffs.rough.jet(t, cloud, marg, 1)
     return (
         coeffs.drift(t, cloud, marg),
         diffusion_square(coeffs, t, cloud, marg),
         jet[0],
-        _area_tensor(coeffs.rough, t, cloud, marg, jet, jet[0]),
+        area_tensor(coeffs.rough, t, cloud, marg, jet, jet[0]),
     )
 
 
@@ -302,8 +293,9 @@ def weak_residual(
 
     The time integral is the trapezoid rule over the span's nodes; the first-
     and second-order signal terms are frozen at ``s``.  ``flow`` and ``rp``
-    share one grid.
+    must share one grid, and ``rp`` must have the bundle's channels.
     """
+    check_signal(rp, flow.grid, coeffs.driver_dim)
     i, j = flow.grid.span_indices(s, t)
     if i == j:
         return 0.0
@@ -386,6 +378,8 @@ def residual_order_scan(
     for reps in replicates:
         if len(reps) != len(runs):
             raise ValueError("every replicate needs one run per level")
+    for flow, rp in itertools.chain(runs, *replicates):
+        check_signal(rp, flow.grid, coeffs.driver_dim)
 
     def level_stats(flow: MeasureFlow, rp: GridRoughPath) -> np.ndarray:
         return np.max(np.abs(_cell_residuals(flow, rp, bank, coeffs)), axis=1)

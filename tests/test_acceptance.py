@@ -77,7 +77,7 @@ def test_01_randomized_lift_algebra(capsys):
                 worst_chen,
                 chen_residual(rp, float(pts[i]), float(pts[u]), float(pts[j])),
             )
-        worst_sym = max(worst_sym, sym_defect(rp).max_defect)
+        worst_sym = max(worst_sym, sym_defect(rp))
         back = stratonovich_from_ito(ito_from_stratonovich(rp))
         worst_rt = max(worst_rt, float(np.max(np.abs(back.cell_areas - rp.cell_areas))))
     elapsed = time.perf_counter() - t0

@@ -375,6 +375,48 @@ def test_an_axis_below_four_points_is_refused_before_sampling(sizes):
     assert calls == []
 
 
+def counted_bundle(d=1, **kw):
+    """A measure-free bundle whose drift records every call, so a test can
+    tell a refusal before sampling from one after it."""
+    calls = []
+
+    def drift(t, x, mu):
+        calls.append(x.shape[0])
+        return 0.0 * x
+
+    return coefficient_set(d, d, d, drift=drift, **kw), calls
+
+
+@pytest.mark.parametrize(
+    "axis", [[-1.0, np.nan, 0.5, 1.0], [-1.0, 0.0, 0.5, np.inf]], ids=["nan", "inf"]
+)
+def test_a_non_finite_axis_is_refused_before_sampling(axis):
+    # np.diff(axis) <= 0 is False at a NaN, so the sorted test cannot see it
+    grid, rp = grid_and_driver()
+    cs, calls = counted_bundle()
+    with pytest.raises(ValueError, match="finite"):
+        solve_backward_fk(cs, rp, lambda x: x[:, 0], (axis,), grid.points[[0]], 8, 1)
+    assert calls == []
+
+
+def test_a_solution_keeps_frozen_axes():
+    grid, rp, cs = shift_setup(cells=4)
+    axis = np.linspace(-1.0, 1.0, 4)
+    sol = solve_backward_fk(cs, rp, lambda x: x[:, 0], (axis,), grid.points[[0]], 8, 1)
+    assert not sol.axes[0].flags.writeable and np.array_equal(sol.axes[0], axis)
+    assert axis.flags.writeable
+
+
+@pytest.mark.parametrize("channels", [2, 3])
+def test_a_signal_with_other_channels_is_refused_before_sampling(channels):
+    # a one-channel bundle would broadcast against every channel of the signal
+    grid, rp = grid_and_driver(dim=channels)
+    cs, calls = counted_bundle(rough=linear_signal_family(0.5))
+    with pytest.raises(ValueError, match=f"signal has {channels} channels"):
+        solve_backward_fk(cs, rp, lambda x: x[:, 0], (np.linspace(-1, 1, 4),), grid.points[[0]], 8, 1)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["my square", "tab\tname", "line\n", " "])
 def test_a_terminal_name_with_whitespace_is_refused(name):
     grid, rp, cs = shift_setup(cells=4)

@@ -10,8 +10,8 @@ from conftest import gauss_kernel_family, linear_signal_family, mean_coupled_sin
 from roughmkv.coefficients import (
     ROUGH_KINDS,
     RoughFamily,
-    _area_tensor,
     area_coefficient,
+    area_tensor,
     coefficient_set,
     constant_rough,
     diffusion_square,
@@ -356,7 +356,7 @@ def test_area_tensor_from_the_held_coefficient_equals_area_coefficient(fam):
     marg = None if fam.measure_free else mu
     jet = fam.jet(0.3, mu.points, marg, 1)
     f = jet[0]
-    held = _area_tensor(fam, 0.3, mu.points, marg, jet, f)
+    held = area_tensor(fam, 0.3, mu.points, marg, jet, f)
     assert np.array_equal(held, area_coefficient(cs, 0.3, mu.points, marg))
 
     # away from the cloud the wrapper still averages the measure response

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughmkv.grids import TimeGrid, broadcast_view, read_only, span_sup
+from roughmkv.measures import EmpiricalMeasure, MeasureFlow
+from roughmkv.roughpath import GridRoughPath
 
 
 def test_uniform_layout():
@@ -33,6 +35,40 @@ def test_read_only_keeps_a_frozen_owner_and_copies_the_rest():
         assert held.dtype == np.float64 and held.flags.owndata
         assert not held.flags.writeable and not np.shares_memory(held, given)
     assert writable.flags.writeable
+
+
+def frozen_with(shape, bad, at):
+    """A frozen float64 array that owns its memory, zero but ``bad`` at ``at``."""
+    a = np.zeros(shape)
+    a[at] = bad
+    a.setflags(write=False)
+    return a
+
+
+# every holder of an array, handed one the no-copy path of read_only keeps
+HOLDERS = {
+    "time_grid": lambda bad: TimeGrid(np.array([0.0, 0.5, bad])),
+    "signal_values": lambda bad: GridRoughPath(
+        TimeGrid.uniform(1.0, 2), frozen_with((3, 1), bad, (1, 0)), np.zeros((2, 1, 1))
+    ),
+    "signal_cell_tensors": lambda bad: GridRoughPath(
+        TimeGrid.uniform(1.0, 2), np.zeros((3, 2)), frozen_with((2, 2, 2), bad, (1, 0, 1))
+    ),
+    "cloud": lambda bad: EmpiricalMeasure(frozen_with((4, 2), bad, (2, 1))),
+    "flow": lambda bad: MeasureFlow(
+        TimeGrid.uniform(1.0, 2), frozen_with((3, 4, 1), bad, (0, 3, 0))
+    ),
+    "frozen_owner": lambda bad: read_only(frozen_with((6,), bad, 5)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("holder", sorted(HOLDERS))
+def test_held_arrays_refuse_non_finite_values(holder, bad):
+    # a NaN grid time would pass the increasing-times test (nan <= 0 is
+    # False); the one rule refuses it first
+    with pytest.raises(ValueError, match="finite"):
+        HOLDERS[holder](bad)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Every name a package module or script imports is used there or listed
 in its ``__all__``, no module or script reads another object's private
-attribute, and the package file re-exports nothing: the submodules are the
-API."""
+attribute or imports another module's private name, and the package file
+re-exports nothing: the submodules are the API."""
 
 import ast
 import importlib
@@ -114,6 +114,35 @@ def test_checker_finds_a_private_reach_in():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_attribute_reads(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names, ``_name`` but not ``__name__``, that a ``from`` import
+    takes from another module, wherever the import sits."""
+    return [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_checker_finds_a_private_import():
+    source = (
+        "from .coefficients import CoefficientSet, _area_tensor\n"
+        "from roughmkv.grids import read_only as _read_only\n"
+        "from roughmkv import __version__\n"
+        "import numpy as _np\n"
+        "def f():\n"
+        "    from .streams import _KEY_BLOCK\n"
+    )
+    assert private_imports(source) == ["1: _area_tensor", "6: _KEY_BLOCK"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def imported_modules(node: ast.AST) -> list[str]:

@@ -333,24 +333,18 @@ def test_dual_lipschitz_pairings_call_each_probe_once(monkeypatch, d):
 
 
 def test_w2_quotient_of_a_flow_with_a_nan_state_is_nan(tmp_path):
-    # a NaN read back from a flow file reaches every span that starts at its
-    # node; the quotient must not fall back to the spans that avoid it
+    # a flow refuses a NaN state, so the non-finite quotient left is an
+    # overflow: a finite 1e200 state read back from a flow file makes every
+    # span from its node inf, and the sup must not fall back to the spans
+    # that avoid it
     flow = little_flow()
     states = flow.states.copy()
-    states[0, 0, 0] = np.nan
+    states[0, 0, 0] = 1e200
     path = str(tmp_path / "flow.csv")
     save_flow_csv(MeasureFlow(grid=flow.grid, states=states, driver_checksum="test"), path)
     assert np.isfinite(flow_w2_holder(flow, 0.45))
-    assert np.isnan(flow_w2_holder(load_flow_csv(path), 0.45))
-
-
-def test_dual_lipschitz_quotient_of_a_flow_with_a_nan_state_is_nan():
-    flow = little_flow()
-    states = flow.states.copy()
-    states[0, 0, 0] = np.nan
-    bad = MeasureFlow(grid=flow.grid, states=states)
-    assert np.isfinite(flow_holder_diagnostic(flow, 0.45))
-    assert np.isnan(flow_holder_diagnostic(bad, 0.45))
+    with np.errstate(over="ignore"):
+        assert flow_w2_holder(load_flow_csv(path), 0.45) == np.inf
 
 
 def test_dual_lipschitz_quotient_stable_under_refinement():
@@ -409,6 +403,18 @@ def test_flow_csv_refuses_a_cut_file(tmp_path, kept_rows):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[: 3 + kept_rows]))
     with pytest.raises(ValueError, match=f"expected 25 rows .*, got {kept_rows}"):
+        load_flow_csv(str(path))
+
+
+def test_flow_csv_refuses_a_cell_edited_to_nan(tmp_path):
+    # the package never saves a non-finite flow, so a nan cell is damage
+    path = tmp_path / "flow.csv"
+    save_flow_csv(little_flow(seed=3, cells=4, n=5), str(path), stamp="then")
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines[3 + 7].split(",")
+    lines[3 + 7] = ",".join(row[:-1] + ["nan\n"])
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="finite"):
         load_flow_csv(str(path))
 
 

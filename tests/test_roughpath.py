@@ -133,7 +133,7 @@ def test_span_is_the_one_reconstruction(grid, dim):
 @given(seed=st.integers(0, 2**31 - 1), cells=st.integers(1, 30), dim=st.integers(1, 3))
 def test_piecewise_linear_lift_is_weakly_geometric(seed, cells, dim):
     rp = random_walk_path(seed, cells, dim)
-    assert sym_defect(rp).max_defect <= 1e-12
+    assert sym_defect(rp) <= 1e-12
 
 
 def test_sym_defect_matches_bruteforce_spread():
@@ -146,8 +146,7 @@ def test_sym_defect_matches_bruteforce_spread():
             dv = rp.increment(s, t)
             gap = 0.5 * (rp.second(s, t) + rp.second(s, t).T) - 0.5 * np.outer(dv, dv)
             worst = max(worst, float(np.max(np.abs(gap))))
-    report = sym_defect(rp)
-    assert abs(report.max_defect - worst) <= 1e-12
+    assert abs(sym_defect(rp) - worst) <= 1e-12
     assert worst > 0.1  # the shifted lift is genuinely non geometric here
 
 
@@ -157,7 +156,7 @@ def test_sym_defect_ignores_antisymmetric_perturbations():
     raw = rng.standard_normal((12, 2, 2))
     anti = 0.5 * (raw - np.swapaxes(raw, 1, 2))
     bumped = GridRoughPath(rp.grid, rp.values, rp.cell_areas + anti, rp.alpha)
-    assert sym_defect(bumped).max_defect <= sym_defect(rp).max_defect + 1e-12
+    assert sym_defect(bumped) <= sym_defect(rp) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,7 @@ def test_restrict_preserves_accumulated_tensors():
     for k in range(coarse.num_cells):
         s, t = float(coarse.points[k]), float(coarse.points[k + 1])
         assert np.array_equal(sub.cell_areas[k], rp.second(s, t))
-    assert sym_defect(sub).max_defect <= 1e-12
+    assert sym_defect(sub) <= 1e-12
 
 
 def test_restrict_on_cells_narrower_than_the_lookup_slack():

@@ -555,6 +555,30 @@ def test_dimension_mismatches_are_rejected():
         simulate(cfg, ornstein_uhlenbeck_set(), rp_other_grid)
 
 
+def other_grid(cells=8):
+    """A grid with ``cells`` cells on [0, 1] that is not the uniform one."""
+    return TimeGrid(np.linspace(0.0, 1.0, cells + 1) ** 2)
+
+
+SIGNAL_MISFITS = {
+    # (config driver_dim, signal channels, signal grid or None for the config's, message)
+    "signal_channels": (1, 2, None, "signal has 2 channels, the coefficients take 1"),
+    "signal_grid": (1, 1, other_grid(), "signal grid differs"),
+    "bundle_channels": (2, 2, None, "disagree with config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNAL_MISFITS))
+def test_simulate_refuses_a_signal_that_does_not_fit(case):
+    # the one-channel bundle would broadcast against a wider signal
+    driver_dim, channels, grid, message = SIGNAL_MISFITS[case]
+    cfg = SimulationConfig(16, TimeGrid.uniform(1.0, 8), 0, 1, 1, driver_dim)
+    rp = brownian_lift(1, channels, grid or cfg.grid, 2)
+    cs = coefficient_set(1, 1, 1, rough=linear_state_family(0.5, 1, 1))
+    with pytest.raises(ValueError, match=message):
+        simulate(cfg, cs, rp)
+
+
 # ---------------------------------------------------------------------------
 # history ownership and memory
 
@@ -840,19 +864,37 @@ def test_controlled_remainder_ignores_the_particle_order():
 
 
 def test_controlled_quotients_of_a_flow_with_a_nan_state_are_nan():
-    # spans from node 0 see the NaN; the quotients must not fall back to
-    # the spans that avoid it, and a measure-dependent bundle, which has no
-    # measure at node 0, must not raise
+    # a flow refuses a NaN state, so the non-finite quotients left are
+    # overflows: spans from node 0 see the finite 1e200 state as inf, and
+    # the quotients must not fall back to the spans that avoid it
     for rough in (linear_signal_family(0.5), mean_coupled_sin_family(0.5, 0.4)):
         cs = coefficient_set(1, 1, 1, rough=rough)
         cfg = make_config(n=20, cells=8, seed=4)
         rp = brownian_lift(3, 1, cfg.grid, 4)
         flow, _ = simulate(cfg, cs, rp)
         states = flow.states.copy()
-        states[0, 0, 0] = np.nan
-        bad = MeasureFlow(grid=flow.grid, states=states, driver_checksum=flow.driver_checksum)
-        rep = controlled_diagnostics(bad, rp, cs)
-        assert all(np.isnan(q) for q in astuple(rep))
+        states[0, 0, 0] = 1e200
+        huge = MeasureFlow(grid=flow.grid, states=states, driver_checksum=flow.driver_checksum)
+        with np.errstate(over="ignore"):
+            rep = controlled_diagnostics(huge, rp, cs)
+        assert astuple(rep) == (np.inf,) * 3
+
+
+@pytest.mark.parametrize(
+    "signal, message",
+    [
+        (lambda: brownian_lift(3, 1, other_grid(8), 4), "signal grid differs"),
+        (lambda: brownian_lift(3, 1, TimeGrid.uniform(1.0, 16), 4), "signal grid differs"),
+        (lambda: brownian_lift(3, 2, TimeGrid.uniform(1.0, 8), 4), "signal has 2 channels"),
+    ],
+    ids=["other_grid", "finer_grid", "two_channels"],
+)
+def test_controlled_diagnostics_refuse_a_signal_that_does_not_fit(signal, message):
+    cs = coefficient_set(1, 1, 1, rough=linear_state_family(0.5, 1, 1))
+    cfg = make_config(n=20, cells=8, seed=4)
+    flow, _ = simulate(cfg, cs, brownian_lift(3, 1, cfg.grid, 4))
+    with pytest.raises(ValueError, match=message):
+        controlled_diagnostics(flow, signal(), cs)
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])

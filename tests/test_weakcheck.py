@@ -339,23 +339,6 @@ def test_residual_with_a_nan_curve_node_is_nan():
         assert np.isfinite(weak_residual(huge, rp, phi, cs, 0.125, 1.0))
 
 
-@pytest.mark.parametrize("measure_free", [True, False], ids=["measure_free", "moment"])
-def test_residual_of_a_flow_with_a_nan_state_is_nan(measure_free):
-    # a measure-dependent bundle has no measure at node 0; its terms are NaN
-    # there, as a measure-free bundle's are, instead of raising
-    rough = linear_signal_family(0.5) if measure_free else mean_coupled_sin_family(0.5, 0.4)
-    cs = coefficient_set(1, 1, 1, rough=rough)
-    grid = TimeGrid.uniform(1.0, 8)
-    rp = brownian_lift(3, 1, grid, 4)
-    flow, _ = simulate(SimulationConfig(20, grid, 4, 1, 1, 1), cs, rp)
-    states = flow.states.copy()
-    states[0, 0, 0] = np.nan
-    bad = MeasureFlow(grid=grid, states=states, driver_checksum=flow.driver_checksum)
-    phi = gaussian_bump(np.array([0.0]), 1.2)
-    assert np.isnan(weak_residual(bad, rp, phi, cs, 0.0, 1.0))
-    assert np.isnan(weak_residual(bad, rp, phi, cs, 0.0, 0.125))
-
-
 # ---------------------------------------------------------------------------
 # dyadic order scan
 
@@ -391,6 +374,29 @@ def test_scan_needs_two_levels_and_matching_replicates():
         residual_order_scan(runs[:1], bank, cs)
     with pytest.raises(ValueError):
         residual_order_scan(runs, bank, cs, replicates=[runs[:1]])
+
+
+def test_weak_residual_refuses_a_signal_that_does_not_fit():
+    runs, cs = scan_runs(2, base_cells=8)
+    (flow, _), (_, fine_rp) = runs
+    phi = gaussian_bump(np.array([0.0]), 1.0)
+    with pytest.raises(ValueError, match="signal grid differs"):
+        weak_residual(flow, fine_rp, phi, cs, 0.0, 0.125)
+    wide = lift_piecewise_linear(flow.grid, np.zeros((9, 2)))
+    with pytest.raises(ValueError, match="signal has 2 channels"):
+        weak_residual(flow, wide, phi, cs, 0.0, 0.125)
+
+
+def test_scan_refuses_a_run_or_replicate_whose_signal_does_not_fit():
+    # every pair is checked before any level is scanned
+    runs, cs = scan_runs(2)
+    bank = [linear_function(np.array([1.0]))]
+    (coarse, coarse_rp), (fine, fine_rp) = runs
+    swapped = [(coarse, fine_rp), (fine, coarse_rp)]
+    with pytest.raises(ValueError, match="signal grid differs"):
+        residual_order_scan(swapped, bank, cs)
+    with pytest.raises(ValueError, match="signal grid differs"):
+        residual_order_scan(runs, bank, cs, replicates=[runs, swapped])
 
 
 def diffusive_runs(seed):
