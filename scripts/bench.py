@@ -9,10 +9,11 @@ fixed inputs:
 ``backward``    ``backward.solve_backward_fk`` from one start time,
                 nanoseconds per path-step
 
-The first two sweep the particle count N from 250 to 64 000 on the bundle of
-the scenario benchmark's ``chaos_ladder`` workload (64 cells, ``moment_sin``
-signal coefficient); the backward sampler runs the bundle of its
-``duality_mc`` workload on 33 lattice points x 1 024 samples x 64 cells.
+The first two sweep the particle count N from 250 to 64 000 on the bundle
+read from the scenario benchmark's ``workloads/chaos_ladder.ini`` (64 cells,
+``moment_sin`` signal coefficient); the backward sampler runs the bundle read
+from ``workloads/duality_mc.ini`` on 33 lattice points x 1 024 samples x 64
+cells (the workload itself runs 128).
 Each round times every case once, in a fixed round-robin order, so a drift
 of the host's speed spreads over all of them; one untimed round runs first.
 One timed sample repeats its case until it has run at least 50 ms and is
@@ -50,50 +51,21 @@ from roughmkv.scenario import (  # noqa: E402
     build_driver,
     build_initial_sampler,
     build_terminal,
-    parse_scenario_text,
+    parse_scenario_file,
 )
 from roughmkv.simulate import SimulationConfig, idiosyncratic_increments, simulate  # noqa: E402
 
 COUNTS = (250, 1000, 4000, 16000, 64000)
 
-FORWARD = """
-[scenario]
-name = bench_forward
-experiment = chaos_scan
-[grid]
-cells = 64
-[driver]
-driver_seed = 3
-refinement = 16
-[coefficients]
-drift = linear -0.3
-sigma = constant 0.5
-rough = moment_sin 0.5 0.4
-"""
-
-BACKWARD = """
-[scenario]
-name = bench_backward
-experiment = duality
-[grid]
-cells = 64
-[driver]
-driver_seed = 5
-refinement = 16
-[coefficients]
-drift = linear -0.4
-sigma = constant 0.3
-rough = linear_state 0.25
-[backward]
-terminal = square
-"""
+WORKLOADS = ROOT / "scenario_bench" / "workloads"
+BACKWARD_CELLS = 64
 LATTICE_POINTS, SAMPLES = 33, 1024
 MIN_SAMPLE_S = 0.05
 
 
 def forward_cases() -> list:
     """``(name, unit, work, scale, run)`` per increments and forward case."""
-    sc = parse_scenario_text(FORWARD)
+    sc = parse_scenario_file(str(WORKLOADS / "chaos_ladder.ini"))
     grid = TimeGrid.uniform(sc.horizon, sc.cells)
     rp = build_driver(sc, grid)
     coeffs = build_coefficients(sc)
@@ -116,8 +88,8 @@ def forward_cases() -> list:
 
 
 def backward_case() -> tuple:
-    sc = parse_scenario_text(BACKWARD)
-    grid = TimeGrid.uniform(sc.horizon, sc.cells)
+    sc = parse_scenario_file(str(WORKLOADS / "duality_mc.ini"))
+    grid = TimeGrid.uniform(sc.horizon, BACKWARD_CELLS)
     rp = build_driver(sc, grid)
     coeffs = build_coefficients(sc)
     name, terminal = build_terminal(sc)

@@ -30,11 +30,12 @@ from .measures import MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, check_signal, roughpath_checksum
 from .simulate import advance_states, check_finite
 from .streams import TAG_BACKWARD, bulk_stream
-from .tables import read_table, write_table
+from .tables import check_shape, read_table, write_table
 
 __all__ = [
     "BackwardSolution",
     "DualityReport",
+    "lattice_axes",
     "lattice_from_flow",
     "solve_backward_fk",
     "duality_drift",
@@ -52,6 +53,15 @@ _BACKWARD_MAGIC = "# roughmkv-backward v1"
 _LATTICE_TAIL = 1e-4
 _LATTICE_PAD_SIGMAS = 4.0
 _CUBIC_POINTS = "need at least 4 lattice points per dimension (cubic)"
+
+
+def lattice_axes(axes: Sequence) -> tuple[np.ndarray, ...]:
+    """``axes`` held under ``grids.read_only``; each must be 1-d and strictly
+    increasing."""
+    held = tuple(read_only(a) for a in axes)
+    if any(a.ndim != 1 or np.any(np.diff(a) <= 0) for a in held):
+        raise ValueError("each lattice axis must be sorted")
+    return held
 
 
 def _product_lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -115,9 +125,10 @@ def _spline_eval(
 class BackwardSolution:
     """Value function on ``times x lattice`` with per-node sampling error.
 
-    ``axes`` holds one sorted coordinate array per state dimension; the
-    lattice is their product, flattened C-order into the last axis of ``u``.
-    ``stderr`` is the standard error of the per-node Monte Carlo mean.
+    ``axes`` holds one coordinate array per state dimension (``lattice_axes``);
+    the lattice is their product, flattened C-order into the last axis of
+    ``u``.  ``stderr`` is the standard error of the per-node Monte Carlo
+    mean.  ``times``, ``u`` and ``stderr`` are held under ``grids.read_only``.
     """
 
     axes: tuple[np.ndarray, ...]
@@ -127,6 +138,14 @@ class BackwardSolution:
     mc_samples: int
     driver_checksum: str
     terminal_name: str = "terminal"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "axes", lattice_axes(self.axes))
+        for name in ("times", "u", "stderr"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+        shape = (self.times.size, int(np.prod([a.size for a in self.axes])))
+        if self.times.ndim != 1 or self.u.shape != shape or self.stderr.shape != shape:
+            raise ValueError(f"u and stderr must have shape (times, lattice points) = {shape}")
 
     @property
     def dim(self) -> int:
@@ -139,28 +158,27 @@ class BackwardSolution:
     def interpolant(self, time_index: int) -> Callable[[np.ndarray], np.ndarray]:
         """Cubic interpolant of ``u`` at one start time; extrapolates beyond.
 
-        The not-a-knot cubic spline of each axis, as a tensor product for
-        d = 2: the y-spline of every lattice row is evaluated at the points'
-        y, then each point's x-spline through those values at its x.
+        The not-a-knot cubic spline of each axis as a tensor product, last
+        axis first: the splines through the lattice lines of the last axis
+        are evaluated at the points' last coordinate, and each earlier axis's
+        splines through the values so far at its own coordinate.
         """
-        if min(a.size for a in self.axes) < 4:
+        axes = self.axes
+        if min(a.size for a in axes) < 4:
             raise ValueError(_CUBIC_POINTS)
-        vals = self.u[time_index]
-        if self.dim == 1:
-            (ax,) = self.axes
-            slopes = _spline_slopes(ax, vals)
-            return lambda x: _spline_eval(ax, vals, slopes, x[:, 0])
-        if self.dim == 2:
-            ax, ay = self.axes
-            rows = vals.reshape(ax.size, ay.size).T[:, :, None]      # (n_y, n_x, 1)
-            row_slopes = _spline_slopes(ay, rows)
+        # the last axis's lines as columns: (n_last, other axes..., 1)
+        cube = self.u[time_index].reshape([a.size for a in axes])
+        lines = np.moveaxis(cube, -1, 0)[..., None]
+        slopes = _spline_slopes(axes[-1], lines)
 
-            def interp(x: np.ndarray) -> np.ndarray:
-                cols = _spline_eval(ay, rows, row_slopes, x[:, 1])   # (n_x, N)
-                return _spline_eval(ax, cols, _spline_slopes(ax, cols), x[:, 0])
+        def interp(x: np.ndarray) -> np.ndarray:
+            vals = _spline_eval(axes[-1], lines, slopes, x[:, -1])  # (other axes..., N)
+            for j in range(len(axes) - 2, -1, -1):
+                vals = np.moveaxis(vals, -2, 0)                      # axis j first
+                vals = _spline_eval(axes[j], vals, _spline_slopes(axes[j], vals), x[:, j])
+            return vals
 
-            return interp
-        raise ValueError("interpolation implemented for d in {1, 2}")
+        return interp
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +219,9 @@ def solve_backward_fk(
 ) -> BackwardSolution:
     """Sample the backward value function on a lattice of start points.
 
-    ``terminal`` maps ``(n, d)`` states to ``(n,)`` values row by row.  Each
-    axis is held under ``grids.read_only`` (finite) and needs at least 4
-    sorted points, as the cubic interpolant does; ``rp`` needs the bundle's
+    ``terminal`` maps ``(n, d)`` states to ``(n,)`` values row by row.  The
+    axes are held under the rule of ``lattice_axes``, and each needs at least
+    4 points, as the cubic interpolant does; ``rp`` needs the bundle's
     channels, and ``terminal_name`` may hold no whitespace, so
     ``save_backward_csv`` can write it into its magic line.  All are refused
     before any sampling.
@@ -227,7 +245,8 @@ def solve_backward_fk(
     Requires a measure-free bundle: with measure dependence the backward
     problem stops being a per-path expectation and this representation is
     wrong, so the solver refuses rather than silently drifting.  Raises
-    ``NumericalBlowup`` at the first non-finite sampled state.
+    ``NumericalBlowup`` at the first non-finite sampled state, and at the
+    horizon for a non-finite terminal value, which ``u`` could not hold.
     """
     if not coeffs.measure_free:
         raise ValueError(
@@ -240,14 +259,11 @@ def solve_backward_fk(
             f"standard error), got {mc_samples}"
         )
     check_signal(rp, rp.grid, coeffs.driver_dim)
-    axes = tuple(read_only(a) for a in axes)
+    axes = lattice_axes(axes)
     if len(axes) != coeffs.dim:
         raise ValueError(f"need {coeffs.dim} lattice axes, got {len(axes)}")
-    for a in axes:
-        if a.ndim != 1 or np.any(np.diff(a) <= 0):
-            raise ValueError("each lattice axis must be sorted")
-        if a.size < 4:
-            raise ValueError(_CUBIC_POINTS)
+    if min(a.size for a in axes) < 4:
+        raise ValueError(_CUBIC_POINTS)
     if any(c.isspace() for c in terminal_name):
         # the name is one token of the whitespace-split magic line
         raise ValueError(f"terminal_name {terminal_name!r} holds whitespace")
@@ -293,6 +309,7 @@ def solve_backward_fk(
         for lo in range(0, P, chunk):
             hi = min(lo + chunk, P)
             vals = np.asarray(terminal(states[lo * M : hi * M]), dtype=np.float64)
+            check_finite(vals, grid.horizon)
             vals = vals.reshape(hi - lo, M)
             u[row, lo:hi] = vals.mean(axis=1)
             pair_means = vals.reshape(hi - lo, M // 2, 2).mean(axis=2)
@@ -352,31 +369,30 @@ def save_backward_csv(solution: BackwardSolution, path: str, stamp: str | None =
 
 
 def load_backward_csv(path: str) -> BackwardSolution:
-    """The solution :func:`save_backward_csv` wrote; refuses a cut file."""
-    meta, data = read_table(
-        path, _BACKWARD_MAGIC, ("dim", "samples", "times", "points", "terminal", "driver")
-    )
-    d, samples, times = (int(meta[key]) for key in ("dim", "samples", "times"))
-    shape = tuple(int(n) for n in meta["points"].split("x"))
-    if len(shape) != d:
-        raise ValueError(f"{path}: points={meta['points']} does not name {d} axes")
-    if data.shape[1] != 3 + d:
-        raise ValueError(f"{path}: expected {3 + d} columns, got {data.shape[1]}")
-    P = int(np.prod(shape))
-    if data.shape[0] != times * P:
-        raise ValueError(
-            f"{path}: expected {times * P} rows ({times} times x {P} lattice points), "
-            f"got {data.shape[0]}"
+    """The solution :func:`save_backward_csv` wrote; refuses a cut or edited file."""
+    keys = ("dim", "samples", "times", "points", "terminal", "driver")
+    with read_table(path, _BACKWARD_MAGIC, keys) as (meta, data):
+        d, samples, times = (int(meta[key]) for key in keys[:3])
+        shape = tuple(int(n) for n in meta["points"].split("x"))
+        if len(shape) != d:
+            raise ValueError(f"points={meta['points']} does not name {d} axes")
+        P = int(np.prod(shape))
+        check_shape(data, times * P, 3 + d, f"{times} times x {P} lattice points")
+        lattice = data[:P, 1 : 1 + d].reshape(*shape, d)
+        sol = BackwardSolution(
+            axes=tuple(
+                lattice[(0,) * j + (slice(None),) + (0,) * (d - 1 - j) + (j,)] for j in range(d)
+            ),
+            times=data[::P, 0],
+            u=data[:, 1 + d].reshape(times, P),
+            stderr=data[:, 2 + d].reshape(times, P),
+            mc_samples=samples,
+            driver_checksum=meta["driver"],
+            terminal_name=meta["terminal"],
         )
-    lattice = data[:P, 1 : 1 + d].reshape(*shape, d)
-    return BackwardSolution(
-        axes=tuple(
-            lattice[(0,) * j + (slice(None),) + (0,) * (d - 1 - j) + (j,)] for j in range(d)
-        ),
-        times=data[::P, 0],
-        u=data[:, 1 + d].reshape(times, P),
-        stderr=data[:, 2 + d].reshape(times, P),
-        mc_samples=samples,
-        driver_checksum=meta["driver"],
-        terminal_name=meta["terminal"],
-    )
+        blocks = data[:, : 1 + d].reshape(times, P, 1 + d)
+        if np.any(blocks[:, :, 0] != sol.times[:, None]) or np.any(
+            blocks[:, :, 1:] != sol.lattice_points()
+        ):
+            raise ValueError("each block must repeat its start time t and the lattice x_j")
+        return sol

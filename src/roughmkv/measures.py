@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import TimeGrid, read_only, span_sup
-from .tables import read_table, write_table
+from .tables import check_shape, read_table, write_table
 
 __all__ = [
     "EmpiricalMeasure",
@@ -278,16 +278,13 @@ def save_flow_csv(flow: MeasureFlow, path: str, stamp: str | None = None) -> Non
 
 
 def load_flow_csv(path: str) -> MeasureFlow:
+    """The flow :func:`save_flow_csv` wrote; refuses a cut or edited file."""
     keys = ("dim", "particles", "nodes")
-    meta, data = read_table(path, _FLOW_MAGIC, keys)
-    d, N, nodes = (int(meta[key]) for key in keys)
-    if data.shape[1] != 2 + d:
-        raise ValueError(f"{path}: expected {2 + d} columns, got {data.shape[1]}")
-    if data.shape[0] != nodes * N:
-        raise ValueError(
-            f"{path}: expected {nodes * N} rows ({nodes} nodes x {N} particles), "
-            f"got {data.shape[0]}"
-        )
-    times = data[::N, 0]
-    states = data[:, 2:].reshape(nodes, N, d)
-    return MeasureFlow(TimeGrid(times), states, driver_checksum=meta.get("driver"))
+    with read_table(path, _FLOW_MAGIC, keys) as (meta, data):
+        d, N, nodes = (int(meta[key]) for key in keys)
+        check_shape(data, nodes * N, 2 + d, f"{nodes} nodes x {N} particles")
+        grid = TimeGrid(data[::N, 0])
+        t, particle = data[:, 0].reshape(nodes, N), data[:, 1].reshape(nodes, N)
+        if np.any(t != grid.points[:, None]) or np.any(particle != np.arange(N)):
+            raise ValueError(f"each node block must repeat its t and count particle 0..{N - 1}")
+        return MeasureFlow(grid, data[:, 2:].reshape(nodes, N, d), meta.get("driver"))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .grids import TimeGrid, read_only, span_sup
 from .streams import TAG_DRIVER, substream
-from .tables import read_table, write_table
+from .tables import check_shape, read_table, write_table
 
 __all__ = [
     "ALPHA_MIN",
@@ -336,13 +336,11 @@ def save_roughpath_csv(rp: GridRoughPath, path: str, stamp: str | None = None) -
 
 
 def load_roughpath_csv(path: str) -> GridRoughPath:
-    meta, data = read_table(path, _CSV_MAGIC, ("dim", "alpha", "nodes"))
-    n, alpha, nodes = int(meta["dim"]), float(meta["alpha"]), int(meta["nodes"])
-    if data.shape[1] != 1 + n + n * n:
-        raise ValueError(f"{path}: expected {1 + n + n * n} columns, got {data.shape[1]}")
-    if data.shape[0] != nodes:
-        raise ValueError(f"{path}: expected {nodes} rows (one per node), got {data.shape[0]}")
-    grid = TimeGrid(data[:, 0])
-    values = data[:, 1 : 1 + n]
-    areas = data[:-1, 1 + n :].reshape(-1, n, n)
-    return GridRoughPath(grid, values, areas, alpha)
+    """The signal :func:`save_roughpath_csv` wrote; refuses a cut or edited file."""
+    with read_table(path, _CSV_MAGIC, ("dim", "alpha", "nodes")) as (meta, data):
+        n, alpha, nodes = int(meta["dim"]), float(meta["alpha"]), int(meta["nodes"])
+        check_shape(data, nodes, 1 + n + n * n, "one per node")
+        if np.any(data[-1:, 1 + n :] != 0.0):
+            raise ValueError("the last node's WW cells must be zero, as written")
+        areas = data[:-1, 1 + n :].reshape(-1, n, n)
+        return GridRoughPath(TimeGrid(data[:, 0]), data[:, 1 : 1 + n], areas, alpha)

@@ -281,6 +281,15 @@ def _node_curves(
     return curves
 
 
+def _defect(lhs, time_part, first, second, dw: np.ndarray, ww: np.ndarray):
+    """``lhs - time_part - first . dW - second : WW`` per span, channel axes
+    last; ``first`` and ``second`` are frozen at the span's start."""
+    n = dw.shape[-1]
+    first_part = sum(first[..., k] * dw[..., k] for k in range(n))
+    second_part = sum(second[..., k, l] * ww[..., k, l] for k in range(n) for l in range(n))
+    return lhs - time_part - first_part - second_part
+
+
 def weak_residual(
     flow: MeasureFlow,
     rp: GridRoughPath,
@@ -302,15 +311,10 @@ def weak_residual(
     pts = flow.grid.points[i : j + 1]
     curves = _node_curves(pts, flow.states[i : j + 1], [phi], coeffs)
     value, gen = curves.value[0], curves.generator[0]
-    first, second = curves.first[0, 0], curves.second[0, 0]
-    lhs = value[-1] - value[0]
     time_part = float(np.sum(0.5 * np.diff(pts) * (gen[:-1] + gen[1:])))
-
-    dw, ww = rp.span(i, j)
-    n = rp.dim
-    first_part = sum(first[k] * dw[k] for k in range(n))
-    second_part = sum(second[k, l] * ww[k, l] for k in range(n) for l in range(n))
-    return float(lhs - time_part - first_part - second_part)
+    return float(_defect(
+        value[-1] - value[0], time_part, curves.first[0, 0], curves.second[0, 0], *rp.span(i, j)
+    ))
 
 
 def _cell_residuals(
@@ -321,22 +325,14 @@ def _cell_residuals(
     pts = flow.grid.points
     curves = _node_curves(pts, flow.states, bank, coeffs)
     value, gen = curves.value, curves.generator
-    lhs = value[:, 1:] - value[:, :-1]
-    time_part = 0.5 * np.diff(pts) * (gen[:, :-1] + gen[:, 1:])
-
     cells = np.arange(flow.grid.num_cells)
-    dw, ww = rp.span(cells, cells + 1)                    # (K, n), (K, n, n)
-    n = rp.dim
-    first = curves.first[:, :-1]                          # signal terms at s = t_k
-    second = curves.second[:, :-1]
-    first_part = 0.0
-    for k in range(n):
-        first_part = first_part + first[:, :, k] * dw[:, k]
-    second_part = 0.0
-    for k in range(n):
-        for l in range(n):
-            second_part = second_part + second[:, :, k, l] * ww[:, k, l]
-    return lhs - time_part - first_part - second_part
+    return _defect(
+        value[:, 1:] - value[:, :-1],
+        0.5 * np.diff(pts) * (gen[:, :-1] + gen[:, 1:]),
+        curves.first[:, :-1],                             # signal terms at s = t_k
+        curves.second[:, :-1],
+        *rp.span(cells, cells + 1),                       # (K, n), (K, n, n)
+    )
 
 
 # ---------------------------------------------------------------------------

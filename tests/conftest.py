@@ -1,9 +1,10 @@
-"""Shared coefficient builders, a memory probe and a file editor used across
+"""Shared coefficient builders, a memory probe and file editors used across
 the test modules."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from roughmkv.coefficients import (
     CoefficientSet,
@@ -90,3 +91,27 @@ def drop_magic_token(path, key: str) -> None:
     magic, rest = path.read_text(encoding="utf-8").split("\n", 1)
     kept = " ".join(t for t in magic.split() if not t.startswith(key + "="))
     path.write_text(kept + "\n" + rest, encoding="utf-8")
+
+
+def edit_cell(path, row: int, column: int, text: str) -> None:
+    """Set the cell at data ``row`` and ``column`` of the stamp-free table at
+    ``path`` to ``text``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[2 + row].split(",")
+    cells[column] = text
+    lines[2 + row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def edit_magic(path, old: str, new: str) -> None:
+    """Replace ``old`` by ``new`` in the magic line of the table at ``path``."""
+    magic, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(magic.replace(old, new) + "\n" + rest, encoding="utf-8")
+
+
+def assert_refused_naming(load, path, match: str) -> None:
+    """``load(str(path))`` raises a ``ValueError`` that matches ``match`` and
+    starts with ``<path>: ``."""
+    with pytest.raises(ValueError, match=match) as refused:
+        load(str(path))
+    assert str(refused.value).startswith(f"{path}: ")

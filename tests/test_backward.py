@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import drop_magic_token, linear_signal_family, mean_coupled_sin_family, traced_peak
+from conftest import (
+    assert_refused_naming,
+    drop_magic_token,
+    edit_cell,
+    edit_magic,
+    linear_signal_family,
+    mean_coupled_sin_family,
+    traced_peak,
+)
 
 from roughmkv import backward
 from roughmkv.backward import (
@@ -433,6 +441,16 @@ def test_a_whitespace_free_terminal_name_loads_back(tmp_path):
     assert load_backward_csv(str(tmp_path / "u.csv")).terminal_name == "x**2+c=1"
 
 
+def test_a_non_finite_terminal_value_is_a_blowup_at_the_horizon():
+    # finite states whose terminal value overflows: u could not hold it
+    grid, rp, cs = shift_setup(cells=4)
+    axes = (np.linspace(-1.0, 1.0, 4),)
+    overflow = lambda x: 1e300 * np.exp(x[:, 0] + 20.0)
+    with np.errstate(over="ignore"), pytest.raises(NumericalBlowup) as exc:
+        solve_backward_fk(cs, rp, overflow, axes, grid.points[[0]], 8, 1)
+    assert exc.value.time == grid.horizon
+
+
 def test_exploding_drift_raises_with_time_stamp():
     grid, rp = grid_and_driver()
     cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e3 * x**3)
@@ -556,7 +574,7 @@ def ref_save_backward_csv(solution, path, stamp=None):
 def awkward_solution(d: int) -> BackwardSolution:
     """A solution whose lattice and values include -0.0, subnormals and inexact floats."""
     rng = np.random.default_rng(40 + d)
-    axes = (np.array([-0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0]), np.array([-1.5, 1e300, 2.0]))[:d]
+    axes = (np.array([-0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0]), np.array([-1.5, 2.0, 1e300]))[:d]
     P = int(np.prod([a.size for a in axes]))
     return BackwardSolution(
         axes=axes,
@@ -608,6 +626,37 @@ def test_backward_csv_loads_back_bit_exact(tmp_path, d):
     for name in ("times", "u", "stderr"):
         assert np.array_equal(bits(getattr(back, name)), bits(getattr(sol, name)))
     assert (back.mc_samples, back.driver_checksum, back.terminal_name) == (8, "abc", "square")
+
+
+def test_a_loaded_solution_holds_read_only_arrays(tmp_path):
+    path = str(tmp_path / "u.csv")
+    save_backward_csv(awkward_solution(2), path)
+    back = load_backward_csv(path)
+    for a in (*back.axes, back.times, back.u, back.stderr):
+        assert not a.flags.writeable
+
+
+# awkward_solution(2): 3 blocks of 12 rows t, x_1, x_2, u, stderr; in each
+# block x_2 runs over -1.5, 2.0, 1e300 for every x_1
+BACKWARD_EDITS = {
+    "nan_u": (lambda p: edit_cell(p, 5, 3, "nan"), "finite"),
+    "inf_stderr": (lambda p: edit_cell(p, 17, 4, "inf"), "finite"),
+    "axis_out_of_order": (lambda p: edit_cell(p, 1, 2, "1e301"), "lattice axis must be sorted"),
+    "non_numeric": (lambda p: edit_cell(p, 3, 3, "abc"), "abc"),
+    "dim_not_an_integer": (lambda p: edit_magic(p, "dim=2", "dim=x"), "invalid literal"),
+    "t_inside_a_block": (lambda p: edit_cell(p, 13, 0, "0.5"), "repeat its start time"),
+    "x_in_a_later_block": (lambda p: edit_cell(p, 20, 1, "0.25"), "lattice x_j"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BACKWARD_EDITS))
+def test_backward_csv_refuses_an_edit_naming_the_file(tmp_path, case):
+    edit, match = BACKWARD_EDITS[case]
+    path = tmp_path / "u.csv"
+    save_backward_csv(awkward_solution(2), str(path))
+    load_backward_csv(str(path))
+    edit(path)
+    assert_refused_naming(load_backward_csv, path, match)
 
 
 def planar_flow_and_solution():
@@ -738,9 +787,10 @@ def test_2d_interpolant_extrapolates_like_nested_cubic_splines():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_interpolant_reproduces_constants_and_cubics(d):
-    axes = (KNOTS["nonuniform"], np.linspace(-1.0, 1.0, 6))[:d]
+    third = np.array([-2.0, -0.5, 0.3, 1.1, 2.5])
+    axes = (KNOTS["nonuniform"], np.linspace(-1.0, 1.0, 6), third)[:d]
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     rng = np.random.default_rng(7)
     x = rng.uniform(-5.0, 5.0, size=(300, d))                   # inside and beyond
@@ -749,7 +799,12 @@ def test_interpolant_reproduces_constants_and_cubics(d):
 
     def cubic(p):
         out = 0.5 * p[:, 0] ** 3 - p[:, 0] + 2.0
-        return out if d == 1 else out + (p[:, 0] ** 2 - 0.25 * p[:, 1] ** 2) * p[:, 1]
+        if d > 1:
+            out = out + (p[:, 0] ** 2 - 0.25 * p[:, 1] ** 2) * p[:, 1]
+        if d > 2:   # cubic in each coordinate, with every pair and the triple mixed
+            mixed = p[:, 0] - 0.5 * p[:, 1] ** 3 + p[:, 0] * p[:, 1]
+            out = out + (p[:, 2] ** 3 - p[:, 2]) * mixed
+        return out
 
     got = solution_on(axes, cubic(lattice)).interpolant(0)(x)
     assert np.max(np.abs(got - cubic(x))) <= 1e-12 * np.max(np.abs(cubic(x)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drop_magic_token
+from conftest import assert_refused_naming, drop_magic_token, edit_cell, edit_magic
 
 from roughmkv import measures
 from roughmkv.grids import TimeGrid
@@ -449,6 +449,28 @@ def test_flow_csv_without_node_count_is_refused(tmp_path):
     path.write_text("# roughmkv-flow v1 dim=1 particles=1\nt,particle,x_1\n0.0,0,1.0\n")
     with pytest.raises(ValueError, match="nodes="):
         load_flow_csv(str(path))
+
+
+# little_flow(seed=3, cells=4, n=5): node k holds rows 5k..5k+4, t = k / 4
+FLOW_EDITS = {
+    "nan_state": (lambda p: edit_cell(p, 7, 2, "nan"), "finite"),
+    "inf_state": (lambda p: edit_cell(p, 7, 2, "inf"), "finite"),
+    "t_not_increasing": (lambda p: edit_cell(p, 10, 0, "0.0"), "strictly increasing"),
+    "non_numeric": (lambda p: edit_cell(p, 3, 2, "abc"), "abc"),
+    "dim_not_an_integer": (lambda p: edit_magic(p, "dim=1", "dim=x"), "invalid literal"),
+    "t_inside_a_node_block": (lambda p: edit_cell(p, 12, 0, "0.25"), "repeat its t"),
+    "particle_inside_a_node_block": (lambda p: edit_cell(p, 12, 1, "1"), "count particle 0..4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_EDITS))
+def test_flow_csv_refuses_an_edit_naming_the_file(tmp_path, case):
+    edit, match = FLOW_EDITS[case]
+    path = tmp_path / "flow.csv"
+    save_flow_csv(little_flow(seed=3, cells=4, n=5), str(path))
+    load_flow_csv(str(path))
+    edit(path)
+    assert_refused_naming(load_flow_csv, path, match)
 
 
 def ref_save_flow_csv(flow, path, stamp=None):

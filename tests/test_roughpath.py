@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drop_magic_token
+from conftest import assert_refused_naming, drop_magic_token, edit_cell, edit_magic
 
 from roughmkv.grids import TimeGrid
 from roughmkv.roughpath import (
@@ -415,6 +415,27 @@ def test_csv_without_node_count_is_refused(tmp_path):
     path.write_text("# roughmkv-signal v1 dim=1 alpha=0.4\nt,W_1,WW_11\n0.0,0.0,0.0\n")
     with pytest.raises(ValueError, match="nodes="):
         load_roughpath_csv(str(path))
+
+
+# random_walk_path(4, 12, 2): 13 rows t, W_1, W_2, WW_11, WW_12, WW_21, WW_22
+DRIVER_EDITS = {
+    "nan_value": (lambda p: edit_cell(p, 3, 1, "nan"), "finite"),
+    "inf_area": (lambda p: edit_cell(p, 3, 4, "inf"), "finite"),
+    "t_not_increasing": (lambda p: edit_cell(p, 5, 0, "0.0"), "strictly increasing"),
+    "non_numeric": (lambda p: edit_cell(p, 2, 2, "abc"), "abc"),
+    "dim_not_an_integer": (lambda p: edit_magic(p, "dim=2", "dim=x"), "invalid literal"),
+    "area_on_the_last_row": (lambda p: edit_cell(p, 12, 5, "0.001"), "last node's WW"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIVER_EDITS))
+def test_csv_refuses_an_edit_naming_the_file(tmp_path, case):
+    edit, match = DRIVER_EDITS[case]
+    path = tmp_path / "driver.csv"
+    save_roughpath_csv(random_walk_path(4, 12, 2), str(path))
+    load_roughpath_csv(str(path))
+    edit(path)
+    assert_refused_naming(load_roughpath_csv, path, match)
 
 
 def ref_save_roughpath_csv(rp, path, stamp=None):
