@@ -7,13 +7,16 @@ fixed inputs:
 ``forward``     ``simulate.simulate`` on increments drawn beforehand, keeping
                 the last cloud only, nanoseconds per particle-step
 ``backward``    ``backward.solve_backward_fk`` from one start time,
-                nanoseconds per path-step
+                nanoseconds per path-step; ``backward.starts`` from the
+                workload's 5 start times, per path-step of every start time
 
 The first two sweep the particle count N from 250 to 64 000 on the bundle
 read from the scenario benchmark's ``workloads/chaos_ladder.ini`` (64 cells,
 ``moment_sin`` signal coefficient); the backward sampler runs the bundle read
 from ``workloads/duality_mc.ini`` on 33 lattice points x 1 024 samples x 64
-cells (the workload itself runs 128).
+cells (the workload itself runs 128).  The start times of ``backward.starts``
+share each cell's normal draws, so its path-steps, summed over the start
+times, cost less than those of ``backward``.
 Each round times every case once, in a fixed round-robin order, so a drift
 of the host's speed spreads over all of them; one untimed round runs first.
 One timed sample repeats its case until it has run at least 50 ms and is
@@ -87,19 +90,26 @@ def forward_cases() -> list:
     return cases
 
 
-def backward_case() -> tuple:
+def backward_cases() -> list:
+    """``backward`` from one start time; ``backward.starts`` from the
+    workload's ``time_points`` start times, which share each cell's draws."""
     sc = parse_scenario_file(str(WORKLOADS / "duality_mc.ini"))
     grid = TimeGrid.uniform(sc.horizon, BACKWARD_CELLS)
     rp = build_driver(sc, grid)
     coeffs = build_coefficients(sc)
     name, terminal = build_terminal(sc)
     axes = [np.linspace(-2.0, 2.0, LATTICE_POINTS)]
+    nodes = np.round(np.linspace(0, grid.num_cells, sc.time_points)).astype(int)
+    cases = []
+    for case, starts in (("backward", np.array([0])), ("backward.starts", nodes)):
+        def run(times=grid.points[starts]):
+            return solve_backward_fk(coeffs, rp, terminal, axes, times, SAMPLES, seed=7,
+                                     terminal_name=name)
 
-    def run():
-        return solve_backward_fk(coeffs, rp, terminal, axes, [0.0], SAMPLES, seed=7,
-                                 terminal_name=name)
-
-    return ("backward", "ns/path-step", LATTICE_POINTS * SAMPLES * grid.num_cells, 1e9, run)
+        # path-steps as the scenario tracer counts them: each start time's own cells
+        steps = int(np.sum(grid.num_cells - starts))
+        cases.append((case, "ns/path-step", LATTICE_POINTS * SAMPLES * steps, 1e9, run))
+    return cases
 
 
 def per_call(run) -> float:
@@ -114,7 +124,7 @@ def per_call(run) -> float:
 
 
 def measure(rounds: int) -> dict:
-    cases = forward_cases() + [backward_case()]
+    cases = forward_cases() + backward_cases()
     samples = {name: [] for name, *_ in cases}
     for r in range(rounds + 1):
         for name, _, work, scale, run in cases:

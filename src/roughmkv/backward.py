@@ -8,6 +8,8 @@ The solver evaluates that representation on a spatial lattice for a set of
 start times.  Its paths come in antithetic pairs: the two paths of a pair
 see the same signal and opposite Brownian increments, so each path is still
 an exact sample, and the independent pair means give the standard error.
+Start times share the noise of each cell they cross, so one solve draws
+each cell's normals once.
 
 The duality probe interpolates the value function onto the particles of a
 forward flow sharing the identical signal (checksums are compared, not
@@ -28,7 +30,7 @@ from .coefficients import CoefficientSet
 from .grids import read_only
 from .measures import MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, check_signal, roughpath_checksum
-from .simulate import advance_states, check_finite
+from .simulate import NumericalBlowup, advance_states, check_finite
 from .streams import TAG_BACKWARD, bulk_stream
 from .tables import check_shape, read_table, write_table
 
@@ -45,7 +47,8 @@ __all__ = [
 
 # Sampled states advance through each grid cell this many rows at a time,
 # rounded down to whole antithetic pairs, so the one-step map's per-point
-# temporaries stay cache-sized; the draws do not depend on it.
+# temporaries stay cache-sized; a chunk of the lattice is this many rows of
+# whole points (at least one point).  No draw or value depends on it.
 _BLOCK_ROWS = 16384
 
 _BACKWARD_MAGIC = "# roughmkv-backward v1"
@@ -227,26 +230,39 @@ def solve_backward_fk(
     before any sampling.
 
     ``mc_samples`` must be even and at least 4: the paths come in antithetic
-    pairs, and a standard error needs at least two pairs.  Each start time
-    draws its private noise from its own SFC64 stream,
-    ``bulk_stream(seed, TAG_BACKWARD, start)``, one normal row ``z_r`` per
-    pair and cell, in row order, block by block; path rows ``2r`` and
-    ``2r + 1`` take ``+sqrt(h) z_r`` and ``-sqrt(h) z_r``.  Blocks hold whole
-    pairs, so neither the block length nor the other start times change its
-    numbers.  These normals are most of the sampler's cost, and SFC64 draws
-    them cheaper than the Philox streams of the driver, the initial cloud and
-    the particles, which keep their numbers.
+    pairs, and a standard error needs at least two pairs.  Grid cell ``k``
+    draws its noise from its own SFC64 stream, ``bulk_stream(seed,
+    TAG_BACKWARD, k)``, one normal row ``z_r`` per pair, in row order over
+    the whole lattice; path rows ``2r`` and ``2r + 1`` take ``+sqrt(h) z_r``
+    and ``-sqrt(h) z_r``, and every start time that crosses the cell reads
+    the same rows.  So a cell's normals are drawn once per solve, not once
+    per start time: (K - min s) P M / 2 normals in all.  These normals are a
+    large share of the sampler's cost, and SFC64 draws them cheaper than the
+    Philox streams of the driver, the initial cloud and the particles.
+
+    The lattice is walked in chunks of whole points, about ``_BLOCK_ROWS //
+    M`` of them; each start time holds its own states for one chunk, so the
+    states take S chunks whatever the lattice size.  A chunk walks the cells
+    from the earliest start time to the horizon, block by block, and
+    advances every start time that has begun.  Blocks hold whole pairs and
+    every reduction is per point, so neither the block length, the chunk
+    size, the order of ``times`` nor the other start times change a number.
 
     ``u`` is the mean over a lattice point's M rows.  Pairs never straddle
     lattice points, so the M/2 pair means of a point are independent, and
     ``stderr`` is their sample standard deviation (ddof = 1) over
-    ``sqrt(M / 2)``: the exact standard error of ``u``.
+    ``sqrt(M / 2)``: the exact standard error of ``u``.  Start times share
+    noise, so their errors are positively correlated: compare two start
+    times through the differences of their paired values, not through two
+    independent standard errors.
 
     Requires a measure-free bundle: with measure dependence the backward
     problem stops being a per-path expectation and this representation is
     wrong, so the solver refuses rather than silently drifting.  Raises
-    ``NumericalBlowup`` at the first non-finite sampled state, and at the
-    horizon for a non-finite terminal value, which ``u`` could not hold.
+    ``NumericalBlowup`` at the earliest grid time at which any sampled state
+    of any start time is non-finite, counting a non-finite terminal value,
+    which ``u`` could not hold, as the horizon.  Once a blow-up is seen,
+    later chunks walk only the cells that could give an earlier one.
     """
     if not coeffs.measure_free:
         raise ValueError(
@@ -270,50 +286,66 @@ def solve_backward_fk(
 
     grid = rp.grid
     pts = grid.points
+    K = grid.num_cells
     t_idx = [grid.index_of(float(t)) for t in times]
+    S = len(t_idx)
+    first = min(t_idx, default=K)
     lattice = _product_lattice(axes)                             # (P, d)
     P = lattice.shape[0]
     M = int(mc_samples)
 
-    rows = P * M
-    block = max(2, min(_BLOCK_ROWS, rows) // 2 * 2)             # whole pairs
-    chunk = max(1, _BLOCK_ROWS // M)                            # lattice points per terminal pass
+    chunk = max(1, _BLOCK_ROWS // M)                            # lattice points per chunk
+    block = max(2, min(_BLOCK_ROWS, min(chunk, P) * M) // 2 * 2)  # whole pairs
+    cells = [
+        (bulk_stream(seed, TAG_BACKWARD, k), float(grid.dt[k]), float(pts[k]), *rp.span(k, k + 1))
+        for k in range(first, K)
+    ]
     z = np.empty((block // 2, coeffs.brownian_dim))             # one normal row per pair
     db = np.empty((block // 2, 2, coeffs.brownian_dim))         # the pairs' +/- increments
-    u = np.empty((len(t_idx), P))
-    se = np.empty((len(t_idx), P))
-    states = np.empty((rows, coeffs.dim))                       # refilled per start time
-    for row, start in enumerate(t_idx):
-        rng = bulk_stream(seed, TAG_BACKWARD, start)
-        states.reshape(P, M, -1)[...] = lattice[:, None, :]
-        for k in range(start, grid.num_cells):
-            h = float(grid.dt[k])
-            s_t, t_t = float(pts[k]), float(pts[k + 1])
-            dw, area = rp.span(k, k + 1)
-            # Blocks walk the pairs in order, so the stream is consumed exactly
-            # as one (P*M/2, m) draw would consume it.
-            for lo in range(0, rows, block):
-                hi = min(lo + block, rows)
-                half = z[: (hi - lo) // 2]
-                rng.standard_normal(out=half)
-                pairs = db[: half.shape[0]]
-                np.multiply(half, np.sqrt(h), out=pairs[:, 0])
-                np.negative(pairs[:, 0], out=pairs[:, 1])
-                rows_k = states[lo:hi]
-                advance_states(
-                    rows_k, coeffs, None, s_t, h, dw, area,
-                    pairs.reshape(hi - lo, -1), out=rows_k,
-                )
-                check_finite(rows_k, t_t)
-        # per-point reductions, so whole points per pass change no number
-        for lo in range(0, P, chunk):
-            hi = min(lo + chunk, P)
-            vals = np.asarray(terminal(states[lo * M : hi * M]), dtype=np.float64)
-            check_finite(vals, grid.horizon)
-            vals = vals.reshape(hi - lo, M)
-            u[row, lo:hi] = vals.mean(axis=1)
-            pair_means = vals.reshape(hi - lo, M // 2, 2).mean(axis=2)
-            se[row, lo:hi] = pair_means.std(axis=1, ddof=1) / np.sqrt(M // 2)
+    u = np.empty((S, P))
+    se = np.empty((S, P))
+    states = np.empty((S, min(chunk, P) * M, coeffs.dim))       # one chunk per start time
+    blowup = K + 1                     # grid index of the earliest non-finite state seen
+    for lo in range(0, P, chunk):
+        hi = min(lo + chunk, P)
+        rows = (hi - lo) * M
+        held = states[:, :rows]
+        held.reshape(S, hi - lo, M, coeffs.dim)[...] = lattice[lo:hi, None, :]
+        try:
+            # only a cell that ends before the earliest blow-up so far can move it
+            for k in range(first, min(K, blowup - 1)):
+                rng, h, s_t, dw, area = cells[k - first]
+                live = [held[i] for i, start in enumerate(t_idx) if start <= k]
+                # Blocks walk the chunk's pairs in order, so each cell's stream
+                # is consumed in row order over the whole lattice.
+                for r0 in range(0, rows, block):
+                    r1 = min(r0 + block, rows)
+                    half = z[: (r1 - r0) // 2]
+                    rng.standard_normal(out=half)
+                    pairs = db[: half.shape[0]]
+                    np.multiply(half, np.sqrt(h), out=pairs[:, 0])
+                    np.negative(pairs[:, 0], out=pairs[:, 1])
+                    for paths in live:
+                        part = paths[r0:r1]
+                        advance_states(
+                            part, coeffs, None, s_t, h, dw, area,
+                            pairs.reshape(r1 - r0, -1), out=part,
+                        )
+                        check_finite(part, float(pts[k + 1]))
+            if blowup <= K:
+                continue
+            # per-point reductions, so whole points per chunk change no number
+            for i in range(S):
+                vals = np.asarray(terminal(held[i]), dtype=np.float64)
+                check_finite(vals, grid.horizon)
+                vals = vals.reshape(hi - lo, M)
+                u[i, lo:hi] = vals.mean(axis=1)
+                pair_means = vals.reshape(hi - lo, M // 2, 2).mean(axis=2)
+                se[i, lo:hi] = pair_means.std(axis=1, ddof=1) / np.sqrt(M // 2)
+        except NumericalBlowup as exc:
+            blowup = grid.index_of(exc.time)
+    if blowup <= K:
+        raise NumericalBlowup(float(pts[blowup]))
     return BackwardSolution(
         axes=axes,
         times=np.asarray([float(pts[i]) for i in t_idx]),

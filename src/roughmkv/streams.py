@@ -2,19 +2,19 @@
 
 Every random draw in the package comes from a generator keyed by ``(seed,
 *tags)``.  Tags are small integers naming the consumer (one per particle, one
-for the driving signal, one per backward start time, ...), so distinct
+for the driving signal, one per backward grid cell, ...), so distinct
 consumers never share a stream and every draw is reproducible from the seed
 alone, independent of evaluation order.  ``numpy.random.SeedSequence`` turns
 the tuple into the generator's seed; two bit generators read it:
 
 * counter-based Philox (``substream``, ``normal_rows``) for the driving
   signal, the initial cloud and each particle's private increments;
-* SFC64 (``bulk_stream``) for the backward sampler, one stream per start
-  time.
+* SFC64 (``bulk_stream``) for the backward sampler, one stream per grid
+  cell, which every backward start time crossing that cell reads.
 
-The sampler draws tens of millions of normals from a handful of streams, so
-the cost of a normal draw is most of its run time, and SFC64 draws them
-cheaper than Philox.  The other consumers keep Philox, so their streams, and
+The sampler draws tens of millions of normals from about a hundred streams,
+so the cost of a normal draw is a large share of its run time, and SFC64
+draws them cheaper than Philox.  The other consumers keep Philox, so their streams, and
 every artifact computed from them alone, keep their numbers.
 
 A Philox stream is fixed by its 128-bit key; the counter starts at zero.  The

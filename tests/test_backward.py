@@ -176,33 +176,46 @@ def test_stderr_matches_the_seed_to_seed_spread(terminal):
 def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
     """Oracle: every sampled state advanced as one batch, one draw per cell.
 
-    Each cell draws one ``(P*M/2, m)`` normal block; row ``r`` drives path
-    rows ``2r`` (plus) and ``2r + 1`` (minus), and ``stderr`` is the spread
-    of the pair means.
+    Cell ``k`` draws one ``(P*M/2, m)`` normal block from its own stream,
+    ``bulk_stream(seed, TAG_BACKWARD, k)``, and every start time that crosses
+    it reads that block; row ``r`` drives path rows ``2r`` (plus) and
+    ``2r + 1`` (minus), and ``stderr`` is the spread of the pair means.  A
+    blow-up raises the earliest time any start time reaches.
     """
     grid, pts = rp.grid, rp.grid.points
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
     P, M = lattice.shape[0], mc_samples
-    u, se = [], []
-    for t in times:
-        start = grid.index_of(float(t))
-        rng = bulk_stream(seed, TAG_BACKWARD, start)
+    starts = [grid.index_of(float(t)) for t in times]
+    noise = {
+        k: bulk_stream(seed, TAG_BACKWARD, k).standard_normal((P * M // 2, coeffs.brownian_dim))
+        for k in range(min(starts), grid.num_cells)
+    }
+    u, se, blowups = [], [], []
+    for start in starts:
         states = np.repeat(lattice, M, axis=0)
-        for k in range(start, grid.num_cells):
-            h = float(grid.dt[k])
-            z = rng.standard_normal((states.shape[0] // 2, coeffs.brownian_dim)) * np.sqrt(h)
-            db = np.empty((states.shape[0], coeffs.brownian_dim))
-            db[0::2], db[1::2] = z, -z
-            s_t, t_t = float(pts[k]), float(pts[k + 1])
-            states, _ = advance_states(
-                states, coeffs, None, s_t, h, rp.increment(s_t, t_t), rp.second(s_t, t_t), db
-            )
-            check_finite(states, t_t)
-        vals = terminal(states).reshape(P, M)
+        try:
+            for k in range(start, grid.num_cells):
+                h = float(grid.dt[k])
+                z = noise[k] * np.sqrt(h)
+                db = np.empty((states.shape[0], coeffs.brownian_dim))
+                db[0::2], db[1::2] = z, -z
+                s_t, t_t = float(pts[k]), float(pts[k + 1])
+                states, _ = advance_states(
+                    states, coeffs, None, s_t, h, rp.increment(s_t, t_t), rp.second(s_t, t_t), db
+                )
+                check_finite(states, t_t)
+            vals = terminal(states)
+            check_finite(vals, grid.horizon)
+        except NumericalBlowup as exc:
+            blowups.append(exc.time)
+            continue
+        vals = vals.reshape(P, M)
         u.append(vals.mean(axis=1))
         pair_means = (vals[:, 0::2] + vals[:, 1::2]) / 2.0
         se.append(pair_means.std(axis=1, ddof=1) / np.sqrt(M // 2))
+    if blowups:
+        raise NumericalBlowup(min(blowups))
     return np.array(u), np.array(se)
 
 
@@ -239,23 +252,65 @@ def planar_bundle():
     return rp, cs, (np.linspace(-1.0, 1.0, 4), np.linspace(-2.0, 2.0, 4)), 4   # 64 rows
 
 
+# case: (_BLOCK_ROWS from the lattice's rows and M, start nodes)
+BLOCKINGS = {
+    "above": (lambda rows, M: rows + 4, [0, 5, 8]),
+    "exact": (lambda rows, M: rows, [0, 5, 8]),
+    "ragged": (lambda rows, M: 14, [0, 5, 8]),
+    "two_points": (lambda rows, M: 2 * M + 1, [0, 5, 8]),
+    "three_points_ragged_chunk": (lambda rows, M: 3 * M + 1, [0, 5, 8]),
+    "times_out_of_order": (lambda rows, M: 14, [8, 0, 5]),
+}
+
+
 @pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
-@pytest.mark.parametrize("block", ["above", "exact", "ragged", "two_points"])
+@pytest.mark.parametrize("block", list(BLOCKINGS))
 def test_blocked_sampler_equals_one_shot_draw(monkeypatch, bundle, block):
-    # the block size also sets the terminal pass: _BLOCK_ROWS // M points;
+    # the block size also sets the chunk: _BLOCK_ROWS // M lattice points;
     # the sampler rounds the block down to whole pairs
     rp, cs, axes, M = bundle()
-    rows = M * int(np.prod([a.size for a in axes]))
-    size = {"above": rows + 4, "exact": rows, "ragged": 14, "two_points": 2 * M + 1}[block]
+    P = int(np.prod([a.size for a in axes]))
+    rows = M * P
+    block_rows, nodes = BLOCKINGS[block]
+    size = block_rows(rows, M)
     effective = max(2, min(size, rows) // 2 * 2)
     assert block != "ragged" or rows % effective != 0
+    assert block != "three_points_ragged_chunk" or P % 3 != 0
     monkeypatch.setattr(backward, "_BLOCK_ROWS", size)
-    times = rp.grid.points[[0, 5, 8]]
+    times = rp.grid.points[nodes]
     terminal = lambda x: np.sum(x**2, axis=1)
     sol = solve_backward_fk(cs, rp, terminal, axes, times, M, 17)
     u, se = one_shot_reference(cs, rp, terminal, axes, times, M, 17)
     assert np.array_equal(sol.u, u)
     assert np.array_equal(sol.stderr, se)
+
+
+def test_each_cell_draws_its_normals_once(monkeypatch):
+    # four start times share the cells they cross: (K - min s) P M / 2
+    # normals in all, one stream per cell from the earliest start on
+    rp, cs, axes, M = scalar_bundle()
+    P, K = axes[0].size, rp.grid.num_cells
+    opened, drawn = [], []
+
+    class Counted:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kw):
+            out = self.gen.standard_normal(*args, **kw)
+            drawn.append(out.size)
+            return out
+
+    def counted_stream(seed, *tags):
+        opened.append(tags)
+        return Counted(bulk_stream(seed, *tags))
+
+    monkeypatch.setattr(backward, "bulk_stream", counted_stream)
+    monkeypatch.setattr(backward, "_BLOCK_ROWS", 14)
+    starts = [5, 2, 8, 3]
+    solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, rp.grid.points[starts], M, 17)
+    assert sum(drawn) == (K - min(starts)) * P * M // 2
+    assert opened == [(TAG_BACKWARD, k) for k in range(min(starts), K)]
 
 
 @pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
@@ -289,6 +344,36 @@ def test_blowup_in_a_later_block_keeps_its_time(monkeypatch):
     assert got.value.time == want.value.time
 
 
+def overflow_step(x, grid):
+    """Cells the noise-free x <- x + 1e3 x^3 h takes to leave the float range."""
+    x, k = np.float64(x), 0
+    while np.isfinite(x):
+        x = x + 1e3 * x**3 * float(grid.dt[k])
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("nodes", [[0, 8], [8, 0]])
+@pytest.mark.parametrize("block", [5, 9])
+def test_the_earliest_blowup_of_any_chunk_is_raised(monkeypatch, block, nodes):
+    # M = 4 and blocks of 5 or 9 rows: one or two lattice points per chunk.
+    # The node at -2 (first chunk) overflows a cell later than the node at
+    # 50 (last chunk), so the first chunk to blow up is not the earliest.
+    grid, rp = grid_and_driver()
+    cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e3 * x**3)
+    axes = (np.array([-2.0, 0.0, 1e-3, 50.0]),)
+    monkeypatch.setattr(backward, "_BLOCK_ROWS", block)
+    times = grid.points[nodes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        early, late = overflow_step(50.0, grid), overflow_step(-2.0, grid)
+        with pytest.raises(NumericalBlowup) as want:
+            one_shot_reference(cs, rp, lambda x: x[:, 0], axes, times, 4, 1)
+        with pytest.raises(NumericalBlowup) as got:
+            solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, times, 4, 1)
+    assert early < late < grid.num_cells
+    assert got.value.time == want.value.time == grid.points[early]
+
+
 def test_sampler_memory_is_the_paths_plus_a_few_blocks():
     # the (P*M, 1) states, then the terminal values of one lattice point
     # (M rows here) with the temporaries of their mean and spread; the
@@ -310,24 +395,28 @@ def test_sampler_memory_is_the_paths_plus_a_few_blocks():
     assert peak <= states_bytes + 3 * M * 8 + 4 * block_bytes
 
 
-def test_sampler_refills_one_states_array_per_start_time():
+def test_sampler_memory_does_not_grow_with_the_lattice():
     # d = 2 and a terminal that reads a view, so the states dominate the
-    # peak; a second start time must not hold a second states array
-    grid, rp = grid_and_driver(cells=8, dim=2)
+    # peak; M = _BLOCK_ROWS makes a chunk one lattice point, and each start
+    # time holds one chunk of states whatever the lattice size
+    grid, rp = grid_and_driver(cells=4, dim=2)
     cs = coefficient_set(
         2, 2, 2,
         drift=lambda t, x, mu: -0.3 * x,
         diffusion=lambda t, x, mu: 0.5 * np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
         rough=linear_state_family(0.25, 2, 2),
     )
-    axes, M = (np.linspace(-1.0, 1.0, 4),) * 2, backward._BLOCK_ROWS
-    peaks = [
-        traced_peak(
-            lambda: solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[idx], M, 1)
-        )[1]
-        for idx in ([0], [0, 4])
-    ]
-    assert peaks[1] <= peaks[0] + backward._BLOCK_ROWS * 8
+    M = backward._BLOCK_ROWS
+
+    def peak(second_axis_points, nodes):
+        axes = (np.linspace(-1.0, 1.0, 4), np.linspace(-1.0, 1.0, second_axis_points))
+        solve = lambda: solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[nodes], M, 1)
+        return traced_peak(solve)[1]
+
+    one = peak(4, [0])
+    assert peak(8, [0]) <= one + backward._BLOCK_ROWS * 8
+    # one chunk of (M, 2) states, and a page for the views that walk it
+    assert peak(4, [0, 2]) <= one + M * 2 * 8 + 4096
 
 
 # ---------------------------------------------------------------------------
