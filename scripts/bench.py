@@ -1,6 +1,6 @@
 """Layer micro-benchmarks of the package, timed in process time.
 
-Three layers that dominate the bundled runs, each timed in this process on
+Four layers that dominate the bundled runs, each timed in this process on
 fixed inputs:
 
 ``increments``  ``simulate.idiosyncratic_increments``, microseconds per particle
@@ -9,6 +9,8 @@ fixed inputs:
 ``backward``    ``backward.solve_backward_fk`` from one start time,
                 nanoseconds per path-step; ``backward.starts`` from the
                 workload's 5 start times, per path-step of every start time
+``area``        ``coefficients.area_tensor`` at 32 000 points of a cloud,
+                from the order-1 jet taken beforehand, nanoseconds per point
 
 The first two sweep the particle count N from 250 to 64 000 on the bundle
 read from the scenario benchmark's ``workloads/chaos_ladder.ini`` (64 cells,
@@ -16,7 +18,9 @@ read from the scenario benchmark's ``workloads/chaos_ladder.ini`` (64 cells,
 from ``workloads/duality_mc.ini`` on 33 lattice points x 1 024 samples x 64
 cells (the workload itself runs 128).  The start times of ``backward.starts``
 share each cell's normal draws, so its path-steps, summed over the start
-times, cost less than those of ``backward``.
+times, cost less than those of ``backward``.  The area tensor is formed from
+the ``chaos_ladder`` bundle as its forward step forms it: the points are the
+cloud of the measure, so the jet's value is the coefficient at the cloud.
 Each round times every case once, in a fixed round-robin order, so a drift
 of the host's speed spreads over all of them; one untimed round runs first.
 One timed sample repeats its case until it has run at least 50 ms and is
@@ -48,7 +52,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from roughmkv.backward import solve_backward_fk  # noqa: E402
+from roughmkv.coefficients import area_tensor  # noqa: E402
 from roughmkv.grids import TimeGrid  # noqa: E402
+from roughmkv.measures import EmpiricalMeasure  # noqa: E402
 from roughmkv.scenario import (  # noqa: E402
     build_coefficients,
     build_driver,
@@ -63,6 +69,7 @@ COUNTS = (250, 1000, 4000, 16000, 64000)
 WORKLOADS = ROOT / "scenario_bench" / "workloads"
 BACKWARD_CELLS = 64
 LATTICE_POINTS, SAMPLES = 33, 1024
+AREA_POINTS = 32_000
 MIN_SAMPLE_S = 0.05
 
 
@@ -112,6 +119,20 @@ def backward_cases() -> list:
     return cases
 
 
+def area_case() -> tuple:
+    """``area`` on the cloud of a ``chaos_ladder`` ensemble of AREA_POINTS."""
+    sc = parse_scenario_file(str(WORKLOADS / "chaos_ladder.ini"))
+    fam = build_coefficients(sc).rough
+    x = build_initial_sampler(sc)(np.random.default_rng(1), AREA_POINTS)
+    mu = EmpiricalMeasure(x)
+    jet = fam.jet(0.0, x, mu, 1)
+
+    def run():
+        return area_tensor(fam, 0.0, x, mu, jet, jet[0])
+
+    return ("area", "ns/point", AREA_POINTS, 1e9, run)
+
+
 def per_call(run) -> float:
     """Process seconds per call of ``run``, over calls filling MIN_SAMPLE_S."""
     calls, start = 0, time.process_time()
@@ -124,7 +145,7 @@ def per_call(run) -> float:
 
 
 def measure(rounds: int) -> dict:
-    cases = forward_cases() + backward_cases()
+    cases = forward_cases() + backward_cases() + [area_case()]
     samples = {name: [] for name, *_ in cases}
     for r in range(rounds + 1):
         for name, _, work, scale, run in cases:

@@ -32,7 +32,7 @@ All cloud averages go through the order-invariant sorted mean from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "zero_rough",
     "area_coefficient",
     "area_tensor",
+    "ordered_sum",
     "lions_fd_check",
     "diffusion_square",
 ]
@@ -64,6 +65,26 @@ __all__ = [
 def _as_batch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x[None, :] if x.ndim == 1 else x
+
+
+def ordered_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of ``terms``, added left to right into the first one.
+
+    The first term must be a fresh array of the full shape (a product, say),
+    because the others are added into it in place.  Contractions on the
+    per-step path are written as such sums of elementwise products, one per
+    contracted index, instead of ``np.einsum`` calls, which are slow when
+    every contracted axis has length one or two.  For one or two terms the
+    sum equals einsum's bit for bit, but for the sign of an exact zero: a
+    product of -0.0 stays -0.0 where einsum's zero-initialised sum reads
+    +0.0.  Beyond two terms einsum pairs its terms in two SIMD lanes, so
+    the two may differ in the last bit.
+    """
+    terms = iter(terms)
+    out = next(terms)
+    for term in terms:
+        out += term
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +234,10 @@ def linear_state_family(c: float, d: int, n: int) -> RoughFamily:
     sel = np.eye(d, n)
     jac = read_only(c * (np.eye(d)[:, :, None] * sel[None, :, :]))   # (d, d, n) selector, scaled
 
+    csel = c * sel   # x * (c sel) has the bits of (c x) sel: the factors are 0 or 1
+
     def jet(t, x):
-        return c * x[:, :, None] * sel[None, :, :], broadcast_view(jac, (x.shape[0], d, d, n))
+        return x[:, :, None] * csel, broadcast_view(jac, (x.shape[0], d, d, n))
 
     return measure_free_family(d, n, jet)
 
@@ -246,7 +269,7 @@ def moment_family(dim: int, channels: int, jet: Callable) -> RoughFamily:
 
     def mixing_(grad, fz):
         fbar = symmetric_mean(fz, axis=0)                    # (d, n)
-        return np.einsum("aijl,jk->aikl", grad, fbar)
+        return ordered_sum(grad[:, :, j, None, :] * fbar[j, :, None] for j in range(dim))
 
     return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=mixing_)
 
@@ -396,9 +419,14 @@ def area_tensor(
     """``area_coefficient`` from the order-1 ``jet`` of ``fam`` at ``x`` and
     the coefficient ``fz`` at ``mu.points`` (None for measure-free
     families); a caller whose ``x`` is the cloud of ``mu`` passes the jet's
-    own value as ``fz``."""
+    own value as ``fz``.
+
+    The contraction ``sum_j dx_f[a, i, j, lam] f[a, j, kap]`` (and the
+    moment family's mixing) is an ``ordered_sum`` of one elementwise
+    product per ``j``: the earlier ``np.einsum``'s bits for ``d <= 2`` but
+    for the sign of an exact zero, possibly another last bit beyond."""
     f, dxf, dmu = jet
-    out = np.einsum("aijl,ajk->aikl", dxf, f)
+    out = ordered_sum(dxf[:, :, j, None, :] * f[:, None, j, :, None] for j in range(f.shape[1]))
     if not fam.measure_free:
         out += fam.mixing(dmu, fz)
     if fam.prime is not None:

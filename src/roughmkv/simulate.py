@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientSet, area_tensor
+from .coefficients import CoefficientSet, area_tensor, ordered_sum
 from .grids import TimeGrid, span_sup
 from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, check_signal, roughpath_checksum
@@ -164,21 +164,37 @@ def advance_states(
     one jet of the signal coefficient serves ``f dW``, the area tensor and
     its cloud average.  The new states are accumulated into ``out`` (a new
     array when None; ``states`` itself is allowed) and returned.
+
+    The three contractions, ``f dW``, the area term and ``sigma dB``, are
+    ``ordered_sum``s of elementwise products in a fixed order, the area term
+    summed over the first channel inside and the second outside:
+    ``sum_l (sum_k area_tensor[a, i, k, l] W[k, l])``.  Up to two terms per
+    sum (every bundled scenario has one) and for the area term at two
+    channels, this gives the bits of the earlier ``np.einsum`` contractions,
+    but for the sign of an exact zero; beyond that a sum may differ from
+    einsum's in the last bit.
     """
     # The jet terms come first, and the jet (with the area tensor, a
     # temporary) is dropped before the drift and Brownian terms are formed,
     # so the two groups of cloud-sized arrays are never alive together.
     fam = coeffs.rough
+    n = len(dw)
     jet = fam.jet(t0, states, mu, 0 if area is None else 1)
     f = jet[0]
-    sig = np.einsum("aik,k->ai", f, dw)
+    sig = ordered_sum(f[:, :, k] * dw[k] for k in range(n))
     if area is not None:
-        areapart = np.einsum("aikl,kl->ai", area_tensor(fam, t0, states, mu, jet, f), area)
+        at = area_tensor(fam, t0, states, mu, jet, f)
+        areapart = ordered_sum(
+            ordered_sum(at[:, :, k, l] * area[k, l] for k in range(n)) for l in range(n)
+        )
+        del at
     else:
         areapart = np.zeros_like(states)
     del jet, f
     drift = coeffs.drift(t0, states, mu) * h
-    brown = np.einsum("ail,al->ai", coeffs.diffusion(t0, states, mu), db)
+    s = coeffs.diffusion(t0, states, mu)
+    brown = ordered_sum(s[:, :, l] * db[:, l, None] for l in range(db.shape[1]))
+    del s
     out = np.add(states, drift, out=out)
     out += brown
     out += sig

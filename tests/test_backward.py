@@ -315,8 +315,9 @@ def test_each_cell_draws_its_normals_once(monkeypatch):
 
 @pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
 def test_each_start_time_equals_its_solve_alone(bundle):
-    # every start time draws from its own stream and refills its own states,
-    # so the others change none of its numbers
+    # start times share each cell's stream, every one reading the same rows
+    # of it, and each holds its own chunk of states, so the others change
+    # none of its numbers
     rp, cs, axes, M = bundle()
     times = rp.grid.points[[0, 3, 5, 8]]
     terminal = lambda x: np.sum(x**2, axis=1)

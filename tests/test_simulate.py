@@ -1,6 +1,7 @@
 """Interacting particle stepping: exactness, determinism, symmetry, failure."""
 
-from dataclasses import astuple
+import sys
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
 )
 from step_reference import ref_advance_states, ref_moment_sin_family
 
+from roughmkv.backward import solve_backward_fk
 from roughmkv.coefficients import (
     area_coefficient,
     coefficient_set,
@@ -496,6 +498,98 @@ def test_advance_states_is_bytewise_the_reference_step(kind, scheme, into):
     assert out is None or got is out
     assert got.tobytes() == want.tobytes()
     assert report == want_report
+
+
+@pytest.fixture
+def forbid_package_einsum(monkeypatch):
+    """Calling the fixture makes ``np.einsum`` raise when the modules of the
+    per-step path call it.  The driver may, as it forms one span per cell,
+    and so may test code."""
+    einsum = np.einsum
+    per_step = {f"roughmkv.{name}" for name in ("simulate", "coefficients", "backward")}
+
+    def guarded(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller in per_step:
+            raise AssertionError(f"{caller} called np.einsum on the per-step path")
+        return einsum(*args, **kwargs)
+
+    return lambda: monkeypatch.setattr(np, "einsum", guarded)
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
+@pytest.mark.parametrize("kind", ["measure_free", "time_control", "moment", "linear_mean"])
+def test_the_one_step_map_calls_no_einsum(kind, scheme, forbid_package_einsum):
+    # the convolution family's mixing still contracts with einsum
+    coeffs = reference_bundle(kind)
+    d = coeffs.dim
+    rp = brownian_lift(5, d, TimeGrid.uniform(1.0, 4), 4)
+    x = signed_zero_cloud(8, 40, d)
+    db = np.random.default_rng(9).standard_normal((40, d)) * 0.5
+    mu = None if coeffs.measure_free else EmpiricalMeasure(x)
+    dw, area = rp.span(1, 2)
+    forbid_package_einsum()
+    got, _ = advance_states(
+        x, coeffs, mu, 0.25, 0.25, dw, area if scheme == SCHEME_FULL else None, db
+    )
+    assert np.all(np.isfinite(got))
+
+
+def test_the_backward_sampler_calls_no_einsum(forbid_package_einsum):
+    coeffs = reference_bundle("time_control")
+    rp = brownian_lift(5, 2, TimeGrid.uniform(1.0, 4), 4)
+    forbid_package_einsum()
+    axes = [np.linspace(-1.0, 1.0, 4)] * 2
+    sol = solve_backward_fk(
+        coeffs, rp, lambda x: np.sum(x**2, axis=1), axes, rp.grid.points[[0, 2]], 8, 3
+    )
+    assert np.all(np.isfinite(sol.u))
+
+
+def three_channel_bundle():
+    """d = n = m = 3: linear state coefficient plus a constant time control,
+    so every contraction of the step sums three or nine terms."""
+    C = 0.2 * np.random.default_rng(4).standard_normal((3, 3, 3))
+    rough = replace(
+        linear_state_family(0.6, 3, 3),
+        prime=lambda t, x, mu: np.broadcast_to(C, (len(x), 3, 3, 3)).copy(),
+    )
+    sigma = 0.3 * np.eye(3) + 0.1 * np.ones((3, 3))
+    return coefficient_set(
+        3, 3, 3,
+        drift=lambda t, x, mu: -0.2 * x,
+        diffusion=lambda t, x, mu: np.broadcast_to(sigma, (len(x), 3, 3)),
+        rough=rough,
+    ), C
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
+def test_three_term_contractions_equal_einsum_to_rounding(scheme):
+    # beyond two terms einsum adds in two SIMD lanes, so the ordered sums
+    # may differ from it in the last bit, never by more than rounding
+    coeffs, C = three_channel_bundle()
+    rp = brownian_lift(5, 3, TimeGrid.uniform(1.0, 4), 4)
+    x = np.random.default_rng(8).standard_normal((200, 3))
+    db = np.random.default_rng(9).standard_normal((200, 3)) * 0.5
+    dw, area = rp.span(1, 2)
+    area = area if scheme == SCHEME_FULL else None
+    args = (None, 0.25, 0.25, dw, area, db)
+    got, _ = advance_states(x.copy(), coeffs, *args)
+    want, _ = ref_advance_states(x.copy(), coeffs, *args)
+    f, dxf, _ = coeffs.rough.jet(0.25, x, None, 1)
+    sigma = coeffs.diffusion(0.25, x, None)
+    scale = (
+        np.abs(x) + np.abs(0.2 * 0.25 * x)
+        + np.einsum("ail,al->ai", np.abs(sigma), np.abs(db))
+        + np.einsum("aik,k->ai", np.abs(f), np.abs(dw))
+    )
+    at = area_coefficient(coeffs, 0.25, x, None)
+    if area is not None:
+        scale += np.einsum("aikl,kl->ai", np.abs(at), np.abs(area))
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    at_want = np.einsum("aijl,ajk->aikl", dxf, f) + np.swapaxes(C, -1, -2)
+    at_scale = np.einsum("aijl,ajk->aikl", np.abs(dxf), np.abs(f)) + np.abs(np.swapaxes(C, -1, -2))
+    assert np.all(np.abs(at - at_want) <= 1e-14 * at_scale)
 
 
 @pytest.mark.parametrize("a, b", [(0.5, 0.4), (-0.7, 0.4), (0.5, 0.0), (0.0, -1.3)])
