@@ -1,6 +1,6 @@
 """Layer micro-benchmarks of the package, timed in process time.
 
-Four layers that dominate the bundled runs, each timed in this process on
+Five layers that dominate the bundled runs, each timed in this process on
 fixed inputs:
 
 ``increments``  ``simulate.idiosyncratic_increments``, microseconds per particle
@@ -11,6 +11,8 @@ fixed inputs:
                 workload's 5 start times, per path-step of every start time
 ``area``        ``coefficients.area_tensor`` at 32 000 points of a cloud,
                 from the order-1 jet taken beforehand, nanoseconds per point
+``weak``        ``weakcheck.residual_order_scan`` over five levels of flows
+                simulated beforehand, microseconds per cell and probe
 
 The first two sweep the particle count N from 250 to 64 000 on the bundle
 read from the scenario benchmark's ``workloads/chaos_ladder.ini`` (64 cells,
@@ -21,6 +23,9 @@ share each cell's normal draws, so its path-steps, summed over the start
 times, cost less than those of ``backward``.  The area tensor is formed from
 the ``chaos_ladder`` bundle as its forward step forms it: the points are the
 cloud of the measure, so the jet's value is the coefficient at the cloud.
+The residual scan reads ``workloads/weak_scan.ini`` (16 to 256 cells, 1 024
+particles, five probes); each level's flow runs on the workload's sinusoid
+lifted on that level's grid.
 Each round times every case once, in a fixed round-robin order, so a drift
 of the host's speed spreads over all of them; one untimed round runs first.
 One timed sample repeats its case until it has run at least 50 ms and is
@@ -31,7 +36,9 @@ also records the core count and the Python, numpy and scipy versions.
 
 ``--compare`` reads both files' quartiles from their samples and calls a case
 ``faster`` only when the new q75 lies below the old q25, ``slower`` only when
-the new q25 lies above the old q75, and ``within spread`` otherwise.
+the new q25 lies above the old q75, and ``within spread`` otherwise.  Two
+files taken at different times also differ by the host's drift, which the
+unchanged cases show.
 
     python3 scripts/bench.py --out BENCH.json
     python3 scripts/bench.py --compare OLD.json
@@ -63,6 +70,7 @@ from roughmkv.scenario import (  # noqa: E402
     parse_scenario_file,
 )
 from roughmkv.simulate import SimulationConfig, idiosyncratic_increments, simulate  # noqa: E402
+from roughmkv.weakcheck import default_bank, residual_order_scan  # noqa: E402
 
 COUNTS = (250, 1000, 4000, 16000, 64000)
 
@@ -128,9 +136,33 @@ def area_case() -> tuple:
     jet = fam.jet(0.0, x, mu, 1)
 
     def run():
-        return area_tensor(fam, 0.0, x, mu, jet, jet[0])
+        return area_tensor(fam, jet, jet[0])
 
     return ("area", "ns/point", AREA_POINTS, 1e9, run)
+
+
+def weak_case() -> tuple:
+    """``weak``: the residual scan of ``weak_scan`` over its levels' flows."""
+    sc = parse_scenario_file(str(WORKLOADS / "weak_scan.ini"))
+    coeffs = build_coefficients(sc)
+    runs = []
+    for level in range(sc.levels):
+        grid = TimeGrid.uniform(sc.horizon, sc.cells * 2**level)
+        config = SimulationConfig(
+            particle_count=sc.particles, grid=grid, seed=1, dim=sc.dim,
+            brownian_dim=sc.brownian_dim, driver_dim=sc.driver_dim,
+            initial_sampler=build_initial_sampler(sc),
+        )
+        rp = build_driver(sc, grid)
+        runs.append((simulate(config, coeffs, rp)[0], rp))
+    bank = default_bank(sc.dim)
+    # cell-probes as the scenario tracer counts them
+    cell_probes = len(bank) * sum(flow.grid.num_cells for flow, _ in runs)
+
+    def run():
+        return residual_order_scan(runs, bank, coeffs)
+
+    return ("weak", "us/cell-probe", cell_probes, 1e6, run)
 
 
 def per_call(run) -> float:
@@ -145,7 +177,7 @@ def per_call(run) -> float:
 
 
 def measure(rounds: int) -> dict:
-    cases = forward_cases() + backward_cases() + [area_case()]
+    cases = forward_cases() + backward_cases() + [area_case(), weak_case()]
     samples = {name: [] for name, *_ in cases}
     for r in range(rounds + 1):
         for name, _, work, scale, run in cases:
@@ -211,6 +243,8 @@ def main(argv=None):
         with open(args.compare, encoding="utf-8") as fh:
             old = json.load(fh)
         print(f"against {args.compare} ({old['environment']})")
+        print("the two files were taken apart, so every ratio includes the host's drift "
+              "between them; the unchanged cases read it")
         print("\n".join(compare(old, result)))
     return 0
 

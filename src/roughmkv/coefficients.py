@@ -6,7 +6,7 @@ coefficient is the delicate one: expansions to second order need its state
 Jacobian, its derivative with respect to the measure argument, and an
 explicit time-control derivative for coefficients that depend on the signal
 history.  Each family is defined by one jet callable that returns the value
-together with its first derivatives, so the transcendental subexpressions
+together with all three derivatives, so the transcendental subexpressions
 they share are evaluated once per point.  Three built-in measure
 dependencies cover the useful cases:
 
@@ -71,20 +71,26 @@ def ordered_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
     """The sum of ``terms``, added left to right into the first one.
 
     The first term must be a fresh array of the full shape (a product, say),
-    because the others are added into it in place.  Contractions on the
-    per-step path are written as such sums of elementwise products, one per
-    contracted index, instead of ``np.einsum`` calls, which are slow when
-    every contracted axis has length one or two.  For one or two terms the
-    sum equals einsum's bit for bit, but for the sign of an exact zero: a
-    product of -0.0 stays -0.0 where einsum's zero-initialised sum reads
-    +0.0.  Beyond two terms einsum pairs its terms in two SIMD lanes, so
-    the two may differ in the last bit.
+    because the others are added into it in place.  Every contraction of the
+    step, of the area tensor and of the weak-form defect is such a sum of
+    elementwise products, one per contracted index, which is cheaper than an
+    ``np.einsum`` call when each contracted axis has length one or two.  The
+    rounding rule: for one or two terms the sum has einsum's bits but for
+    the sign of an exact zero (a product of -0.0 stays -0.0 where einsum's
+    zero-initialised sum reads +0.0); beyond two terms einsum pairs its
+    terms in two SIMD lanes, so the two may differ in the last bit.
     """
     terms = iter(terms)
     out = next(terms)
     for term in terms:
         out += term
     return out
+
+
+def _jacobian_pairing(grad: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``out[a, i, kap, lam] = sum_j grad[a, i, j, lam] f[a, j, kap]``, an
+    ``ordered_sum`` over ``j``; ``f`` of shape ``(1, d, n)`` broadcasts."""
+    return ordered_sum(grad[:, :, j, None, :] * f[:, None, j, :, None] for j in range(f.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +100,10 @@ class RoughFamily:
     ``jet(t, x, mu, order)`` evaluates the coefficient at the points ``x``
     against the cloud ``mu`` in one call, the derivatives built from the
     value's own subexpressions.  Order 0 returns ``(f,)``; order 1 returns
-    ``(f, dx_f, dmu)``: the value, its state Jacobian and the family's
+    ``(f, dx_f, dmu, prime)``: the value, its state Jacobian, the family's
     measure derivative in the form its ``mixing`` takes (None for a
-    measure-free family).
+    measure-free family) and the time-control derivative (None when it
+    vanishes).
 
     ``mixing(dmu, fz)`` returns the cloud-averaged pairing of the measure
     derivative at ``x`` against the coefficient itself,
@@ -108,15 +115,13 @@ class RoughFamily:
     ``fz`` is the coefficient at the cloud's own points, passed in because
     the callers already hold it; any ``(N, d, k)`` field at the cloud pairs
     the same way, which is how the Lions checks project the derivative on a
-    cloud shift.  A measure-free family has no ``mixing``.  ``prime`` is the
-    time-control derivative, None when it vanishes.
+    cloud shift.  A measure-free family has no ``mixing``.
     """
 
     dim: int
     channels: int
-    jet: Callable                   # (t, x, mu, order) -> (f,) | (f, dx_f, dmu)
-    mixing: Callable | None         # (dmu, fz) -> (A, d, n, n)
-    prime: Callable | None = None   # (t, x, mu) -> (A, d, n, n)
+    jet: Callable               # (t, x, mu, order) -> (f,) | (f, dx_f, dmu, prime)
+    mixing: Callable | None     # (dmu, fz) -> (A, d, n, n)
 
     @property
     def measure_free(self) -> bool:
@@ -196,19 +201,17 @@ def measure_free_family(
 
     ``jet(t, x) -> (f, dx_f)`` with ``f`` of shape ``(A, d, n)`` and
     ``dx_f`` of shape ``(A, d, d, n)``; ``prime(t, x) -> (A, d, n, n)`` is
-    the time-control derivative, if any.
+    the time-control derivative, if any, and the order-1 jet's last entry.
     """
 
     def jet_(t, x, mu, order):
-        f, dxf = jet(t, _as_batch(x))
-        return (f, dxf, None) if order else (f,)
+        x = _as_batch(x)
+        f, dxf = jet(t, x)
+        if not order:
+            return (f,)
+        return f, dxf, None, None if prime is None else prime(t, x)
 
-    prime_ = None
-    if prime is not None:
-        def prime_(t, x, mu):
-            return prime(t, _as_batch(x))
-
-    return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=None, prime=prime_)
+    return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=None)
 
 
 def zero_rough(dim: int, channels: int) -> RoughFamily:
@@ -265,11 +268,10 @@ def moment_family(dim: int, channels: int, jet: Callable) -> RoughFamily:
 
     def jet_(t, x, mu, order):
         out = jet(t, _as_batch(x), mu.mean())
-        return out if order else out[:1]
+        return (*out, None) if order else out[:1]
 
     def mixing_(grad, fz):
-        fbar = symmetric_mean(fz, axis=0)                    # (d, n)
-        return ordered_sum(grad[:, :, j, None, :] * fbar[j, :, None] for j in range(dim))
+        return _jacobian_pairing(grad, symmetric_mean(fz, axis=0)[None])
 
     return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=mixing_)
 
@@ -317,7 +319,7 @@ def convolution_family(dim: int, channels: int, kernel: Callable) -> RoughFamily
         if not order:
             return (symmetric_mean(parts[0], axis=1),)
         g, dxg, dyg = parts
-        return symmetric_mean(g, axis=1), symmetric_mean(dxg, axis=1), dyg
+        return symmetric_mean(g, axis=1), symmetric_mean(dxg, axis=1), dyg, None
 
     def mixing_(grads, fz):                              # grads (A, B, d, d, n)
         return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
@@ -403,34 +405,22 @@ def area_coefficient(
     order is (inserted, differentiated).
     """
     fam = coeffs.rough
-    x = _as_batch(x)
     fz = None if fam.measure_free else fam.jet(t, mu.points, mu, 0)[0]
-    return area_tensor(fam, t, x, mu, fam.jet(t, x, mu, 1), fz)
+    return area_tensor(fam, fam.jet(t, x, mu, 1), fz)
 
 
-def area_tensor(
-    fam: RoughFamily,
-    t: float,
-    x: np.ndarray,
-    mu: EmpiricalMeasure | None,
-    jet: tuple,
-    fz: np.ndarray | None,
-) -> np.ndarray:
-    """``area_coefficient`` from the order-1 ``jet`` of ``fam`` at ``x`` and
-    the coefficient ``fz`` at ``mu.points`` (None for measure-free
-    families); a caller whose ``x`` is the cloud of ``mu`` passes the jet's
-    own value as ``fz``.
-
-    The contraction ``sum_j dx_f[a, i, j, lam] f[a, j, kap]`` (and the
-    moment family's mixing) is an ``ordered_sum`` of one elementwise
-    product per ``j``: the earlier ``np.einsum``'s bits for ``d <= 2`` but
-    for the sign of an exact zero, possibly another last bit beyond."""
-    f, dxf, dmu = jet
-    out = ordered_sum(dxf[:, :, j, None, :] * f[:, None, j, :, None] for j in range(f.shape[1]))
+def area_tensor(fam: RoughFamily, jet: tuple, fz: np.ndarray | None) -> np.ndarray:
+    """``area_coefficient`` from the order-1 ``jet`` of ``fam`` at some
+    points and the coefficient ``fz`` at the cloud (None for measure-free
+    families); a caller whose points are the cloud passes the jet's own
+    value as ``fz``.  Its ``sum_j`` is an ``ordered_sum``, rounded as that
+    docstring says."""
+    f, dxf, dmu, prime = jet
+    out = _jacobian_pairing(dxf, f)
     if not fam.measure_free:
         out += fam.mixing(dmu, fz)
-    if fam.prime is not None:
-        out += np.swapaxes(fam.prime(t, x, mu), -1, -2)
+    if prime is not None:
+        out += np.swapaxes(prime, -1, -2)
     return out
 
 

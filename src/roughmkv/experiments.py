@@ -366,23 +366,19 @@ def _run_duality(sc: Scenario, rep: _Report) -> None:
     report = duality_drift(flow, solution)
 
     delta = sc.horizon / sc.cells
-    budget_parts = (
-        delta ** (3 * sc.alpha - 1)
-        + 1.0 / np.sqrt(sc.backward_samples)
-        + 1.0 / np.sqrt(sc.particles)
-    )
+    budget_parts = {
+        "delta_order": delta ** (3 * sc.alpha - 1),
+        "mc": 1.0 / np.sqrt(sc.backward_samples),
+        "cloud": 1.0 / np.sqrt(sc.particles),
+    }
     scale = max(1.0, float(np.max(np.abs(report.pairings))))
-    budget = 4.0 * scale * budget_parts
+    budget = 4.0 * scale * sum(budget_parts.values())
 
     save_backward_csv(solution, rep.path("backward.csv"), stamp=rep.stamp)
     rep.table("duality_curve.csv", ("t", "pairing"), report.times, report.pairings)
 
     rep.check("duality_drift", report.drift, budget)
-    rep.extra["budget_parts"] = {
-        "delta_order": delta ** (3 * sc.alpha - 1),
-        "mc": 1.0 / np.sqrt(sc.backward_samples),
-        "cloud": 1.0 / np.sqrt(sc.particles),
-    }
+    rep.extra["budget_parts"] = budget_parts
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,11 @@ def _validate(sc: Scenario) -> None:
                 f"(drift {sc.drift[0]!r} / rough {sc.rough[0]!r} depend on the cloud)",
             )
         if sc.dim > 2:
-            raise bad("scenario", "experiment", "duality lattice supports dim <= 2")
+            raise bad(
+                "scenario", "experiment",
+                f"duality is capped at dim <= 2: its lattice holds x_points**dim = "
+                f"{sc.x_points}**{sc.dim} points",
+            )
     if sc.experiment == "chaos_scan":
         if len(sc.particle_counts) < 2:
             raise bad("particles", "count_list", "chaos scan needs at least two sizes")

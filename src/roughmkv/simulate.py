@@ -6,11 +6,11 @@ One step of the scheme advances every particle by
 
 with all coefficients frozen at the left endpoint and the current empirical
 cloud, ``dB`` the particle's private Brownian increment, ``dW`` and ``WW``
-the shared signal increment and its cell tensor, and ``area`` the tensor from
-``coefficients.area_coefficient``, built from the same jet of the signal
-coefficient whose value drives ``f dW``.  Dropping the ``area : WW`` term
-gives the first-order variant, which loses the second-level information and
-is kept around as a control.
+the shared signal increment and its cell tensor, and ``area`` the
+``coefficients.area_tensor`` of the step's own jet of the signal
+coefficient, the jet whose value drives ``f dW``.  Dropping the
+``area : WW`` term gives the first-order variant, which loses the
+second-level information and is kept around as a control.
 
 Private randomness is materialised up front as one increment block per
 particle drawn from a counter-based stream keyed ``(seed, particle)``, so a
@@ -166,13 +166,10 @@ def advance_states(
     array when None; ``states`` itself is allowed) and returned.
 
     The three contractions, ``f dW``, the area term and ``sigma dB``, are
-    ``ordered_sum``s of elementwise products in a fixed order, the area term
-    summed over the first channel inside and the second outside:
-    ``sum_l (sum_k area_tensor[a, i, k, l] W[k, l])``.  Up to two terms per
-    sum (every bundled scenario has one) and for the area term at two
-    channels, this gives the bits of the earlier ``np.einsum`` contractions,
-    but for the sign of an exact zero; beyond that a sum may differ from
-    einsum's in the last bit.
+    ``ordered_sum``s, whose docstring gives their rounding; the area term
+    sums over the first channel inside and the second outside,
+    ``sum_l (sum_k area_tensor[a, i, k, l] W[k, l])``, the order in which
+    it keeps einsum's bits at two channels.
     """
     # The jet terms come first, and the jet (with the area tensor, a
     # temporary) is dropped before the drift and Brownian terms are formed,
@@ -183,7 +180,7 @@ def advance_states(
     f = jet[0]
     sig = ordered_sum(f[:, :, k] * dw[k] for k in range(n))
     if area is not None:
-        at = area_tensor(fam, t0, states, mu, jet, f)
+        at = area_tensor(fam, jet, f)
         areapart = ordered_sum(
             ordered_sum(at[:, :, k, l] * area[k, l] for k in range(n)) for l in range(n)
         )

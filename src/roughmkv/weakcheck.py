@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet, area_tensor, diffusion_square
+from .coefficients import CoefficientSet, area_tensor, diffusion_square, ordered_sum
 from .measures import EmpiricalMeasure, MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, check_signal
 from .tables import write_table
@@ -216,7 +216,7 @@ def _node_tensors(
         coeffs.drift(t, cloud, marg),
         diffusion_square(coeffs, t, cloud, marg),
         jet[0],
-        area_tensor(coeffs.rough, t, cloud, marg, jet, jet[0]),
+        area_tensor(coeffs.rough, jet, jet[0]),
     )
 
 
@@ -285,8 +285,10 @@ def _defect(lhs, time_part, first, second, dw: np.ndarray, ww: np.ndarray):
     """``lhs - time_part - first . dW - second : WW`` per span, channel axes
     last; ``first`` and ``second`` are frozen at the span's start."""
     n = dw.shape[-1]
-    first_part = sum(first[..., k] * dw[..., k] for k in range(n))
-    second_part = sum(second[..., k, l] * ww[..., k, l] for k in range(n) for l in range(n))
+    first_part = ordered_sum(first[..., k] * dw[..., k] for k in range(n))
+    second_part = ordered_sum(
+        second[..., k, l] * ww[..., k, l] for k in range(n) for l in range(n)
+    )
     return lhs - time_part - first_part - second_part
 
 

@@ -11,6 +11,7 @@ from roughmkv.coefficients import (
     coefficient_set,
     convolution_family,
     linear_state_family,
+    measure_free_family,
     moment_family,
 )
 
@@ -37,6 +38,31 @@ def mean_coupled_sin_family(a: float, b: float, calls: list | None = None):
         )
 
     return moment_family(1, 1, jet)
+
+
+# the constant time-control derivative of ``time_controlled_family``, (d, n, n)
+TIME_CONTROL = 0.1 * np.array([[[0.3, -0.7], [0.5, 0.2]], [[-0.4, 0.1], [0.9, -0.2]]])
+
+
+def time_controlled_family(calls: list | None = None):
+    """d = n = 2, measure-free affine signal coefficient with the time control
+    ``TIME_CONTROL``.
+
+    With a ``calls`` list, each call of the time control appends its point
+    count there.
+    """
+    A = np.array([[0.6, -0.2], [0.1, 0.5]])                                  # (d, n)
+    B = 0.3 * np.array([[[0.4, -0.1], [0.2, 0.3]], [[-0.5, 0.2], [0.1, 0.6]]])  # (d, d, n)
+
+    def jet(t, x):
+        return A + np.einsum("ijk,aj->aik", B, x), np.broadcast_to(B, (x.shape[0],) + B.shape)
+
+    def prime(t, x):
+        if calls is not None:
+            calls.append(x.shape[0])
+        return np.broadcast_to(TIME_CONTROL, (x.shape[0],) + TIME_CONTROL.shape).copy()
+
+    return measure_free_family(2, 2, jet, prime)
 
 
 def gauss_kernel_family(amp: float, width: float):

@@ -17,7 +17,7 @@ def ref_advance_states(states, coeffs, mu, t0, h, dw, area, db, want_report=Fals
     f = jet[0]
     sig = np.einsum("aik,k->ai", f, dw)
     if area is not None:
-        areapart = np.einsum("aikl,kl->ai", area_tensor(fam, t0, states, mu, jet, f), area)
+        areapart = np.einsum("aikl,kl->ai", area_tensor(fam, jet, f), area)
     else:
         areapart = np.zeros_like(states)
     out = np.add(states, drift, out=out)

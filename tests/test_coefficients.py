@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_kernel_family, linear_signal_family, mean_coupled_sin_family
+from conftest import (
+    TIME_CONTROL,
+    gauss_kernel_family,
+    linear_signal_family,
+    mean_coupled_sin_family,
+    time_controlled_family,
+)
 
 from roughmkv.coefficients import (
     ROUGH_KINDS,
@@ -340,23 +346,42 @@ def test_area_tensor_includes_measure_response():
     assert np.isclose(area[0, 0, 0, 0], 1.0, rtol=1e-14)  # mean of the cloud
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [
-        mean_coupled_sin_family(0.5, 0.4),
-        moment_sin_family(0.5, 0.4),
-        gauss_kernel_family(1.3, 0.9),
-        linear_state_family(0.7, 2, 2),
-    ],
-    ids=["mean_coupled_sin", "moment_sin", "gauss_kernel", "linear_state"],
-)
-def test_area_tensor_from_the_held_coefficient_equals_area_coefficient(fam):
+def smallest_kind_family(kind: str):
+    """The ``ROUGH_KINDS`` entry built at the smallest (d, n) its refusal accepts."""
+    entry = ROUGH_KINDS[kind]
+    args = (0.5, 0.7)[: entry.arity]
+    d, n = next(
+        (d, n) for d in (1, 2, 3) for n in (1, 2, 3)
+        if not (entry.refuse and entry.refuse(d, n, *args))
+    )
+    return entry.build(d, n, *args)
+
+
+# name -> (family builder, its constant time control or None)
+AREA_FAMILIES = {
+    "mean_coupled_sin": (lambda: mean_coupled_sin_family(0.5, 0.4), None),
+    "moment_sin": (lambda: moment_sin_family(0.5, 0.4), None),
+    "gauss_kernel": (lambda: gauss_kernel_family(1.3, 0.9), None),
+    "linear_state": (lambda: linear_state_family(0.7, 2, 2), None),
+    "time_control": (time_controlled_family, TIME_CONTROL),
+    **{
+        f"kind-{kind}": (lambda kind=kind: smallest_kind_family(kind), None)
+        for kind in ROUGH_KINDS
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(AREA_FAMILIES))
+def test_area_tensor_from_the_held_coefficient_equals_area_coefficient(name):
+    build, prime = AREA_FAMILIES[name]
+    fam = build()
     cs = coefficient_set(fam.dim, 1, fam.channels, rough=fam)
     mu = cloud(11, 9, fam.dim)
     marg = None if fam.measure_free else mu
     jet = fam.jet(0.3, mu.points, marg, 1)
+    assert len(jet) == 4 and (jet[3] is None) == (prime is None)
     f = jet[0]
-    held = area_tensor(fam, 0.3, mu.points, marg, jet, f)
+    held = area_tensor(fam, jet, f)
     assert np.array_equal(held, area_coefficient(cs, 0.3, mu.points, marg))
 
     # away from the cloud the wrapper still averages the measure response
@@ -370,6 +395,8 @@ def test_area_tensor_from_the_held_coefficient_equals_area_coefficient(fam):
             dmu = np.broadcast_to(dmu[:, None], (x.shape[0], mu.size) + dmu.shape[1:])
         response = np.einsum("azijl,zjk->aikl", dmu, f)
         want = want + response / mu.size
+    if prime is not None:
+        want = want + np.swapaxes(prime, -1, -2)
     assert np.allclose(area_coefficient(cs, 0.3, x, marg), want, rtol=1e-13, atol=1e-15)
 
 

@@ -261,6 +261,19 @@ def test_residual_scan_size_is_bounded():
     parse_scenario_text(MINIMAL + "[grid]\ncells = 16\nlevels = 14\n")
 
 
+def test_duality_dimension_cap_names_the_lattice_size():
+    duality = "[scenario]\nname = d\nexperiment = duality\ndim = {}\n[backward]\nx_points = 9\n"
+    assert parse_scenario_text(duality.format(2)).dim == 2
+    size = "its lattice holds x_points**dim = 9**3 points"
+    with pytest.raises(
+        ScenarioError,
+        match=r"\[scenario\] experiment: duality is capped at dim <= 2: " + re.escape(size),
+    ):
+        parse_scenario_text(duality.format(3))
+    # the other experiments build no lattice
+    assert parse_scenario_text(MINIMAL + "dim = 3\n").dim == 3
+
+
 @pytest.mark.parametrize("counts", ["250 250 1000", "1000 250 4000"])
 def test_chaos_sizes_must_increase(counts):
     with pytest.raises(ScenarioError, match=r"\[particles\] count_list: sizes must be strictly increasing"):

@@ -11,6 +11,7 @@ from conftest import (
     linear_signal_family,
     mean_coupled_sin_family,
     ornstein_uhlenbeck_set,
+    time_controlled_family,
     traced_peak,
 )
 from step_reference import ref_advance_states, ref_moment_sin_family
@@ -387,6 +388,13 @@ def test_one_signal_coefficient_evaluation_per_step(scheme):
     cfg = make_config(n=20, cells=7, seed=3, scheme=scheme)
     simulate(cfg, cs, brownian_lift(2, 1, cfg.grid, 4))
     assert calls == [20] * 7
+    # the time control comes with the order-1 jet, which the first-order
+    # scheme never asks for
+    primes = []
+    cs = coefficient_set(2, 2, 2, rough=time_controlled_family(primes))
+    cfg = replace(cfg, dim=2, brownian_dim=2, driver_dim=2)
+    simulate(cfg, cs, brownian_lift(2, 2, cfg.grid, 4))
+    assert primes == ([20] * 7 if scheme == SCHEME_FULL else [])
 
 
 def test_a_moment_sin_step_takes_one_sine_and_one_cosine(monkeypatch):
@@ -423,21 +431,6 @@ def test_advance_states_into_out_equals_the_returned_array(bundle, scheme):
     same = x.copy()
     advance_states(same, *args, out=same)
     assert np.array_equal(same, new)
-
-
-def time_controlled_family():
-    """d = n = 2, measure-free affine signal coefficient with a time control."""
-    A = np.array([[0.6, -0.2], [0.1, 0.5]])
-    B = 0.3 * np.array([[[0.4, -0.1], [0.2, 0.3]], [[-0.5, 0.2], [0.1, 0.6]]])
-    C = 0.1 * np.array([[[0.3, -0.7], [0.5, 0.2]], [[-0.4, 0.1], [0.9, -0.2]]])
-
-    def jet(t, x):
-        return A + np.einsum("ijk,aj->aik", B, x), np.broadcast_to(B, (x.shape[0],) + B.shape)
-
-    def prime(t, x):
-        return np.broadcast_to(C, (x.shape[0],) + C.shape).copy()
-
-    return measure_free_family(2, 2, jet, prime)
 
 
 def reference_bundle(kind, ref=False):
@@ -550,9 +543,11 @@ def three_channel_bundle():
     """d = n = m = 3: linear state coefficient plus a constant time control,
     so every contraction of the step sums three or nine terms."""
     C = 0.2 * np.random.default_rng(4).standard_normal((3, 3, 3))
-    rough = replace(
-        linear_state_family(0.6, 3, 3),
-        prime=lambda t, x, mu: np.broadcast_to(C, (len(x), 3, 3, 3)).copy(),
+    linear = linear_state_family(0.6, 3, 3)
+    rough = measure_free_family(
+        3, 3,
+        lambda t, x: linear.jet(t, x, None, 1)[:2],
+        lambda t, x: np.broadcast_to(C, (len(x), 3, 3, 3)).copy(),
     )
     sigma = 0.3 * np.eye(3) + 0.1 * np.ones((3, 3))
     return coefficient_set(
@@ -576,7 +571,7 @@ def test_three_term_contractions_equal_einsum_to_rounding(scheme):
     args = (None, 0.25, 0.25, dw, area, db)
     got, _ = advance_states(x.copy(), coeffs, *args)
     want, _ = ref_advance_states(x.copy(), coeffs, *args)
-    f, dxf, _ = coeffs.rough.jet(0.25, x, None, 1)
+    f, dxf = coeffs.rough.jet(0.25, x, None, 1)[:2]
     sigma = coeffs.diffusion(0.25, x, None)
     scale = (
         np.abs(x) + np.abs(0.2 * 0.25 * x)
@@ -598,8 +593,8 @@ def test_moment_sin_jet_is_bytewise_the_reference_formula(a, b, shift):
     x = signed_zero_cloud(3, 50, 1)
     x[6] = 1e300
     mu = EmpiricalMeasure(x[7:] + shift)
-    got = moment_sin_family(a, b).jet(0.0, x, mu, 1)
-    want = ref_moment_sin_family(a, b).jet(0.0, x, mu, 1)
+    got = moment_sin_family(a, b).jet(0.0, x, mu, 1)[:3]
+    want = ref_moment_sin_family(a, b).jet(0.0, x, mu, 1)[:3]
     assert [g.shape for g in got] == [w.shape for w in want]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 

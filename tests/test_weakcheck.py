@@ -5,7 +5,12 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from conftest import linear_signal_family, mean_coupled_sin_family, ornstein_uhlenbeck_set
+from conftest import (
+    linear_signal_family,
+    mean_coupled_sin_family,
+    ornstein_uhlenbeck_set,
+    time_controlled_family,
+)
 
 from roughmkv import weakcheck
 from roughmkv.coefficients import (
@@ -13,7 +18,6 @@ from roughmkv.coefficients import (
     coefficient_set,
     constant_rough,
     diffusion_square,
-    measure_free_family,
 )
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import EmpiricalMeasure, MeasureFlow, pairing, symmetric_mean
@@ -564,24 +568,12 @@ def moment_bundle():
 
 def planar_bundle():
     """d = m = n = 2, measure-free affine signal coefficient with a time control."""
-    A = np.array([[0.6, -0.2], [0.1, 0.5]])                      # (d, n)
-    B = 0.3 * np.array([[[0.4, -0.1], [0.2, 0.3]],
-                        [[-0.5, 0.2], [0.1, 0.6]]])              # (d, d, n)
-    C = 0.1 * np.array([[[0.3, -0.7], [0.5, 0.2]],
-                        [[-0.4, 0.1], [0.9, -0.2]]])             # (d, n, n)
     S = np.array([[0.4, 0.1], [0.0, 0.3]])
-
-    def jet(t, x):
-        return A + np.einsum("ijk,aj->aik", B, x), np.broadcast_to(B, (x.shape[0],) + B.shape)
-
-    def prime(t, x):
-        return np.broadcast_to(C, (x.shape[0],) + C.shape).copy()
-
     return coefficient_set(
         2, 2, 2,
         drift=lambda t, x, mu: -0.3 * x,
         diffusion=lambda t, x, mu: np.broadcast_to(S, (x.shape[0], 2, 2)).copy(),
-        rough=measure_free_family(2, 2, jet, prime),
+        rough=time_controlled_family(),
     )
 
 
