@@ -66,10 +66,11 @@ from roughmkv.scenario import (  # noqa: E402
     build_coefficients,
     build_driver,
     build_initial_sampler,
+    build_simulation_config,
     build_terminal,
     parse_scenario_file,
 )
-from roughmkv.simulate import SimulationConfig, idiosyncratic_increments, simulate  # noqa: E402
+from roughmkv.simulate import idiosyncratic_increments, simulate  # noqa: E402
 from roughmkv.weakcheck import default_bank, residual_order_scan  # noqa: E402
 
 COUNTS = (250, 1000, 4000, 16000, 64000)
@@ -89,10 +90,7 @@ def forward_cases() -> list:
     coeffs = build_coefficients(sc)
     cases = []
     for n in COUNTS:
-        config = SimulationConfig(
-            particle_count=n, grid=grid, seed=1, dim=sc.dim, brownian_dim=sc.brownian_dim,
-            driver_dim=sc.driver_dim, initial_sampler=build_initial_sampler(sc),
-        )
+        config = build_simulation_config(sc, grid, 1, n)
 
         def increments(n=n):
             return idiosyncratic_increments(1, n, grid, sc.brownian_dim)
@@ -148,11 +146,7 @@ def weak_case() -> tuple:
     runs = []
     for level in range(sc.levels):
         grid = TimeGrid.uniform(sc.horizon, sc.cells * 2**level)
-        config = SimulationConfig(
-            particle_count=sc.particles, grid=grid, seed=1, dim=sc.dim,
-            brownian_dim=sc.brownian_dim, driver_dim=sc.driver_dim,
-            initial_sampler=build_initial_sampler(sc),
-        )
+        config = build_simulation_config(sc, grid, 1, sc.particles)
         rp = build_driver(sc, grid)
         runs.append((simulate(config, coeffs, rp)[0], rp))
     bank = default_bank(sc.dim)

@@ -72,13 +72,17 @@ def ordered_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
 
     The first term must be a fresh array of the full shape (a product, say),
     because the others are added into it in place.  Every contraction of the
-    step, of the area tensor and of the weak-form defect is such a sum of
-    elementwise products, one per contracted index, which is cheaper than an
-    ``np.einsum`` call when each contracted axis has length one or two.  The
-    rounding rule: for one or two terms the sum has einsum's bits but for
-    the sign of an exact zero (a product of -0.0 stays -0.0 where einsum's
-    zero-initialised sum reads +0.0); beyond two terms einsum pairs its
-    terms in two SIMD lanes, so the two may differ in the last bit.
+    step, of the area tensor, of the weak-form integrands and of their
+    defect is such a sum of elementwise products, one per contracted index,
+    which is cheaper than an ``np.einsum`` call when each contracted axis
+    has length one or two.  The rounding rule: for one or two terms the sum
+    has einsum's bits but for the sign of an exact zero (a product of -0.0
+    stays -0.0 where einsum's zero-initialised sum reads +0.0).  Beyond two
+    terms einsum pairs its terms in two SIMD lanes, so the two may differ in
+    the last bit, except in two orders that keep its bits at d = 2: the
+    four terms of ``a:H`` summed ``sum_j (sum_i a_ij H_ij)``, one inner sum
+    per lane, and the three-operand ``f^i f^j H_ij`` summed flat with ``i``
+    outer, each term ``(f^i f^j) H_ij``.
     """
     terms = iter(terms)
     out = next(terms)
@@ -88,9 +92,11 @@ def ordered_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _jacobian_pairing(grad: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """``out[a, i, kap, lam] = sum_j grad[a, i, j, lam] f[a, j, kap]``, an
-    ``ordered_sum`` over ``j``; ``f`` of shape ``(1, d, n)`` broadcasts."""
-    return ordered_sum(grad[:, :, j, None, :] * f[:, None, j, :, None] for j in range(f.shape[1]))
+    """``out[..., i, kap, lam] = sum_j grad[..., i, j, lam] f[..., j, kap]``,
+    an ``ordered_sum`` over ``j``; the leading axes of ``f`` broadcast."""
+    return ordered_sum(
+        grad[..., :, j, None, :] * f[..., None, j, :, None] for j in range(f.shape[-2])
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +277,7 @@ def moment_family(dim: int, channels: int, jet: Callable) -> RoughFamily:
         return (*out, None) if order else out[:1]
 
     def mixing_(grad, fz):
-        return _jacobian_pairing(grad, symmetric_mean(fz, axis=0)[None])
+        return _jacobian_pairing(grad, symmetric_mean(fz, axis=0))
 
     return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=mixing_)
 
@@ -322,7 +328,7 @@ def convolution_family(dim: int, channels: int, kernel: Callable) -> RoughFamily
         return symmetric_mean(g, axis=1), symmetric_mean(dxg, axis=1), dyg, None
 
     def mixing_(grads, fz):                              # grads (A, B, d, d, n)
-        return symmetric_mean(np.einsum("azijl,zjk->azikl", grads, fz), axis=1)
+        return symmetric_mean(_jacobian_pairing(grads, fz), axis=1)
 
     return RoughFamily(dim=dim, channels=channels, jet=jet_, mixing=mixing_)
 
@@ -427,9 +433,10 @@ def area_tensor(fam: RoughFamily, jet: tuple, fz: np.ndarray | None) -> np.ndarr
 def diffusion_square(
     coeffs: CoefficientSet, t: float, x: np.ndarray, mu: EmpiricalMeasure | None
 ) -> np.ndarray:
-    """``sigma sigma^T`` per point, shape ``(A, d, d)``."""
+    """``sigma sigma^T`` per point, shape ``(A, d, d)``, an ``ordered_sum``
+    over the Brownian index."""
     s = coeffs.diffusion(t, _as_batch(x), mu)
-    return np.einsum("ail,ajl->aij", s, s)
+    return ordered_sum(s[:, :, None, l] * s[:, None, :, l] for l in range(s.shape[-1]))
 
 
 # ---------------------------------------------------------------------------

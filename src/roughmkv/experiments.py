@@ -50,13 +50,12 @@ from .scenario import (
     Scenario,
     build_coefficients,
     build_driver,
-    build_initial_sampler,
+    build_simulation_config,
     build_terminal,
     scenario_checksum,
 )
 from .simulate import (
     NumericalBlowup,
-    SimulationConfig,
     StepReport,
     coarsen_increments,
     controlled_diagnostics,
@@ -163,22 +162,6 @@ class _Report:
         return EXIT_OK if passed else EXIT_INVARIANT
 
 
-def _simulation_config(
-    sc: Scenario, grid: TimeGrid, seed: int, particle_count: int
-) -> SimulationConfig:
-    """The scenario's particle system on ``grid`` with particle seed ``seed``."""
-    return SimulationConfig(
-        particle_count=particle_count,
-        grid=grid,
-        seed=seed,
-        dim=sc.dim,
-        brownian_dim=sc.brownian_dim,
-        driver_dim=sc.driver_dim,
-        scheme=sc.scheme,
-        initial_sampler=build_initial_sampler(sc),
-    )
-
-
 # ---------------------------------------------------------------------------
 # lift_checks
 
@@ -254,7 +237,7 @@ def _coupled_runs(sc: Scenario, seed: int):
         factor = 2 ** (sc.levels - 1 - level)
         grid = fine_grid.coarsen(factor) if factor > 1 else fine_grid
         rp = restrict(fine_rp, grid) if factor > 1 else fine_rp
-        config = _simulation_config(sc, grid, seed, sc.particles)
+        config = build_simulation_config(sc, grid, seed, sc.particles)
         incs = coarsen_increments(fine_incs, factor) if factor > 1 else fine_incs
         flow, _ = simulate(config, coeffs, rp, brownian=incs)
         runs.append((flow, rp))
@@ -297,7 +280,7 @@ def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
 
     def one_run(job: tuple[int, int]):
         count, copy = job
-        config = _simulation_config(sc, grid, _derive_seed(rep.seed, count, copy), count)
+        config = build_simulation_config(sc, grid, _derive_seed(rep.seed, count, copy), count)
         _, last = simulate(config, coeffs, rp, final_only=True)
         return EmpiricalMeasure(last)
 
@@ -352,7 +335,7 @@ def _run_duality(sc: Scenario, rep: _Report) -> None:
     rp = _driver(sc, grid, rep.seed)
     rep.driver_checksum = roughpath_checksum(rp)
     coeffs = build_coefficients(sc)
-    config = _simulation_config(sc, grid, rep.seed, sc.particles)
+    config = build_simulation_config(sc, grid, rep.seed, sc.particles)
     flow, _ = simulate(config, coeffs, rp)
 
     name, terminal = build_terminal(sc)
@@ -390,7 +373,7 @@ def _run_diagnostics(sc: Scenario, rep: _Report) -> None:
     rp = _driver(sc, grid, rep.seed)
     rep.driver_checksum = roughpath_checksum(rp)
     coeffs = build_coefficients(sc)
-    config = _simulation_config(sc, grid, rep.seed, sc.particles)
+    config = build_simulation_config(sc, grid, rep.seed, sc.particles)
     steps: list[StepReport] = []
     flow, _ = simulate(config, coeffs, rp, observer=steps.append)
 

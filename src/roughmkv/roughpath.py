@@ -60,7 +60,7 @@ ALPHA_MIN, ALPHA_MAX = 1.0 / 3.0, 0.5
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...a,...b->...ab", u, v)
+    return u[..., :, None] * v[..., None, :]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from .roughpath import (
     ito_from_stratonovich,
     lift_piecewise_linear,
 )
-from .simulate import SCHEME_FULL, SCHEMES
+from .simulate import SCHEME_FULL, SCHEMES, SimulationConfig
 
 __all__ = [
     "EXPERIMENTS",
@@ -53,6 +53,7 @@ __all__ = [
     "build_coefficients",
     "build_initial_sampler",
     "build_terminal",
+    "build_simulation_config",
 ]
 
 EXPERIMENTS = ("lift_checks", "residual_scan", "chaos_scan", "duality", "diagnostics")
@@ -417,3 +418,19 @@ def build_initial_sampler(sc: Scenario) -> Callable[[np.random.Generator, int], 
 
 def build_terminal(sc: Scenario) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
     return sc.terminal[0], _kind_call(sc, "terminal")
+
+
+def build_simulation_config(
+    sc: Scenario, grid: TimeGrid, seed: int, particle_count: int
+) -> SimulationConfig:
+    """The scenario's particle system on ``grid`` with particle seed ``seed``."""
+    return SimulationConfig(
+        particle_count=particle_count,
+        grid=grid,
+        seed=seed,
+        dim=sc.dim,
+        brownian_dim=sc.brownian_dim,
+        driver_dim=sc.driver_dim,
+        scheme=sc.scheme,
+        initial_sampler=build_initial_sampler(sc),
+    )

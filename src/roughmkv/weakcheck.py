@@ -104,7 +104,7 @@ def gaussian_bump(center: np.ndarray, width: float, amp: float = 1.0) -> TestFun
         diff = x - c
         value = amp * np.exp(-0.5 * np.sum(diff**2, axis=1) / w2)
         r = diff / w2
-        hess = value[:, None, None] * (np.einsum("ai,aj->aij", r, r) - eye)
+        hess = value[:, None, None] * (r[:, :, None] * r[:, None, :] - eye)
         return value, value[:, None] * -r, hess
 
     return TestFunction(f"bump_w{width}", jet)
@@ -120,7 +120,7 @@ def gaussian_linear(
     def jet(x):
         value, grad, hess = base(x)
         lin = x @ a
-        cross = np.einsum("ai,j->aij", grad, a)
+        cross = grad[:, :, None] * a
         hess = hess * lin[:, None, None] + cross + np.swapaxes(cross, 1, 2)
         return value * lin, grad * lin[:, None] + value[:, None] * a, hess
 
@@ -129,7 +129,7 @@ def gaussian_linear(
 
 def sinusoid_function(freq: np.ndarray, phase: float = 0.0) -> TestFunction:
     k = np.atleast_1d(np.asarray(freq, dtype=np.float64))
-    kk = np.einsum("i,j->ij", k, k)
+    kk = k[:, None] * k
 
     def jet(x):
         arg = x @ k + phase
@@ -187,22 +187,6 @@ def gradient_consistency(phi: TestFunction, points: np.ndarray, h: float = 1e-5)
 _BLOCK_POINTS = 16384
 
 
-@dataclass(frozen=True, eq=False)
-class _NodeCurves:
-    """Pairings of every probe of a bank with the measures at a run of nodes.
-
-    For probe ``p`` and node ``k``: ``value[p, k] = <mu_k, phi>``,
-    ``generator[p, k] = <mu_k, L phi>``, ``first[p, k, kap] = <mu_k, G_kap phi>``
-    and ``second[p, k, kap, lam]`` the second-order pairing of the channel
-    pair, all with the coefficients frozen at the node time.
-    """
-
-    value: np.ndarray       # (P, K)
-    generator: np.ndarray   # (P, K)
-    first: np.ndarray       # (P, K, n)
-    second: np.ndarray      # (P, K, n, n)
-
-
 def _node_tensors(
     coeffs: CoefficientSet, t: float, cloud: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -225,60 +209,60 @@ def _node_curves(
     states: np.ndarray,
     bank: Sequence[TestFunction],
     coeffs: CoefficientSet,
-) -> _NodeCurves:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Node curves of ``bank`` along the clouds ``states[k]`` at ``times[k]``.
+
+    Returns ``(value, generator, first, second)``, views of one ``(P, K,
+    2 + n + n^2)`` array: for probe ``p`` and node ``k``, ``value[p, k] =
+    <mu_k, phi>``, ``generator[p, k] = <mu_k, L phi>``, ``first[p, k, kap] =
+    <mu_k, G_kap phi>`` and ``second[p, k, kap, lam]`` the second-order
+    pairing of the channel pair, all with the coefficients frozen at the
+    node time.
 
     The coefficient tensors are evaluated once per node (the callables take a
     scalar time and the node's measure); each probe's jet (value, gradient
     and Hessian) is evaluated once per block on the stacked particle rows.  The
-    integrands are written once, here, as
+    integrands are written once, here, each an ``ordered_sum`` over the state
+    index in the orders its docstring names:
 
         generator:  0.5 a:Hess phi + b . grad phi,    a = sigma sigma^T,
         first:      grad phi . f_kap,
         second:     f^i_kap f^j_lam Hess_ij phi + area[., kap, lam] . grad phi,
 
     the last through the area tensor so it matches the one-step scheme
-    identically.  Each node row is reduced by ``symmetric_mean``.
+    identically.  They fill one ``(2 + n + n^2, rows)`` buffer per probe and
+    block, which one ``symmetric_mean`` reduces node by node.
     """
     K, N, d = states.shape
     n = coeffs.driver_dim
-    P = len(bank)
-    curves = _NodeCurves(
-        value=np.empty((P, K)),
-        generator=np.empty((P, K)),
-        first=np.empty((P, K, n)),
-        second=np.empty((P, K, n, n)),
-    )
-
-    def node_mean(integrand: np.ndarray) -> np.ndarray:
-        return symmetric_mean(integrand.reshape(-1, N), axis=1)
-
+    ij = list(itertools.product(range(d), repeat=2))       # i outer
+    out = np.empty((len(bank), K, 2 + n + n * n))
     per_block = max(1, _BLOCK_POINTS // N)
     for lo in range(0, K, per_block):
         hi = min(lo + per_block, K)
+        # the node tensors with the rows axis last: b (d, R), a (d, d, R),
+        # f (d, n, R) and area (d, n, n, R)
         b, a, f, area = (
-            np.concatenate(parts)
+            np.moveaxis(np.concatenate(parts), 0, -1)
             for parts in zip(
                 *(_node_tensors(coeffs, float(times[k]), states[k]) for k in range(lo, hi))
             )
         )
         x = states[lo:hi].reshape(-1, d)
+        buf = np.empty((2 + n + n * n, x.shape[0]))
         for p, phi in enumerate(bank):
-            value, grad, hess = phi.jet(x)
-            curves.value[p, lo:hi] = node_mean(value)
-            curves.generator[p, lo:hi] = node_mean(
-                0.5 * np.einsum("aij,aij->a", a, hess) + np.einsum("ai,ai->a", b, grad)
-            )
-            for kap in range(n):
-                curves.first[p, lo:hi, kap] = node_mean(
-                    np.einsum("ai,ai->a", grad, f[:, :, kap])
-                )
-                for lam in range(n):
-                    curves.second[p, lo:hi, kap, lam] = node_mean(
-                        np.einsum("ai,aj,aij->a", f[:, :, kap], f[:, :, lam], hess)
-                        + np.einsum("ai,ai->a", area[:, :, kap, lam], grad)
-                    )
-    return curves
+            value, grad, hess = (np.moveaxis(t, 0, -1) for t in phi.jet(x))
+            buf[0] = value
+            buf[1] = 0.5 * ordered_sum(
+                ordered_sum(a[i, j] * hess[i, j] for i in range(d)) for j in range(d)
+            ) + ordered_sum(b[i] * grad[i] for i in range(d))
+            buf[2 : 2 + n] = ordered_sum(grad[i] * f[i] for i in range(d))
+            buf[2 + n :] = (
+                ordered_sum((f[i, :, None] * f[j]) * hess[i, j] for i, j in ij)
+                + ordered_sum(area[i] * grad[i] for i in range(d))
+            ).reshape(n * n, -1)
+            out[p, lo:hi] = symmetric_mean(buf.reshape(-1, hi - lo, N), axis=-1).T
+    return out[..., 0], out[..., 1], out[..., 2 : 2 + n], out[..., 2 + n :].reshape(-1, K, n, n)
 
 
 def _defect(lhs, time_part, first, second, dw: np.ndarray, ww: np.ndarray):
@@ -312,11 +296,9 @@ def weak_residual(
         return 0.0
     pts = flow.grid.points[i : j + 1]
     curves = _node_curves(pts, flow.states[i : j + 1], [phi], coeffs)
-    value, gen = curves.value[0], curves.generator[0]
+    value, gen, first, second = (c[0] for c in curves)
     time_part = float(np.sum(0.5 * np.diff(pts) * (gen[:-1] + gen[1:])))
-    return float(_defect(
-        value[-1] - value[0], time_part, curves.first[0, 0], curves.second[0, 0], *rp.span(i, j)
-    ))
+    return float(_defect(value[-1] - value[0], time_part, first[0], second[0], *rp.span(i, j)))
 
 
 def _cell_residuals(
@@ -325,14 +307,13 @@ def _cell_residuals(
 ) -> np.ndarray:
     """``weak_residual`` of every probe on every single cell, shape ``(P, K)``."""
     pts = flow.grid.points
-    curves = _node_curves(pts, flow.states, bank, coeffs)
-    value, gen = curves.value, curves.generator
+    value, gen, first, second = _node_curves(pts, flow.states, bank, coeffs)
     cells = np.arange(flow.grid.num_cells)
     return _defect(
         value[:, 1:] - value[:, :-1],
         0.5 * np.diff(pts) * (gen[:, :-1] + gen[:, 1:]),
-        curves.first[:, :-1],                             # signal terms at s = t_k
-        curves.second[:, :-1],
+        first[:, :-1],                                    # signal terms at s = t_k
+        second[:, :-1],
         *rp.span(cells, cells + 1),                       # (K, n), (K, n, n)
     )
 

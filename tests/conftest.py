@@ -1,6 +1,7 @@
-"""Shared coefficient builders, a memory probe and file editors used across
-the test modules."""
+"""Shared coefficient builders, an einsum guard, a memory probe and file
+editors used across the test modules."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,25 @@ def ornstein_uhlenbeck_set(rate: float = 0.3, vol: float = 0.5) -> CoefficientSe
         drift=lambda t, x, mu: -rate * x,
         diffusion=lambda t, x, mu: vol * np.ones((x.shape[0], 1, 1)),
     )
+
+
+@pytest.fixture
+def forbid_package_einsum(monkeypatch):
+    """Calling the fixture makes ``np.einsum`` raise when the modules of the
+    per-step and per-node paths call it.  The driver may, as it forms one
+    span per cell, and so may test code."""
+    einsum = np.einsum
+    guarded_modules = {
+        f"roughmkv.{name}" for name in ("simulate", "coefficients", "backward", "weakcheck")
+    }
+
+    def guarded(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller in guarded_modules:
+            raise AssertionError(f"{caller} called np.einsum on a per-step or per-node path")
+        return einsum(*args, **kwargs)
+
+    return lambda: monkeypatch.setattr(np, "einsum", guarded)
 
 
 def traced_peak(fn):

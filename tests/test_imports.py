@@ -318,3 +318,54 @@ def test_every_export_is_read_or_allowed():
     assert unread - UNREAD_EXPORTS.keys() == set()
     # an allowed name that a run came to read no longer needs its entry
     assert UNREAD_EXPORTS.keys() - unread == set()
+
+
+def einsum_callers(source: str) -> list[tuple[int, str]]:
+    """``(line, top-level definition)`` of every ``einsum`` call, bare or as
+    an attribute; a call outside any definition is named ``<module>``."""
+    found = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [
+            (node.lineno, name)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and "einsum" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        ]
+    return found
+
+
+def test_checker_finds_every_einsum_call():
+    source = (
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "X = np.einsum('i->', np.ones(2))\n"
+        "def outer(a):\n"
+        "    def inner(b):\n"
+        "        return np.einsum('i,i->', a, b)\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def f(self, a):\n"
+        "        return einsum('ii->', a) + np.sum(a)\n"
+    )
+    assert einsum_callers(source) == [(3, "<module>"), (6, "outer"), (10, "C")]
+
+
+# The package's contractions are ``ordered_sum``s or broadcast products;
+# these functions keep ``np.einsum``, each for a reason.
+EINSUM_CALLERS = {
+    "brownian_lift": "runs once per signal, and its sums set the driver's bits",
+    "chen_extend": "the reference fold over a span's cells, run once per checked span",
+    "quadratic_function": "test-only probe; an ordered sum turns its +0.0 into -0.0",
+}
+
+
+def test_only_the_allowed_functions_call_einsum():
+    found = {
+        f"{path.name}:{line}": name
+        for path in SUBMODULES
+        for line, name in einsum_callers(path.read_text(encoding="utf-8"))
+    }
+    assert {at: name for at, name in found.items() if name not in EINSUM_CALLERS} == {}
+    # an allowed function that stopped calling einsum no longer needs its entry
+    assert EINSUM_CALLERS.keys() - set(found.values()) == set()

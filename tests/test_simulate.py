@@ -1,6 +1,5 @@
 """Interacting particle stepping: exactness, determinism, symmetry, failure."""
 
-import sys
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -493,27 +492,11 @@ def test_advance_states_is_bytewise_the_reference_step(kind, scheme, into):
     assert report == want_report
 
 
-@pytest.fixture
-def forbid_package_einsum(monkeypatch):
-    """Calling the fixture makes ``np.einsum`` raise when the modules of the
-    per-step path call it.  The driver may, as it forms one span per cell,
-    and so may test code."""
-    einsum = np.einsum
-    per_step = {f"roughmkv.{name}" for name in ("simulate", "coefficients", "backward")}
-
-    def guarded(*args, **kwargs):
-        caller = sys._getframe(1).f_globals.get("__name__", "")
-        if caller in per_step:
-            raise AssertionError(f"{caller} called np.einsum on the per-step path")
-        return einsum(*args, **kwargs)
-
-    return lambda: monkeypatch.setattr(np, "einsum", guarded)
-
-
 @pytest.mark.parametrize("scheme", [SCHEME_FULL, SCHEME_NO_LIFT])
-@pytest.mark.parametrize("kind", ["measure_free", "time_control", "moment", "linear_mean"])
+@pytest.mark.parametrize(
+    "kind", ["measure_free", "time_control", "moment", "convolution", "linear_mean"]
+)
 def test_the_one_step_map_calls_no_einsum(kind, scheme, forbid_package_einsum):
-    # the convolution family's mixing still contracts with einsum
     coeffs = reference_bundle(kind)
     d = coeffs.dim
     rp = brownian_lift(5, d, TimeGrid.uniform(1.0, 4), 4)

@@ -18,6 +18,7 @@ from roughmkv.coefficients import (
     coefficient_set,
     constant_rough,
     diffusion_square,
+    moment_family,
 )
 from roughmkv.grids import TimeGrid
 from roughmkv.measures import EmpiricalMeasure, MeasureFlow, pairing, symmetric_mean
@@ -661,12 +662,74 @@ def test_one_node_operators_equal_reference(bundle):
     mu, t = flow.measure(2), float(flow.grid.points[2])
     n = coeffs.driver_dim
     for phi in default_bank(coeffs.dim):
-        curves = weakcheck._node_curves(np.array([t]), mu.points[None], [phi], coeffs)
-        assert curves.generator[0, 0] == ref_op_generator(mu, t, phi, coeffs)
+        _, generator, first, second = weakcheck._node_curves(
+            np.array([t]), mu.points[None], [phi], coeffs
+        )
+        assert generator[0, 0] == ref_op_generator(mu, t, phi, coeffs)
         for k in range(n):
-            assert curves.first[0, 0, k] == ref_op_rough(mu, t, phi, k, coeffs)
+            assert first[0, 0, k] == ref_op_rough(mu, t, phi, k, coeffs)
             for l in range(n):
-                assert curves.second[0, 0, k, l] == ref_op_rough_second(mu, t, phi, k, l, coeffs)
+                assert second[0, 0, k, l] == ref_op_rough_second(mu, t, phi, k, l, coeffs)
+
+
+def spatial_bundle():
+    """d = m = n = 3, a mean-coupled affine signal coefficient, so that every
+    state contraction of the node integrands sums three or nine terms."""
+    rng = np.random.default_rng(12)
+    A = 0.5 * rng.standard_normal((3, 3))                 # (d, n)
+    B, D = 0.3 * rng.standard_normal((2, 3, 3, 3))        # (d, d, n) each
+    S = 0.3 * np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+
+    def jet(t, x, m):
+        f = A + np.einsum("ijk,aj->aik", B, x) + np.einsum("ijk,j->ik", D, m)
+        shape = (x.shape[0],) + B.shape
+        return f, np.broadcast_to(B, shape), np.broadcast_to(D, shape)
+
+    return coefficient_set(
+        3, 3, 3,
+        drift=lambda t, x, mu: -0.3 * np.tanh(x),
+        diffusion=lambda t, x, mu: np.broadcast_to(S, (x.shape[0], 3, 3)).copy(),
+        rough=moment_family(3, 3, jet),
+    )
+
+
+def test_three_dimensional_node_curves_equal_einsum_to_rounding():
+    # Beyond two terms einsum adds in two SIMD lanes, so at d = 3 the
+    # engine's ordered sums may leave the reference's bits.  Each curve must
+    # stay within 2 eps of its pairing of absolute terms.  Measured: at most
+    # 0.69 eps over 20 clouds (22 ulps of the curve itself, which cancels).
+    coeffs = spatial_bundle()
+    x = np.random.default_rng(3).standard_normal((48, 3))
+    mu, t = EmpiricalMeasure(x), 0.5
+    a, b = np.abs(diffusion_square(coeffs, t, x, mu)), np.abs(coeffs.drift(t, x, mu))
+    f = np.abs(coeffs.rough.jet(t, x, mu, 0)[0])
+    area = np.abs(area_coefficient(coeffs, t, x, mu))
+    eps = np.finfo(np.float64).eps
+    bank = default_bank(3)
+    _, generator, first, second = weakcheck._node_curves(np.array([t]), x[None], bank, coeffs)
+    for p, phi in enumerate(bank):
+        _, g, H = (np.abs(v) for v in phi.jet(x))
+        scale = symmetric_mean(0.5 * np.einsum("aij,aij->a", a, H) + np.einsum("ai,ai->a", b, g))
+        assert abs(generator[p, 0] - ref_op_generator(mu, t, phi, coeffs)) <= 2 * eps * scale
+        scale = symmetric_mean(np.einsum("ai,aik->ak", g, f))
+        for k in range(3):
+            want = ref_op_rough(mu, t, phi, k, coeffs)
+            assert abs(first[p, 0, k] - want) <= 2 * eps * scale[k]
+        scale = symmetric_mean(
+            np.einsum("aik,ajl,aij->akl", f, f, H) + np.einsum("aikl,ai->akl", area, g)
+        )
+        for k in range(3):
+            for l in range(3):
+                want = ref_op_rough_second(mu, t, phi, k, l, coeffs)
+                assert abs(second[p, 0, k, l] - want) <= 2 * eps * scale[k, l]
+
+
+@pytest.mark.parametrize("bundle", sorted(BUNDLES))
+def test_the_residual_scan_calls_no_einsum(bundle, forbid_package_einsum):
+    coeffs = BUNDLES[bundle]()
+    forbid_package_einsum()
+    scan = residual_order_scan(bundle_runs(coeffs), default_bank(coeffs.dim), coeffs)
+    assert all(np.isfinite(row[3]) for row in scan.table)
 
 
 def test_one_signal_coefficient_evaluation_per_node():
