@@ -18,11 +18,12 @@ The first two sweep the particle count N from 250 to 64 000 on the bundle
 read from the scenario benchmark's ``workloads/chaos_ladder.ini`` (64 cells,
 ``moment_sin`` signal coefficient); the backward sampler runs the bundle read
 from ``workloads/duality_mc.ini`` on 33 lattice points x 1 024 samples x 64
-cells (the workload itself runs 128).  The start times of ``backward.starts``
-share each cell's normal draws, so its path-steps, summed over the start
-times, cost less than those of ``backward``.  The area tensor is formed from
-the ``chaos_ladder`` bundle as its forward step forms it: the points are the
-cloud of the measure, so the jet's value is the coefficient at the cloud.
+cells (the workload itself runs 128).  Every lattice point and start time
+reads the same M/2 normal rows of each cell, so either case draws 64 x 512
+normals, against 33 x 64 x 1 024 path-steps of ``backward``.  The area
+tensor is formed from the ``chaos_ladder`` bundle as its forward step forms
+it: the points are the cloud of the measure, so the jet's value is the
+coefficient at the cloud.
 The residual scan reads ``workloads/weak_scan.ini`` (16 to 256 cells, 1 024
 particles, five probes); each level's flow runs on the workload's sinusoid
 lifted on that level's grid.

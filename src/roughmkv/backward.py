@@ -8,8 +8,8 @@ The solver evaluates that representation on a spatial lattice for a set of
 start times.  Its paths come in antithetic pairs: the two paths of a pair
 see the same signal and opposite Brownian increments, so each path is still
 an exact sample, and the independent pair means give the standard error.
-Start times share the noise of each cell they cross, so one solve draws
-each cell's normals once.
+Every start time and every lattice point reads the same noise rows of each
+cell it crosses, so one solve draws each cell's normals once.
 
 The duality probe interpolates the value function onto the particles of a
 forward flow sharing the identical signal (checksums are compared, not
@@ -45,10 +45,10 @@ __all__ = [
     "load_backward_csv",
 ]
 
-# Sampled states advance through each grid cell this many rows at a time,
-# rounded down to whole antithetic pairs, so the one-step map's per-point
-# temporaries stay cache-sized; a chunk of the lattice is this many rows of
-# whole points (at least one point).  No draw or value depends on it.
+# Sampled states advance through each grid cell in chunks of about this many
+# rows per start time, so the one-step map's per-point temporaries stay
+# cache-sized: a chunk is _BLOCK_ROWS // 2P antithetic pairs of every one of
+# the P lattice points (at least one pair).  No draw or value depends on it.
 _BLOCK_ROWS = 16384
 
 _BACKWARD_MAGIC = "# roughmkv-backward v1"
@@ -210,6 +210,23 @@ def lattice_from_flow(flow: MeasureFlow, points_per_dim: int) -> tuple[np.ndarra
     return tuple(axes)
 
 
+def _add_pair_sums(
+    sums: np.ndarray, shift: np.ndarray, pair_means: np.ndarray, first: bool
+) -> None:
+    """Add a chunk's ``(P, c)`` pair means to the running ``(P, 2)`` sums of
+    ``dev`` and ``dev^2``, ``dev`` being a pair mean less the point's first
+    pair mean ``shift``, which the ``first`` chunk sets."""
+    if first:
+        shift[:] = pair_means[:, 0]
+    acc = np.empty((pair_means.shape[0], pair_means.shape[1] + 1, 2))
+    acc[:, 0] = sums
+    dev = np.subtract(pair_means, shift[:, None], out=acc[:, 1:, 0])
+    np.multiply(dev, dev, out=acc[:, 1:, 1])
+    # np.cumsum adds left to right, so the sums carried across chunks are
+    # those of one pass over all pairs
+    sums[:] = np.cumsum(acc, axis=1, out=acc)[:, -1]
+
+
 def solve_backward_fk(
     coeffs: CoefficientSet,
     rp: GridRoughPath,
@@ -232,29 +249,33 @@ def solve_backward_fk(
     ``mc_samples`` must be even and at least 4: the paths come in antithetic
     pairs, and a standard error needs at least two pairs.  Grid cell ``k``
     draws its noise from its own SFC64 stream, ``bulk_stream(seed,
-    TAG_BACKWARD, k)``, one normal row ``z_r`` per pair, in row order over
-    the whole lattice; path rows ``2r`` and ``2r + 1`` take ``+sqrt(h) z_r``
-    and ``-sqrt(h) z_r``, and every start time that crosses the cell reads
-    the same rows.  So a cell's normals are drawn once per solve, not once
-    per start time: (K - min s) P M / 2 normals in all.  These normals are a
-    large share of the sampler's cost, and SFC64 draws them cheaper than the
-    Philox streams of the driver, the initial cloud and the particles.
+    TAG_BACKWARD, k)``, one normal row ``z_r`` per pair, M/2 rows in all;
+    at every lattice point, path rows ``2r`` and ``2r + 1`` take ``+sqrt(h)
+    z_r`` and ``-sqrt(h) z_r``, and every start time that crosses the cell
+    reads the same rows.  So a cell's normals are drawn once per solve, not
+    once per start time or lattice point: (K - min s) M / 2 rows of m
+    normals in all.  These are common random numbers: each ``u`` is still
+    an exact Monte Carlo mean with an exact standard error, but the errors
+    of two start times, or of two lattice points, are positively
+    correlated.  Compare them through the differences of their paired
+    values, not through two independent standard errors.
 
-    The lattice is walked in chunks of whole points, about ``_BLOCK_ROWS //
-    M`` of them; each start time holds its own states for one chunk, so the
-    states take S chunks whatever the lattice size.  A chunk walks the cells
-    from the earliest start time to the horizon, block by block, and
-    advances every start time that has begun.  Blocks hold whole pairs and
-    every reduction is per point, so neither the block length, the chunk
-    size, the order of ``times`` nor the other start times change a number.
+    The pairs are walked in chunks of ``c = _BLOCK_ROWS // 2P`` pairs of
+    every lattice point (at least one); each start time holds its own
+    states for one chunk, so the states take S x max(``_BLOCK_ROWS``, 2P)
+    rows.  A chunk walks the cells from the earliest start time to the
+    horizon, draws each cell's next c rows and advances every start time
+    that has begun.  Each cell's stream is read in row order, and the sums
+    below are carried across chunks with ``np.cumsum``, which adds left to
+    right, so neither the chunk length, the order of ``times`` nor the
+    other start times change a bit.
 
-    ``u`` is the mean over a lattice point's M rows.  Pairs never straddle
-    lattice points, so the M/2 pair means of a point are independent, and
-    ``stderr`` is their sample standard deviation (ddof = 1) over
-    ``sqrt(M / 2)``: the exact standard error of ``u``.  Start times share
-    noise, so their errors are positively correlated: compare two start
-    times through the differences of their paired values, not through two
-    independent standard errors.
+    The n = M/2 pair means of a lattice point are independent.  With
+    ``dev`` a pair mean less the point's first pair mean ``shift``, ``u =
+    shift + sum(dev) / n`` and ``stderr = sqrt((sum(dev^2) - sum(dev)^2 /
+    n) / (n - 1)) / sqrt(n)``: the mean over the point's M rows and its
+    exact standard error.  The shift keeps the two sums from cancelling, so
+    a point whose pair means agree gets ``stderr`` exactly 0.
 
     Requires a measure-free bundle: with measure dependence the backward
     problem stops being a per-path expectation and this representation is
@@ -293,64 +314,57 @@ def solve_backward_fk(
     lattice = _product_lattice(axes)                             # (P, d)
     P = lattice.shape[0]
     M = int(mc_samples)
+    n = M // 2                                                   # pairs per point
+    d, m = coeffs.dim, coeffs.brownian_dim
 
-    chunk = max(1, _BLOCK_ROWS // M)                            # lattice points per chunk
-    block = max(2, min(_BLOCK_ROWS, min(chunk, P) * M) // 2 * 2)  # whole pairs
+    pairs = max(1, min(n, _BLOCK_ROWS // (2 * P)))              # pairs of every point per chunk
     cells = [
         (bulk_stream(seed, TAG_BACKWARD, k), float(grid.dt[k]), float(pts[k]), *rp.span(k, k + 1))
         for k in range(first, K)
     ]
-    z = np.empty((block // 2, coeffs.brownian_dim))             # one normal row per pair
-    db = np.empty((block // 2, 2, coeffs.brownian_dim))         # the pairs' +/- increments
-    u = np.empty((S, P))
-    se = np.empty((S, P))
-    states = np.empty((S, min(chunk, P) * M, coeffs.dim))       # one chunk per start time
+    z = np.empty((pairs, m))                                    # one normal row per pair
+    db_buf = np.empty(P * pairs * 2 * m)                        # every point's +/- increments
+    state_buf = np.empty(S * P * pairs * 2 * d)                 # one chunk per start time
+    shift = np.empty((S, P))                                    # each point's first pair mean
+    sums = np.zeros((S, P, 2))                                  # of dev and dev^2 (_add_pair_sums)
     blowup = K + 1                     # grid index of the earliest non-finite state seen
-    for lo in range(0, P, chunk):
-        hi = min(lo + chunk, P)
-        rows = (hi - lo) * M
-        held = states[:, :rows]
-        held.reshape(S, hi - lo, M, coeffs.dim)[...] = lattice[lo:hi, None, :]
+    for lo in range(0, n, pairs):
+        c = min(pairs, n - lo)
+        held = state_buf[: S * P * c * 2 * d].reshape(S, P * c * 2, d)
+        held.reshape(S, P, c * 2, d)[...] = lattice[:, None, :]
+        db = db_buf[: P * c * 2 * m].reshape(P, c, 2, m)
         try:
             # only a cell that ends before the earliest blow-up so far can move it
             for k in range(first, min(K, blowup - 1)):
                 rng, h, s_t, dw, area = cells[k - first]
-                live = [held[i] for i, start in enumerate(t_idx) if start <= k]
-                # Blocks walk the chunk's pairs in order, so each cell's stream
-                # is consumed in row order over the whole lattice.
-                for r0 in range(0, rows, block):
-                    r1 = min(r0 + block, rows)
-                    half = z[: (r1 - r0) // 2]
-                    rng.standard_normal(out=half)
-                    pairs = db[: half.shape[0]]
-                    np.multiply(half, np.sqrt(h), out=pairs[:, 0])
-                    np.negative(pairs[:, 0], out=pairs[:, 1])
-                    for paths in live:
-                        part = paths[r0:r1]
+                # chunks take each cell's rows in order, so no draw depends on
+                # the chunk length
+                rng.standard_normal(out=z[:c])
+                np.multiply(z[:c], np.sqrt(h), out=db[:, :, 0])
+                np.negative(db[:, :, 0], out=db[:, :, 1])
+                for i, start in enumerate(t_idx):
+                    if start <= k:
                         advance_states(
-                            part, coeffs, None, s_t, h, dw, area,
-                            pairs.reshape(r1 - r0, -1), out=part,
+                            held[i], coeffs, None, s_t, h, dw, area,
+                            db.reshape(-1, m), out=held[i],
                         )
-                        check_finite(part, float(pts[k + 1]))
+                        check_finite(held[i], float(pts[k + 1]))
             if blowup <= K:
                 continue
-            # per-point reductions, so whole points per chunk change no number
             for i in range(S):
                 vals = np.asarray(terminal(held[i]), dtype=np.float64)
                 check_finite(vals, grid.horizon)
-                vals = vals.reshape(hi - lo, M)
-                u[i, lo:hi] = vals.mean(axis=1)
-                pair_means = vals.reshape(hi - lo, M // 2, 2).mean(axis=2)
-                se[i, lo:hi] = pair_means.std(axis=1, ddof=1) / np.sqrt(M // 2)
+                _add_pair_sums(sums[i], shift[i], vals.reshape(P, c, 2).mean(axis=2), lo == 0)
         except NumericalBlowup as exc:
             blowup = grid.index_of(exc.time)
     if blowup <= K:
         raise NumericalBlowup(float(pts[blowup]))
+    total, square = sums[..., 0], sums[..., 1]
     return BackwardSolution(
         axes=axes,
         times=np.asarray([float(pts[i]) for i in t_idx]),
-        u=u,
-        stderr=se,
+        u=shift + total / n,
+        stderr=np.sqrt((square - total * total / n) / (n - 1)) / np.sqrt(n),
         mc_samples=M,
         driver_checksum=roughpath_checksum(rp),
         terminal_name=terminal_name,
@@ -362,9 +376,13 @@ def duality_drift(flow: MeasureFlow, solution: BackwardSolution) -> DualityRepor
 
     Both inputs must have been produced against the same signal; the stored
     checksums are compared and a mismatch is an error, because a constant
-    pairing is only meaningful under one common signal realisation.
+    pairing is only meaningful under one common signal realisation.  A flow
+    without a checksum (an old ``flow.csv``) cannot be matched and is refused
+    as such.
     """
-    if flow.driver_checksum is None or solution.driver_checksum != flow.driver_checksum:
+    if flow.driver_checksum is None:
+        raise ValueError("the flow carries no driver checksum to match the backward solution's")
+    if solution.driver_checksum != flow.driver_checksum:
         raise ValueError("flow and backward solution were driven by different signals")
     pairings = np.empty(solution.times.size)
     for row, t in enumerate(solution.times):

@@ -29,7 +29,7 @@ from roughmkv.coefficients import (
     measure_free_family,
 )
 from roughmkv.grids import TimeGrid
-from roughmkv.measures import load_flow_csv, save_flow_csv
+from roughmkv.measures import MeasureFlow, load_flow_csv, save_flow_csv
 from roughmkv.roughpath import brownian_lift
 from roughmkv.simulate import (
     NumericalBlowup,
@@ -176,19 +176,21 @@ def test_stderr_matches_the_seed_to_seed_spread(terminal):
 def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
     """Oracle: every sampled state advanced as one batch, one draw per cell.
 
-    Cell ``k`` draws one ``(P*M/2, m)`` normal block from its own stream,
-    ``bulk_stream(seed, TAG_BACKWARD, k)``, and every start time that crosses
-    it reads that block; row ``r`` drives path rows ``2r`` (plus) and
-    ``2r + 1`` (minus), and ``stderr`` is the spread of the pair means.  A
-    blow-up raises the earliest time any start time reaches.
+    Cell ``k`` draws one ``(M/2, m)`` normal block from its own stream,
+    ``bulk_stream(seed, TAG_BACKWARD, k)``, and every lattice point of every
+    start time that crosses it reads that block; row ``r`` drives path rows
+    ``2r`` (plus) and ``2r + 1`` (minus) of each point.  ``u`` and
+    ``stderr`` come from the sums of the pair means less the point's first
+    pair mean, each one ``cumsum`` over all pairs.  A blow-up raises the
+    earliest time any start time reaches.
     """
     grid, pts = rp.grid, rp.grid.points
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
-    P, M = lattice.shape[0], mc_samples
+    P, M, n = lattice.shape[0], mc_samples, mc_samples // 2
     starts = [grid.index_of(float(t)) for t in times]
     noise = {
-        k: bulk_stream(seed, TAG_BACKWARD, k).standard_normal((P * M // 2, coeffs.brownian_dim))
+        k: bulk_stream(seed, TAG_BACKWARD, k).standard_normal((n, coeffs.brownian_dim))
         for k in range(min(starts), grid.num_cells)
     }
     u, se, blowups = [], [], []
@@ -198,11 +200,12 @@ def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
             for k in range(start, grid.num_cells):
                 h = float(grid.dt[k])
                 z = noise[k] * np.sqrt(h)
-                db = np.empty((states.shape[0], coeffs.brownian_dim))
-                db[0::2], db[1::2] = z, -z
+                db = np.empty((P, n, 2, coeffs.brownian_dim))
+                db[:, :, 0], db[:, :, 1] = z, -z
                 s_t, t_t = float(pts[k]), float(pts[k + 1])
                 states, _ = advance_states(
-                    states, coeffs, None, s_t, h, rp.increment(s_t, t_t), rp.second(s_t, t_t), db
+                    states, coeffs, None, s_t, h, rp.increment(s_t, t_t), rp.second(s_t, t_t),
+                    db.reshape(P * M, -1),
                 )
                 check_finite(states, t_t)
             vals = terminal(states)
@@ -210,10 +213,14 @@ def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
         except NumericalBlowup as exc:
             blowups.append(exc.time)
             continue
-        vals = vals.reshape(P, M)
-        u.append(vals.mean(axis=1))
-        pair_means = (vals[:, 0::2] + vals[:, 1::2]) / 2.0
-        se.append(pair_means.std(axis=1, ddof=1) / np.sqrt(M // 2))
+        vals = vals.reshape(P, n, 2)
+        pair_means = (vals[:, :, 0] + vals[:, :, 1]) / 2.0
+        shift = pair_means[:, 0]
+        dev = pair_means - shift[:, None]
+        total = np.cumsum(dev, axis=1)[:, -1]
+        square = np.cumsum(dev * dev, axis=1)[:, -1]
+        u.append(shift + total / n)
+        se.append(np.sqrt((square - total * total / n) / (n - 1)) / np.sqrt(n))
     if blowups:
         raise NumericalBlowup(min(blowups))
     return np.array(u), np.array(se)
@@ -249,33 +256,32 @@ def planar_bundle():
         diffusion=lambda t, x, mu: np.einsum("ai,ij->aij", 1.0 + 0.1 * x**2, 0.3 * np.eye(2)),
         rough=measure_free_family(2, 1, jet),
     )
-    return rp, cs, (np.linspace(-1.0, 1.0, 4), np.linspace(-2.0, 2.0, 4)), 4   # 64 rows
+    return rp, cs, (np.linspace(-1.0, 1.0, 4), np.linspace(-2.0, 2.0, 4)), 6   # 96 rows
 
 
-# case: (_BLOCK_ROWS from the lattice's rows and M, start nodes)
+# case: (_BLOCK_ROWS from the lattice size P and the pairs per point n, start nodes)
 BLOCKINGS = {
-    "above": (lambda rows, M: rows + 4, [0, 5, 8]),
-    "exact": (lambda rows, M: rows, [0, 5, 8]),
-    "ragged": (lambda rows, M: 14, [0, 5, 8]),
-    "two_points": (lambda rows, M: 2 * M + 1, [0, 5, 8]),
-    "three_points_ragged_chunk": (lambda rows, M: 3 * M + 1, [0, 5, 8]),
-    "times_out_of_order": (lambda rows, M: 14, [8, 0, 5]),
+    "above": (lambda P, n: 2 * P * n + 4, [0, 5, 8]),
+    "exact": (lambda P, n: 2 * P * n, [0, 5, 8]),
+    "ragged": (lambda P, n: 2 * P * (n - 1) + 1, [0, 5, 8]),
+    "one_pair_per_chunk": (lambda P, n: 2 * P - 1, [0, 5, 8]),
+    "one_pair_odd_block": (lambda P, n: 2 * P + 1, [0, 5, 8]),
+    "times_out_of_order": (lambda P, n: 2 * P * (n - 1) + 1, [8, 0, 5]),
 }
 
 
 @pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
 @pytest.mark.parametrize("block", list(BLOCKINGS))
 def test_blocked_sampler_equals_one_shot_draw(monkeypatch, bundle, block):
-    # the block size also sets the chunk: _BLOCK_ROWS // M lattice points;
-    # the sampler rounds the block down to whole pairs
+    # a chunk is _BLOCK_ROWS // 2P pairs of every lattice point (at least
+    # one); "ragged" leaves a shorter last chunk
     rp, cs, axes, M = bundle()
-    P = int(np.prod([a.size for a in axes]))
-    rows = M * P
+    P, n = int(np.prod([a.size for a in axes])), M // 2
     block_rows, nodes = BLOCKINGS[block]
-    size = block_rows(rows, M)
-    effective = max(2, min(size, rows) // 2 * 2)
-    assert block != "ragged" or rows % effective != 0
-    assert block != "three_points_ragged_chunk" or P % 3 != 0
+    size = block_rows(P, n)
+    pairs = max(1, min(n, size // (2 * P)))
+    assert block != "ragged" or n % pairs != 0
+    assert block != "one_pair_per_chunk" or size < 2 * P
     monkeypatch.setattr(backward, "_BLOCK_ROWS", size)
     times = rp.grid.points[nodes]
     terminal = lambda x: np.sum(x**2, axis=1)
@@ -286,10 +292,11 @@ def test_blocked_sampler_equals_one_shot_draw(monkeypatch, bundle, block):
 
 
 def test_each_cell_draws_its_normals_once(monkeypatch):
-    # four start times share the cells they cross: (K - min s) P M / 2
-    # normals in all, one stream per cell from the earliest start on
+    # four start times and every lattice point share the cells they cross:
+    # (K - min s) M / 2 normals per channel in all, one stream per cell from
+    # the earliest start on
     rp, cs, axes, M = scalar_bundle()
-    P, K = axes[0].size, rp.grid.num_cells
+    K = rp.grid.num_cells
     opened, drawn = [], []
 
     class Counted:
@@ -309,7 +316,7 @@ def test_each_cell_draws_its_normals_once(monkeypatch):
     monkeypatch.setattr(backward, "_BLOCK_ROWS", 14)
     starts = [5, 2, 8, 3]
     solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, rp.grid.points[starts], M, 17)
-    assert sum(drawn) == (K - min(starts)) * P * M // 2
+    assert sum(drawn) == (K - min(starts)) * M // 2 * cs.brownian_dim
     assert opened == [(TAG_BACKWARD, k) for k in range(min(starts), K)]
 
 
@@ -328,11 +335,59 @@ def test_each_start_time_equals_its_solve_alone(bundle):
         assert np.array_equal(sol.stderr[row], alone.stderr[0])
 
 
+def constant_bundle(sigma):
+    """Zero drift, constant sigma and a constant signal coefficient: a path's
+    move does not depend on its start point."""
+    grid, rp = grid_and_driver()
+    cs = coefficient_set(
+        1, 1, 1,
+        diffusion=lambda t, x, mu: sigma * np.ones((x.shape[0], 1, 1)),
+        rough=constant_rough(np.array([[0.7]])),
+    )
+    return grid, rp, cs
+
+
+def test_lattice_points_share_each_cells_noise(monkeypatch):
+    # every point's paths take the same moves, so on integer points a
+    # terminal of period 1 gives one u and one stderr across the lattice;
+    # blocks below 2P give one pair of every point per chunk
+    grid, rp, cs = constant_bundle(0.4)
+    axes = (np.arange(-4.0, 5.0),)
+    monkeypatch.setattr(backward, "_BLOCK_ROWS", 2 * axes[0].size - 1)
+    terminal = lambda x: np.sin(2.0 * np.pi * x[:, 0])
+    sol = solve_backward_fk(cs, rp, terminal, axes, grid.points[[0, 8]], 16, 3)
+    for row in range(2):
+        assert np.ptp(sol.u[row]) <= 1e-12
+        assert np.ptp(sol.stderr[row]) <= 1e-12
+        assert np.all(sol.stderr[row] > 1e-3)
+
+
+def test_a_noise_free_bundle_has_exact_values_and_zero_stderr():
+    # sigma = 0: both paths of every pair follow the noise-free step, so
+    # every pair mean is the terminal value of that path
+    grid, rp, cs = constant_bundle(0.0)
+    axes = (np.linspace(-1.0, 1.0, 7),)
+    terminal = lambda x: np.sin(2.0 * np.pi * x[:, 0])
+    starts = [0, 8]
+    sol = solve_backward_fk(cs, rp, terminal, axes, grid.points[starts], 8, 2)
+    for row, start in enumerate(starts):
+        x = axes[0][:, None]
+        for k in range(start, grid.num_cells):
+            dw, area = rp.span(k, k + 1)
+            x, _ = advance_states(
+                x, cs, None, float(grid.points[k]), float(grid.dt[k]), dw, area,
+                np.zeros((x.shape[0], 1)),
+            )
+        assert np.array_equal(sol.u[row], terminal(x))
+        assert np.all(sol.stderr[row] == 0.0)
+
+
 def test_blowup_in_a_later_block_keeps_its_time(monkeypatch):
     grid, rp = grid_and_driver()
     cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e3 * x**3)
-    # 16 rows in blocks of 5, rounded down to 4 (whole pairs): only the node
-    # at 50 explodes, in the last block, rows 12..15
+    # blocks of 5 rows, fewer than 2P = 8: each of the two chunks holds one
+    # pair of every point; only the node at 50 explodes, in the first chunk,
+    # and the second walks only the cells before the blow-up
     axes = (np.array([0.0, 1e-3, 2e-3, 50.0]),)
     monkeypatch.setattr(backward, "_BLOCK_ROWS", 5)
     times = grid.points[[0, 8]]
@@ -357,9 +412,9 @@ def overflow_step(x, grid):
 @pytest.mark.parametrize("nodes", [[0, 8], [8, 0]])
 @pytest.mark.parametrize("block", [5, 9])
 def test_the_earliest_blowup_of_any_chunk_is_raised(monkeypatch, block, nodes):
-    # M = 4 and blocks of 5 or 9 rows: one or two lattice points per chunk.
-    # The node at -2 (first chunk) overflows a cell later than the node at
-    # 50 (last chunk), so the first chunk to blow up is not the earliest.
+    # M = 4 and blocks of 5 or 9 rows: one pair of every point per chunk.
+    # The node at -2 overflows a cell later than the node at 50, so the
+    # first point to blow up in row order is not the earliest.
     grid, rp = grid_and_driver()
     cs = coefficient_set(1, 1, 1, drift=lambda t, x, mu: 1e3 * x**3)
     axes = (np.array([-2.0, 0.0, 1e-3, 50.0]),)
@@ -375,10 +430,31 @@ def test_the_earliest_blowup_of_any_chunk_is_raised(monkeypatch, block, nodes):
     assert got.value.time == want.value.time == grid.points[early]
 
 
+def test_a_later_chunk_can_hold_the_earliest_blowup(monkeypatch):
+    # one pair of every point per chunk, with noise: the first pair leaves
+    # the float range a cell or two later than some later pairs, so the
+    # chunks after a blow-up must still walk the cells before it
+    grid, rp = grid_and_driver()
+    cs = coefficient_set(
+        1, 1, 1,
+        drift=lambda t, x, mu: 1e3 * x**3,
+        diffusion=lambda t, x, mu: np.ones((x.shape[0], 1, 1)),
+    )
+    axes = (np.array([-0.05, 0.0, 0.02, 0.05]),)
+    monkeypatch.setattr(backward, "_BLOCK_ROWS", 2 * axes[0].size - 1)
+    times = grid.points[[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBlowup) as want:
+            one_shot_reference(cs, rp, lambda x: x[:, 0], axes, times, 16, 1)
+        with pytest.raises(NumericalBlowup) as got:
+            solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, times, 16, 1)
+    assert got.value.time == want.value.time == grid.points[7]
+
+
 def test_sampler_memory_is_the_paths_plus_a_few_blocks():
-    # the (P*M, 1) states, then the terminal values of one lattice point
-    # (M rows here) with the temporaries of their mean and spread; the
-    # one-step map's temporaries stay within blocks of _BLOCK_ROWS rows
+    # the bound allows the (P*M, 1) states, three arrays of M rows and four
+    # blocks; each start time holds a chunk of about _BLOCK_ROWS rows, and
+    # the one-step map's temporaries stay within blocks of _BLOCK_ROWS rows
     # (unblocked, they add ~80 blocks)
     grid, rp = grid_and_driver(cells=8)
     cs = coefficient_set(
@@ -398,8 +474,8 @@ def test_sampler_memory_is_the_paths_plus_a_few_blocks():
 
 def test_sampler_memory_does_not_grow_with_the_lattice():
     # d = 2 and a terminal that reads a view, so the states dominate the
-    # peak; M = _BLOCK_ROWS makes a chunk one lattice point, and each start
-    # time holds one chunk of states whatever the lattice size
+    # peak; each start time holds one chunk of _BLOCK_ROWS // 2P pairs of
+    # every point, _BLOCK_ROWS rows whatever the lattice size
     grid, rp = grid_and_driver(cells=4, dim=2)
     cs = coefficient_set(
         2, 2, 2,
@@ -568,6 +644,21 @@ def test_pairing_refuses_foreign_drivers():
     duality_drift(flow, sol)  # matching driver passes
     with pytest.raises(ValueError):
         duality_drift(flow, foreign)
+
+
+@pytest.mark.parametrize(
+    "flow_checksum, message",
+    [("foreign", "driven by different signals"), (None, "carries no driver checksum")],
+    ids=["foreign", "no_checksum"],
+)
+def test_pairing_refusal_names_its_cause(flow_checksum, message):
+    grid, rp, cs = shift_setup()
+    flow, _ = simulate(SimulationConfig(16, grid, 2, 1, 1, 1), cs, rp)
+    sol = solve_backward_fk(
+        cs, rp, lambda x: x[:, 0], lattice_from_flow(flow, 9), grid.points[[0, 16]], 8, 1
+    )
+    with pytest.raises(ValueError, match=message):
+        duality_drift(MeasureFlow(flow.grid, flow.states, flow_checksum), sol)
 
 
 # ---------------------------------------------------------------------------
