@@ -2,11 +2,11 @@
 
 Each scenario in scenarios/ (or in the directory given by --scenarios) is
 executed through the command line entry point into its own subdirectory of
-the output root.  The script's exit code is the worst exit code seen, so it
-can gate a smoke run in CI.  With --digests it then prints
-``sha256  relative/path`` for every file the runs wrote, sorted by path, and
-nothing else on stdout (the per-run lines go to stderr), so two trees'
-artifacts compare with one ``diff`` of two listings.
+the output root, one serial run after another.  The script's exit code is
+the worst exit code seen, so it can gate a smoke run in CI.  With --digests
+it then prints ``sha256  relative/path`` for every file the runs wrote,
+sorted by path, and nothing else on stdout (the per-run lines go to
+stderr), so two trees' artifacts compare with one ``diff`` of two listings.
 
     python3 scripts/run_experiments.py --out out
     python3 scripts/run_experiments.py --only duality --seed-override 9
@@ -33,7 +33,6 @@ def main(argv=None):
                     help="print the sha256 of every file written, by path")
     ap.add_argument("--only", help="run just the scenario with this file stem")
     ap.add_argument("--seed-override", type=int, help="forwarded to every run")
-    ap.add_argument("--threads", type=int, default=1, help="forwarded to every run")
     ap.add_argument("--no-timestamp", action="store_true",
                     help="make the reports byte-reproducible")
     args = ap.parse_args(argv)
@@ -46,7 +45,7 @@ def main(argv=None):
         what = "*.ini files" if args.only is None else f"scenario named {args.only!r}"
         ap.error(f"no {what} in {scenarios}")
 
-    extra = ["--threads", str(args.threads)]
+    extra = []
     if args.seed_override is not None:
         extra += ["--seed-override", str(args.seed_override)]
     if args.no_timestamp:

@@ -3,7 +3,7 @@
 The package is organised bottom-up:
 
 ``grids``          time grids everything lives on
-``streams``        random streams keyed by seed and tag (Philox, SFC64)
+``streams``        Philox random streams keyed by seed and tag
 ``tables``         the one CSV table layout every artifact uses
 ``roughpath``      level-2 signals: lifts, accumulation, geometricity checks
 ``measures``       empirical measures, flows, transport distances

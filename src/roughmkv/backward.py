@@ -31,7 +31,7 @@ from .grids import read_only
 from .measures import MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, check_signal, roughpath_checksum
 from .simulate import NumericalBlowup, advance_states, check_finite
-from .streams import TAG_BACKWARD, bulk_stream
+from .streams import TAG_BACKWARD, substream
 from .tables import check_shape, read_table, write_table
 
 __all__ = [
@@ -131,7 +131,8 @@ class BackwardSolution:
     ``axes`` holds one coordinate array per state dimension (``lattice_axes``);
     the lattice is their product, flattened C-order into the last axis of
     ``u``.  ``stderr`` is the standard error of the per-node Monte Carlo
-    mean.  ``times``, ``u`` and ``stderr`` are held under ``grids.read_only``.
+    mean.  ``times``, ``u`` and ``stderr`` are held under ``grids.read_only``,
+    and ``times`` names at least one start time.
     """
 
     axes: tuple[np.ndarray, ...]
@@ -149,6 +150,8 @@ class BackwardSolution:
         shape = (self.times.size, int(np.prod([a.size for a in self.axes])))
         if self.times.ndim != 1 or self.u.shape != shape or self.stderr.shape != shape:
             raise ValueError(f"u and stderr must have shape (times, lattice points) = {shape}")
+        if self.times.size == 0:
+            raise ValueError("a backward solution needs at least one start time")
 
     @property
     def dim(self) -> int:
@@ -248,7 +251,7 @@ def solve_backward_fk(
 
     ``mc_samples`` must be even and at least 4: the paths come in antithetic
     pairs, and a standard error needs at least two pairs.  Grid cell ``k``
-    draws its noise from its own SFC64 stream, ``bulk_stream(seed,
+    draws its noise from its own Philox stream, ``substream(seed,
     TAG_BACKWARD, k)``, one normal row ``z_r`` per pair, M/2 rows in all;
     at every lattice point, path rows ``2r`` and ``2r + 1`` take ``+sqrt(h)
     z_r`` and ``-sqrt(h) z_r``, and every start time that crosses the cell
@@ -319,7 +322,7 @@ def solve_backward_fk(
 
     pairs = max(1, min(n, _BLOCK_ROWS // (2 * P)))              # pairs of every point per chunk
     cells = [
-        (bulk_stream(seed, TAG_BACKWARD, k), float(grid.dt[k]), float(pts[k]), *rp.span(k, k + 1))
+        (substream(seed, TAG_BACKWARD, k), float(grid.dt[k]), float(pts[k]), *rp.span(k, k + 1))
         for k in range(first, K)
     ]
     z = np.empty((pairs, m))                                    # one normal row per pair

@@ -8,6 +8,9 @@ plus ``summary.json`` into the output directory.  Verbosity is controlled by
 the ``ROUGHMKV_LOG`` environment variable (DEBUG, INFO, WARNING, ERROR;
 default WARNING).
 
+Every run is serial: ``--threads`` is accepted for callers that pass it and
+must be at least 1, but no run starts a worker thread.
+
 Exit codes: 0 success, 1 scenario parse error, 2 invariant violation,
 3 numerical abort (non-finite particle state).
 """
@@ -46,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker cap for experiments with independent runs",
+        help="accepted and checked (>= 1); every run is serial",
     )
     parser.add_argument(
         "--no-timestamp", action="store_true",
@@ -71,7 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     ctx = RunContext(
         out_dir=args.out,
-        threads=args.threads,
         timestamp=not args.no_timestamp,
         seed_override=args.seed_override,
     )

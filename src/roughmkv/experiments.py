@@ -15,7 +15,6 @@ scenario parser already rejects anything else.
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import json
 import logging
@@ -62,6 +61,7 @@ from .simulate import (
     idiosyncratic_increments,
     simulate,
 )
+from .streams import TAG_CHECKS, derive_seed, substream
 from .tables import write_table
 from .weakcheck import default_bank, residual_order_scan, save_residual_csv
 
@@ -82,19 +82,13 @@ _ROUNDTRIP_TOL = 1e-13
 @dataclass(frozen=True)
 class RunContext:
     out_dir: str
-    threads: int = 1
     timestamp: bool = True
     seed_override: int | None = None
 
 
-def _derive_seed(*parts: int) -> int:
-    """Stable small integer from mixed entropy; keeps config seeds plain ints."""
-    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
-
-
 def _driver(sc: Scenario, grid: TimeGrid, seed: int) -> GridRoughPath:
     """The scenario's signal on ``grid``, its seed mixed with the run seed."""
-    return build_driver(sc, grid, driver_seed=_derive_seed(seed, sc.driver_seed))
+    return build_driver(sc, grid, driver_seed=derive_seed(seed, sc.driver_seed))
 
 
 class _Report:
@@ -172,7 +166,7 @@ def _run_lift_checks(sc: Scenario, rep: _Report) -> None:
     rep.driver_checksum = roughpath_checksum(rp)
 
     # deterministic triple sample across the grid
-    rng = np.random.default_rng(_derive_seed(rep.seed, 7))
+    rng = substream(rep.seed, TAG_CHECKS)
     P = grid.num_cells + 1
     worst_chen = 0.0
     for _ in range(32):
@@ -251,7 +245,7 @@ def _run_residual_scan(sc: Scenario, rep: _Report) -> None:
     fine = runs[-1][0]
     noisy = any(np.any(coeffs.diffusion(t, x, None)) for t, x in zip(fine.grid.points, fine.states))
     extras = (1, 2) if noisy else ()
-    replicates = [_coupled_runs(sc, _derive_seed(rep.seed, 1000 + e))[0] for e in extras]
+    replicates = [_coupled_runs(sc, derive_seed(rep.seed, 1000 + e))[0] for e in extras]
     # set only now: a scan that blows up reports no driver
     rep.driver_checksum = roughpath_checksum(runs[-1][1])
 
@@ -280,7 +274,7 @@ def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
 
     def one_run(job: tuple[int, int]):
         count, copy = job
-        config = build_simulation_config(sc, grid, _derive_seed(rep.seed, count, copy), count)
+        config = build_simulation_config(sc, grid, derive_seed(rep.seed, count, copy), count)
         _, last = simulate(config, coeffs, rp, final_only=True)
         return EmpiricalMeasure(last)
 
@@ -289,16 +283,7 @@ def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
     # isolate the small-N fluctuation of the scanned ensembles.
     ref_count = max(sc.particle_counts)
     jobs = [(count, 0) for count in sc.particle_counts] + [(ref_count, 1)]
-    # Both paths return the runs in job order, so the first failing job in
-    # that order aborts the scan whatever the thread count.  One worker runs
-    # here: a pool thread keeps its freed ensembles in its own malloc arena,
-    # which the later runs of this process cannot reuse, raising peak memory.
-    if rep.ctx.threads == 1:
-        runs = list(map(one_run, jobs))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=rep.ctx.threads) as pool:
-            runs = list(pool.map(one_run, jobs))
-    results = dict(zip(jobs, runs))
+    results = dict(zip(jobs, map(one_run, jobs)))
 
     reference = results[(ref_count, 1)]
 
@@ -344,7 +329,7 @@ def _run_duality(sc: Scenario, rep: _Report) -> None:
     times = [float(grid.points[i]) for i in t_idx]
     solution = solve_backward_fk(
         coeffs, rp, terminal, axes, times, sc.backward_samples,
-        seed=_derive_seed(rep.seed, 31), terminal_name=name,
+        seed=derive_seed(rep.seed, 31), terminal_name=name,
     )
     report = duality_drift(flow, solution)
 

@@ -5,17 +5,9 @@ Every random draw in the package comes from a generator keyed by ``(seed,
 for the driving signal, one per backward grid cell, ...), so distinct
 consumers never share a stream and every draw is reproducible from the seed
 alone, independent of evaluation order.  ``numpy.random.SeedSequence`` turns
-the tuple into the generator's seed; two bit generators read it:
-
-* counter-based Philox (``substream``, ``normal_rows``) for the driving
-  signal, the initial cloud and each particle's private increments;
-* SFC64 (``bulk_stream``) for the backward sampler, one stream per grid
-  cell, which every backward start time crossing that cell reads.
-
-The sampler draws tens of millions of normals from about a hundred streams,
-so the cost of a normal draw is a large share of its run time, and SFC64
-draws them cheaper than Philox.  The other consumers keep Philox, so their streams, and
-every artifact computed from them alone, keep their numbers.
+the tuple into the generator's seed, and one bit generator reads it:
+counter-based Philox (``substream``, ``normal_rows``).  ``derive_seed`` hashes
+mixed entropy into the plain integer seeds that run configurations carry.
 
 A Philox stream is fixed by its 128-bit key; the counter starts at zero.  The
 key of ``(seed, *tags)`` is what ``SeedSequence`` derives from that tuple, so
@@ -30,14 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "derive_seed",
     "substream",
-    "bulk_stream",
     "substream_keys",
     "normal_rows",
     "TAG_DRIVER",
     "TAG_PARTICLE",
     "TAG_INITIAL",
     "TAG_BACKWARD",
+    "TAG_CHECKS",
 ]
 
 # Stream namespaces.  Values are arbitrary but frozen: changing them changes
@@ -46,6 +39,7 @@ TAG_DRIVER = 101
 TAG_PARTICLE = 202
 TAG_INITIAL = 303
 TAG_BACKWARD = 404
+TAG_CHECKS = 505
 
 # Constants of numpy's SeedSequence hash (default pool of four 32-bit words).
 _MASK32 = 0xFFFFFFFF
@@ -67,18 +61,14 @@ def _sequence(seed: int, tags: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(seed),) + tuple(int(t) for t in tags))
 
 
+def derive_seed(*parts: int) -> int:
+    """Stable small integer from mixed entropy; keeps config seeds plain ints."""
+    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
+
+
 def substream(seed: int, *tags: int) -> np.random.Generator:
     """Independent Philox generator for the consumer named by ``(seed, *tags)``."""
     return np.random.Generator(np.random.Philox(_sequence(seed, tags)))
-
-
-def bulk_stream(seed: int, *tags: int) -> np.random.Generator:
-    """Independent SFC64 generator for the consumer named by ``(seed, *tags)``.
-
-    For consumers that draw long runs from few streams; it shares no draw
-    with ``substream`` of the same tags.
-    """
-    return np.random.Generator(np.random.SFC64(_sequence(seed, tags)))
 
 
 def _words(n: int) -> list[int]:

@@ -38,7 +38,7 @@ from roughmkv.simulate import (
     check_finite,
     simulate,
 )
-from roughmkv.streams import TAG_BACKWARD, bulk_stream
+from roughmkv.streams import TAG_BACKWARD, substream
 
 
 def grid_and_driver(cells=16, seed=5, dim=1):
@@ -177,7 +177,7 @@ def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
     """Oracle: every sampled state advanced as one batch, one draw per cell.
 
     Cell ``k`` draws one ``(M/2, m)`` normal block from its own stream,
-    ``bulk_stream(seed, TAG_BACKWARD, k)``, and every lattice point of every
+    ``substream(seed, TAG_BACKWARD, k)``, and every lattice point of every
     start time that crosses it reads that block; row ``r`` drives path rows
     ``2r`` (plus) and ``2r + 1`` (minus) of each point.  ``u`` and
     ``stderr`` come from the sums of the pair means less the point's first
@@ -190,7 +190,7 @@ def one_shot_reference(coeffs, rp, terminal, axes, times, mc_samples, seed):
     P, M, n = lattice.shape[0], mc_samples, mc_samples // 2
     starts = [grid.index_of(float(t)) for t in times]
     noise = {
-        k: bulk_stream(seed, TAG_BACKWARD, k).standard_normal((n, coeffs.brownian_dim))
+        k: substream(seed, TAG_BACKWARD, k).standard_normal((n, coeffs.brownian_dim))
         for k in range(min(starts), grid.num_cells)
     }
     u, se, blowups = [], [], []
@@ -310,9 +310,9 @@ def test_each_cell_draws_its_normals_once(monkeypatch):
 
     def counted_stream(seed, *tags):
         opened.append(tags)
-        return Counted(bulk_stream(seed, *tags))
+        return Counted(substream(seed, *tags))
 
-    monkeypatch.setattr(backward, "bulk_stream", counted_stream)
+    monkeypatch.setattr(backward, "substream", counted_stream)
     monkeypatch.setattr(backward, "_BLOCK_ROWS", 14)
     starts = [5, 2, 8, 3]
     solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, rp.grid.points[starts], M, 17)
@@ -597,6 +597,19 @@ def test_a_terminal_name_with_whitespace_is_refused(name):
     axes = (np.linspace(-1.0, 1.0, 4),)
     with pytest.raises(ValueError, match="whitespace"):
         solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, grid.points[[0]], 8, 1, name)
+
+
+def test_a_solution_without_start_times_is_refused():
+    # a (0, P) solution has no pairing to drift from and no block to load back
+    grid, rp, cs = shift_setup(cells=4)
+    axes = (np.linspace(-1.0, 1.0, 4),)
+    with pytest.raises(ValueError, match="at least one start time"):
+        solve_backward_fk(cs, rp, lambda x: x[:, 0], axes, [], 8, 1)
+    with pytest.raises(ValueError, match="at least one start time"):
+        BackwardSolution(
+            axes=axes, times=np.zeros(0), u=np.zeros((0, 4)), stderr=np.zeros((0, 4)),
+            mc_samples=8, driver_checksum="x",
+        )
 
 
 def test_a_whitespace_free_terminal_name_loads_back(tmp_path):

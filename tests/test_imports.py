@@ -369,3 +369,44 @@ def test_only_the_allowed_functions_call_einsum():
     assert {at: name for at, name in found.items() if name not in EINSUM_CALLERS} == {}
     # an allowed function that stopped calling einsum no longer needs its entry
     assert EINSUM_CALLERS.keys() - set(found.values()) == set()
+
+
+def random_reads(source: str) -> list[str]:
+    """``np.random``/``numpy.random`` attributes other than the ``Generator``
+    type, and imports from ``numpy.random``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr != "Generator"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "random"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in ("np", "numpy")
+        ) or imports_package(node, "numpy.random"):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def test_checker_finds_every_draw_outside_the_stream_module():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "def f(rng: np.random.Generator) -> np.random.Generator:\n"
+        "    return np.random.default_rng(0), numpy.random.SFC64(1), np.random.PCG64()\n"
+    )
+    assert random_reads(source) == [
+        "2: from numpy.random import default_rng",
+        "4: np.random.PCG64",
+        "4: np.random.default_rng",
+        "4: numpy.random.SFC64",
+    ]
+
+
+# every draw comes from a stream keyed by (seed, *tags); other modules name
+# only the generator type
+@pytest.mark.parametrize(
+    "path", [p for p in SUBMODULES if p.name != "streams.py"], ids=lambda p: p.name
+)
+def test_randomness_lives_in_the_stream_module(path):
+    assert random_reads(path.read_text(encoding="utf-8")) == []

@@ -42,10 +42,8 @@ from roughmkv.simulate import (
     step_davie,
 )
 from roughmkv.streams import (
-    TAG_BACKWARD,
     TAG_DRIVER,
     TAG_PARTICLE,
-    bulk_stream,
     normal_rows,
     substream,
     substream_keys,
@@ -73,39 +71,11 @@ def test_substreams_reproducible_and_separated():
     b = substream(7, TAG_PARTICLE, 3).standard_normal(5)
     c = substream(7, TAG_PARTICLE, 4).standard_normal(5)
     d = substream(7, TAG_DRIVER, 3).standard_normal(5)
+    e = substream(8, TAG_PARTICLE, 3).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-
-
-def test_bulk_streams_reproducible_and_separated():
-    a = bulk_stream(7, TAG_BACKWARD, 3).standard_normal(5)
-    b = bulk_stream(7, TAG_BACKWARD, 3).standard_normal(5)
-    c = bulk_stream(7, TAG_BACKWARD, 4).standard_normal(5)
-    d = bulk_stream(8, TAG_BACKWARD, 3).standard_normal(5)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
-
-
-@pytest.mark.parametrize("seed, start", [(0, 0), (7, 3), (2**40 + 5, 255)])
-def test_bulk_stream_is_sfc64_seeded_by_the_tag_tuple(seed, start):
-    got = bulk_stream(seed, TAG_BACKWARD, start)
-    want = np.random.Generator(
-        np.random.SFC64(np.random.SeedSequence((seed, TAG_BACKWARD, start)))
-    )
-    # draw for draw over consecutive calls
-    for shape in [(1,), (1000, 3), (7,)]:
-        assert np.array_equal(got.standard_normal(shape), want.standard_normal(shape))
-
-
-def test_bulk_stream_shares_no_draw_with_the_philox_substream():
-    bulk = bulk_stream(7, TAG_BACKWARD, 3)
-    philox = substream(7, TAG_BACKWARD, 3)
-    assert isinstance(philox.bit_generator, np.random.Philox)
-    assert isinstance(bulk.bit_generator, np.random.SFC64)
-    a, b = bulk.standard_normal(1000), philox.standard_normal(1000)
-    assert np.intersect1d(a, b).size == 0
+    assert not np.array_equal(a, e)
 
 
 def test_particle_streams_do_not_depend_on_ensemble_size():
