@@ -32,7 +32,7 @@ from .measures import MeasureFlow, symmetric_mean
 from .roughpath import GridRoughPath, check_signal, roughpath_checksum
 from .simulate import NumericalBlowup, advance_states, check_finite
 from .streams import TAG_BACKWARD, substream
-from .tables import check_shape, read_table, write_table
+from .tables import check_shape, magic_token, read_table, write_table
 
 __all__ = [
     "BackwardSolution",
@@ -265,13 +265,14 @@ def solve_backward_fk(
 
     The pairs are walked in chunks of ``c = _BLOCK_ROWS // 2P`` pairs of
     every lattice point (at least one); each start time holds its own
-    states for one chunk, so the states take S x max(``_BLOCK_ROWS``, 2P)
-    rows.  A chunk walks the cells from the earliest start time to the
-    horizon, draws each cell's next c rows and advances every start time
-    that has begun.  Each cell's stream is read in row order, and the sums
-    below are carried across chunks with ``np.cumsum``, which adds left to
-    right, so neither the chunk length, the order of ``times`` nor the
-    other start times change a bit.
+    states for one chunk, earliest start first, so the states take S x
+    max(``_BLOCK_ROWS``, 2P) rows.  A chunk walks the cells from the
+    earliest start time to the horizon, draws each cell's next c rows,
+    advances every start time that has begun and checks their states for
+    a blow-up in one call.  Each cell's stream is read in row order, and
+    the sums below are carried across chunks with ``np.cumsum``, which adds
+    left to right, so neither the chunk length, the order of ``times`` nor
+    the other start times change a bit.
 
     The n = M/2 pair means of a lattice point are independent.  With
     ``dev`` a pair mean less the point's first pair mean ``shift``, ``u =
@@ -304,15 +305,14 @@ def solve_backward_fk(
         raise ValueError(f"need {coeffs.dim} lattice axes, got {len(axes)}")
     if min(a.size for a in axes) < 4:
         raise ValueError(_CUBIC_POINTS)
-    if any(c.isspace() for c in terminal_name):
-        # the name is one token of the whitespace-split magic line
-        raise ValueError(f"terminal_name {terminal_name!r} holds whitespace")
+    magic_token("terminal", terminal_name)     # save_backward_csv's rule, before sampling
 
     grid = rp.grid
     pts = grid.points
     K = grid.num_cells
     t_idx = [grid.index_of(float(t)) for t in times]
     S = len(t_idx)
+    order = sorted(range(S), key=t_idx.__getitem__)           # held[j] is start time order[j]
     first = min(t_idx, default=K)
     lattice = _product_lattice(axes)                             # (P, d)
     P = lattice.shape[0]
@@ -322,7 +322,8 @@ def solve_backward_fk(
 
     pairs = max(1, min(n, _BLOCK_ROWS // (2 * P)))              # pairs of every point per chunk
     cells = [
-        (substream(seed, TAG_BACKWARD, k), float(grid.dt[k]), float(pts[k]), *rp.span(k, k + 1))
+        (substream(seed, TAG_BACKWARD, k), float(grid.dt[k]), float(pts[k]),
+         sum(start <= k for start in t_idx), *rp.span(k, k + 1))
         for k in range(first, K)
     ]
     z = np.empty((pairs, m))                                    # one normal row per pair
@@ -339,23 +340,24 @@ def solve_backward_fk(
         try:
             # only a cell that ends before the earliest blow-up so far can move it
             for k in range(first, min(K, blowup - 1)):
-                rng, h, s_t, dw, area = cells[k - first]
+                rng, h, s_t, begun, dw, area = cells[k - first]
                 # chunks take each cell's rows in order, so no draw depends on
                 # the chunk length
                 rng.standard_normal(out=z[:c])
                 np.multiply(z[:c], np.sqrt(h), out=db[:, :, 0])
                 np.negative(db[:, :, 0], out=db[:, :, 1])
-                for i, start in enumerate(t_idx):
-                    if start <= k:
-                        advance_states(
-                            held[i], coeffs, None, s_t, h, dw, area,
-                            db.reshape(-1, m), out=held[i],
-                        )
-                        check_finite(held[i], float(pts[k + 1]))
+                # the start times that have begun are the first ``begun``
+                # of held, checked as one block
+                for j in range(begun):
+                    advance_states(
+                        held[j], coeffs, None, s_t, h, dw, area,
+                        db.reshape(-1, m), out=held[j],
+                    )
+                check_finite(held[:begun], float(pts[k + 1]))
             if blowup <= K:
                 continue
-            for i in range(S):
-                vals = np.asarray(terminal(held[i]), dtype=np.float64)
+            for j, i in enumerate(order):
+                vals = np.asarray(terminal(held[j]), dtype=np.float64)
                 check_finite(vals, grid.horizon)
                 _add_pair_sums(sums[i], shift[i], vals.reshape(P, c, 2).mean(axis=2), lo == 0)
         except NumericalBlowup as exc:
@@ -411,12 +413,14 @@ def save_backward_csv(solution: BackwardSolution, path: str, stamp: str | None =
         ["t"] + [f"x_{j + 1}" for j in range(d)] + ["u", "stderr"],
         ((itertools.repeat(repr(t)), *lattice, u, se)
          for t, u, se in zip(solution.times.tolist(), solution.u, solution.stderr)),
-        magic=(
-            f"{_BACKWARD_MAGIC} dim={d} samples={solution.mc_samples} "
-            f"terminal={solution.terminal_name} "
-            f"points={'x'.join(str(a.size) for a in solution.axes)} "
-            f"times={solution.times.size} driver={solution.driver_checksum}"
-        ),
+        magic=(_BACKWARD_MAGIC, {
+            "dim": d,
+            "samples": solution.mc_samples,
+            "terminal": solution.terminal_name,
+            "points": "x".join(str(a.size) for a in solution.axes),
+            "times": solution.times.size,
+            "driver": solution.driver_checksum,
+        }),
         stamp=stamp,
     )
 

@@ -18,8 +18,9 @@ dependencies cover the useful cases:
 * no measure dependence at all, where the derivative is the zero tensor
   (a value, not an error).
 
-Shapes: state batches are always ``(A, d)``; the signal coefficient maps to
-``(A, d, n)``, its state Jacobian to ``(A, d, d, n)`` with axes
+Shapes: state batches are always ``(A, d)``, and nothing reshapes a 1-d
+array into one; the signal coefficient maps to ``(A, d, n)``, its state
+Jacobian to ``(A, d, d, n)`` with axes
 ``[point, component, state-direction, signal-channel]``, the measure
 derivative to ``(A, B, d, d, n)`` with axes ``[point, insertion, component,
 insertion-direction, channel]``, and the time-control derivative to
@@ -57,14 +58,8 @@ __all__ = [
     "area_coefficient",
     "area_tensor",
     "ordered_sum",
-    "lions_fd_check",
     "diffusion_square",
 ]
-
-
-def _as_batch(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x
 
 
 def ordered_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
@@ -120,8 +115,8 @@ class RoughFamily:
     directly so the mean-functional case stays linear in the cloud size.
     ``fz`` is the coefficient at the cloud's own points, passed in because
     the callers already hold it; any ``(N, d, k)`` field at the cloud pairs
-    the same way, which is how the Lions checks project the derivative on a
-    cloud shift.  A measure-free family has no ``mixing``.
+    the same way, which is how the tests' finite-difference oracle projects
+    the derivative on a cloud shift.  A measure-free family has no ``mixing``.
     """
 
     dim: int
@@ -149,14 +144,14 @@ class CoefficientSet:
 
 def _zero_drift(dim: int) -> Callable:
     def drift(t, x, mu):
-        return np.zeros((_as_batch(x).shape[0], dim))
+        return np.zeros((x.shape[0], dim))
 
     return drift
 
 
 def _zero_diffusion(dim: int, m: int) -> Callable:
     def diffusion(t, x, mu):
-        return np.zeros((_as_batch(x).shape[0], dim, m))
+        return np.zeros((x.shape[0], dim, m))
 
     return diffusion
 
@@ -211,7 +206,6 @@ def measure_free_family(
     """
 
     def jet_(t, x, mu, order):
-        x = _as_batch(x)
         f, dxf = jet(t, x)
         if not order:
             return (f,)
@@ -273,7 +267,7 @@ def moment_family(dim: int, channels: int, jet: Callable) -> RoughFamily:
     """
 
     def jet_(t, x, mu, order):
-        out = jet(t, _as_batch(x), mu.mean())
+        out = jet(t, x, mu.mean())
         return (*out, None) if order else out[:1]
 
     def mixing_(grad, fz):
@@ -317,11 +311,8 @@ def convolution_family(dim: int, channels: int, kernel: Callable) -> RoughFamily
     value-only caller must not pay for the two gradients.
     """
 
-    def _pair(x, y):
-        return _as_batch(x)[:, None, :], _as_batch(y)[None, :, :]
-
     def jet_(t, x, mu, order):
-        parts = kernel(t, *_pair(x, mu.points), order)
+        parts = kernel(t, x[:, None, :], mu.points[None, :, :], order)
         if not order:
             return (symmetric_mean(parts[0], axis=1),)
         g, dxg, dyg = parts
@@ -435,40 +426,5 @@ def diffusion_square(
 ) -> np.ndarray:
     """``sigma sigma^T`` per point, shape ``(A, d, d)``, an ``ordered_sum``
     over the Brownian index."""
-    s = coeffs.diffusion(t, _as_batch(x), mu)
+    s = coeffs.diffusion(t, x, mu)
     return ordered_sum(s[:, :, None, l] * s[:, None, :, l] for l in range(s.shape[-1]))
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def lions_fd_check(
-    family: RoughFamily,
-    t: float,
-    x: np.ndarray,
-    mu: EmpiricalMeasure,
-    direction: np.ndarray,
-    h: float = 1e-4,
-) -> float:
-    """Central-difference check of the measure derivative along a cloud shift.
-
-    Compares ``[f(mu(Z + hY)) - f(mu(Z - hY))] / 2h`` against the projected
-    analytic derivative ``avg_z D_mu f(x)(Z_z) . Y_z`` and returns the max
-    entrywise error relative to ``max(1, |analytic|_inf)``.
-    """
-    Y = np.asarray(direction, dtype=np.float64)
-    if Y.shape != mu.points.shape:
-        raise ValueError(f"direction shape {Y.shape} != cloud shape {mu.points.shape}")
-    x2 = _as_batch(x)
-    up = family.jet(t, x2, EmpiricalMeasure(mu.points + h * Y), 0)[0]
-    dn = family.jet(t, x2, EmpiricalMeasure(mu.points - h * Y), 0)[0]
-    fd = (up - dn) / (2.0 * h)
-    # the family's order-1 jet paired through its ``mixing``, the pair the
-    # scheme runs; zero for a measure-free family
-    if family.measure_free:
-        analytic = np.zeros((x2.shape[0], family.dim, family.channels))
-    else:
-        analytic = family.mixing(family.jet(t, x2, mu, 1)[2], Y[:, :, None])[:, :, 0, :]
-    scale = max(1.0, float(np.max(np.abs(analytic))))
-    return float(np.max(np.abs(fd - analytic)) / scale)

@@ -272,8 +272,7 @@ def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
     rep.driver_checksum = roughpath_checksum(rp)
     coeffs = build_coefficients(sc)
 
-    def one_run(job: tuple[int, int]):
-        count, copy = job
+    def horizon_cloud(count: int, copy: int) -> EmpiricalMeasure:
         config = build_simulation_config(sc, grid, derive_seed(rep.seed, count, copy), count)
         _, last = simulate(config, coeffs, rp, final_only=True)
         return EmpiricalMeasure(last)
@@ -281,22 +280,11 @@ def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
     # Every ensemble is measured against one independent reference ensemble
     # at the largest requested particle count, so the reported distances
     # isolate the small-N fluctuation of the scanned ensembles.
+    clouds = [horizon_cloud(count, 0) for count in sc.particle_counts]
     ref_count = max(sc.particle_counts)
-    jobs = [(count, 0) for count in sc.particle_counts] + [(ref_count, 1)]
-    results = dict(zip(jobs, map(one_run, jobs)))
-
-    reference = results[(ref_count, 1)]
-
-    def dist(mu: EmpiricalMeasure) -> float:
-        if sc.dim == 1:
-            return wasserstein2_1d(mu, reference)
-        # duplicating every atom the same number of times leaves the
-        # empirical measure unchanged, and makes the assignment square
-        reps = reference.size // mu.size
-        blown = EmpiricalMeasure(np.repeat(mu.points, reps, axis=0))
-        return wasserstein2_exact_small(blown, reference)
-
-    distances = [(count, dist(results[(count, 0)])) for count in sc.particle_counts]
+    reference = horizon_cloud(ref_count, 1)
+    distance = wasserstein2_1d if sc.dim == 1 else wasserstein2_exact_small
+    distances = [(mu.size, distance(mu, reference)) for mu in clouds]
 
     counts, w2 = zip(*distances)
     rep.table("chaos.csv", ("particles", "w2_to_ref"), map(str, counts), np.array(w2))

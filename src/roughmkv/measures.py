@@ -1,7 +1,11 @@
 """Empirical measures, measure flows, pairings and transport distances.
 
-An empirical measure is a uniformly weighted cloud of ``N`` points in R^d; a
-measure flow is one cloud per grid node, produced by the particle simulator.
+An empirical measure is a uniformly weighted cloud of ``N`` points in R^d,
+given as an ``(N, d)`` array; a measure flow is one cloud per grid node,
+produced by the particle simulator.  Two clouds are compared by W2: by
+quantile coupling in d = 1, and otherwise by an exact assignment of at most
+``EXACT_W2_MAX`` points, the smaller cloud's atoms repeated to make it
+square.
 Pairings ``<mu, phi>`` and all other particle reductions here go through a
 sorted summation, so their values are invariant under any permutation of the
 particle axis (np.sum is not, because pairwise summation depends on operand
@@ -26,6 +30,7 @@ __all__ = [
     "pairing",
     "wasserstein2_1d",
     "wasserstein2_exact_small",
+    "EXACT_W2_MAX",
     "wasserstein2_bruteforce",
     "lipschitz_bank",
     "flow_holder_diagnostic",
@@ -34,7 +39,7 @@ __all__ = [
     "load_flow_csv",
 ]
 
-_EXACT_W2_MAX = 512
+EXACT_W2_MAX = 512
 _BRUTE_MAX = 8
 _BANK_MAX_FREQUENCY = 3
 
@@ -47,15 +52,14 @@ def symmetric_mean(a: np.ndarray, axis: int = 0) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Uniform point cloud; ``points`` has shape ``(N, d)``, held under the
-    rule of ``grids.read_only``."""
+    rule of ``grids.read_only``.  A 1-d array is refused, not read as a
+    cloud in d = 1."""
 
     points: np.ndarray
     _mean: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("points must be a non-empty (N, d) array")
         object.__setattr__(self, "points", read_only(pts))
@@ -124,13 +128,6 @@ class MeasureFlow:
 # quadratic transport distance
 
 
-def _check_pair(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if mu.size != nu.size:
-        raise ValueError(f"clouds must have equal size: {mu.size} vs {nu.size}")
-
-
 def wasserstein2_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Quadratic transport distance in one dimension via quantile coupling.
 
@@ -156,26 +153,35 @@ def wasserstein2_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 
 def wasserstein2_exact_small(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Exact quadratic transport distance between equal-size clouds.
+    """Exact quadratic transport distance between clouds of at most
+    ``EXACT_W2_MAX`` points, the size of ``mu`` dividing that of ``nu``.
 
-    For uniform weights the optimal plan can be taken to be a permutation
-    (the transport polytope has permutation matrices as vertices), so the
-    problem reduces to a linear assignment on squared distances.
+    For uniform weights on equal sizes the optimal plan can be taken to be a
+    permutation (the transport polytope has permutation matrices as
+    vertices), so the problem reduces to a linear assignment on squared
+    distances.  A smaller ``mu`` first repeats each of its atoms
+    ``nu.size // mu.size`` times, which leaves its empirical measure
+    unchanged and makes the assignment square.
     """
-    _check_pair(mu, nu)
-    if mu.size > _EXACT_W2_MAX:
-        raise ValueError(f"exact assignment limited to N <= {_EXACT_W2_MAX}")
+    if mu.dim != nu.dim:
+        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    if nu.size % mu.size:
+        raise ValueError(f"cloud size {mu.size} does not divide {nu.size}")
+    if nu.size > EXACT_W2_MAX:
+        raise ValueError(f"exact assignment limited to N <= {EXACT_W2_MAX}")
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
-    cost = cdist(mu.points, nu.points, metric="sqeuclidean")
+    atoms = np.repeat(mu.points, nu.size // mu.size, axis=0)
+    cost = cdist(atoms, nu.points, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
 def wasserstein2_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """All-permutations reference; only for tiny clouds."""
-    _check_pair(mu, nu)
+    if mu.dim != nu.dim or mu.size != nu.size:
+        raise ValueError(f"clouds must have equal shape: {mu.points.shape} vs {nu.points.shape}")
     if mu.size > _BRUTE_MAX:
         raise ValueError(f"brute force limited to N <= {_BRUTE_MAX}")
     from scipy.spatial.distance import cdist
@@ -264,15 +270,16 @@ def save_flow_csv(flow: MeasureFlow, path: str, stamp: str | None = None) -> Non
     still be paired with a backward solution.
     """
     d = flow.dim
-    driver = "" if flow.driver_checksum is None else f" driver={flow.driver_checksum}"
+    tokens = {"dim": d, "particles": flow.num_particles, "nodes": len(flow.grid)}
+    if flow.driver_checksum is not None:
+        tokens["driver"] = flow.driver_checksum
     idx = [str(i) for i in range(flow.num_particles)]
     write_table(
         path,
         ["t", "particle"] + [f"x_{a + 1}" for a in range(d)],
         ((itertools.repeat(repr(t)), idx, *node.T)
          for t, node in zip(flow.grid.points.tolist(), flow.states)),
-        magic=f"{_FLOW_MAGIC} dim={d} particles={flow.num_particles} "
-        f"nodes={len(flow.grid)}{driver}",
+        magic=(_FLOW_MAGIC, tokens),
         stamp=stamp,
     )
 

@@ -330,7 +330,7 @@ def save_roughpath_csv(rp: GridRoughPath, path: str, stamp: str | None = None) -
         + [f"W_{a + 1}" for a in range(n)]
         + [f"WW_{a + 1}{b + 1}" for a in range(n) for b in range(n)],
         [(rp.grid.points, *rp.values.T, *areas.T)],
-        magic=f"{_CSV_MAGIC} dim={n} alpha={float(rp.alpha)!r} nodes={len(rp.grid)}",
+        magic=(_CSV_MAGIC, {"dim": n, "alpha": repr(float(rp.alpha)), "nodes": len(rp.grid)}),
         stamp=stamp,
     )
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .coefficients import ROUGH_KINDS, CoefficientSet, Kind, coefficient_set
 from .grids import TimeGrid, broadcast_view, read_only
+from .measures import EXACT_W2_MAX
 from .roughpath import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -313,10 +314,10 @@ def _validate(sc: Scenario) -> None:
                 "sizes must be strictly increasing (the scan checks that W2 "
                 "falls in list order)",
             )
-        if sc.dim != 1 and max(sc.particle_counts) > 512:
+        if sc.dim != 1 and max(sc.particle_counts) > EXACT_W2_MAX:
             raise bad(
                 "particles", "count_list",
-                "for dim > 1 the exact coupling caps sizes at 512",
+                f"for dim > 1 the exact coupling caps sizes at {EXACT_W2_MAX}",
             )
         if sc.dim != 1 and any(
             max(sc.particle_counts) % c != 0 for c in sc.particle_counts

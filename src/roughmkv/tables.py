@@ -2,6 +2,8 @@
 
 In order: an optional typed magic line (``# roughmkv-<kind> v1 key=value
 ...``), an optional ``# generated <stamp>`` line, a header line, then rows.
+The writer formats the magic line from its kind and its tokens, and refuses
+a token value that holds whitespace, which the loader would split.
 Floats are written as the ``repr`` of Python floats, the shortest text that
 round-trips, so loading reproduces them bit-exactly.
 """
@@ -13,29 +15,42 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["write_table", "read_table", "check_shape"]
+__all__ = ["magic_token", "write_table", "read_table", "check_shape"]
 
 _STAMP = "# generated"
+
+
+def magic_token(key: str, value: object) -> str:
+    """``key=value`` for a magic line; refuses a value that holds whitespace."""
+    text = str(value)
+    if any(c.isspace() for c in text):
+        raise ValueError(f"magic line value {key}={text!r} holds whitespace")
+    return f"{key}={text}"
 
 
 def write_table(
     path: str,
     header: Sequence[str],
     blocks: Iterable[tuple],
-    magic: str | None = None,
+    magic: tuple[str, dict[str, object]] | None = None,
     stamp: str | None = None,
 ) -> None:
     """Write ``blocks`` of rows under ``header``, one string per block.
 
     A block is a tuple of equal-length columns; a column is a float ndarray
-    or an iterable of ready-formatted cells.
+    or an iterable of ready-formatted cells.  ``magic = (kind, tokens)``
+    gives the magic line: the kind, then one ``magic_token`` per entry of
+    ``tokens``, all checked before the file is opened.
     """
+    lines = []
+    if magic is not None:
+        kind, tokens = magic
+        lines.append(" ".join([kind, *(magic_token(k, v) for k, v in tokens.items())]))
+    if stamp is not None:
+        lines.append(f"{_STAMP} {stamp}")
+    lines.append(",".join(header))
     with open(path, "w", encoding="utf-8") as fh:
-        if magic is not None:
-            fh.write(magic + "\n")
-        if stamp is not None:
-            fh.write(f"{_STAMP} {stamp}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write("\n".join(lines) + "\n")
         for cols in blocks:
             cells = (map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in cols)
             fh.write("\n".join(map(",".join, zip(*cells))))

@@ -1,5 +1,6 @@
-"""Shared coefficient builders, an einsum guard, a memory probe and file
-editors used across the test modules."""
+"""Shared coefficient builders, the finite-difference oracle of the measure
+derivative, an einsum guard, a memory probe and file editors used across the
+test modules."""
 
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from roughmkv.coefficients import (
     measure_free_family,
     moment_family,
 )
+from roughmkv.measures import EmpiricalMeasure
 
 
 def linear_signal_family(c: float):
@@ -82,6 +84,26 @@ def gauss_kernel_family(amp: float, width: float):
         )
 
     return convolution_family(1, 1, kernel)
+
+
+def fd_lions_gap(fam, x, mu, direction, h=1e-4, t=0.37) -> float:
+    """Central-difference check of the measure derivative along a cloud shift.
+
+    Compares ``[f(mu(Z + hY)) - f(mu(Z - hY))] / 2h`` at the points ``x``
+    with the family's order-1 jet paired through its ``mixing`` against the
+    shift ``Y = direction``, the pair the scheme runs (zero for a
+    measure-free family), and returns the max entrywise error relative to
+    ``max(1, |analytic|_inf)``.
+    """
+    up = fam.jet(t, x, EmpiricalMeasure(mu.points + h * direction), 0)[0]
+    dn = fam.jet(t, x, EmpiricalMeasure(mu.points - h * direction), 0)[0]
+    fd = (up - dn) / (2.0 * h)
+    if fam.measure_free:
+        analytic = np.zeros_like(fd)
+    else:
+        analytic = fam.mixing(fam.jet(t, x, mu, 1)[2], direction[:, :, None])[:, :, 0, :]
+    scale = max(1.0, float(np.max(np.abs(analytic))))
+    return float(np.max(np.abs(fd - analytic)) / scale)
 
 
 def ornstein_uhlenbeck_set(rate: float = 0.3, vol: float = 0.5) -> CoefficientSet:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from conftest import linear_signal_family, mean_coupled_sin_family
+from conftest import fd_lions_gap, linear_signal_family, mean_coupled_sin_family
 from roughmkv.backward import duality_drift, lattice_from_flow, solve_backward_fk
 from roughmkv.cli import main
 from roughmkv.coefficients import (
@@ -94,16 +94,6 @@ def test_01_randomized_lift_algebra(capsys):
 # 02: measure derivative vs central finite differences
 
 
-def _fd_lions_gap(fam, x, mu, direction, h=1e-4, t=0.37):
-    up = fam.jet(t, x, EmpiricalMeasure(mu.points + h * direction), 0)[0]
-    dn = fam.jet(t, x, EmpiricalMeasure(mu.points - h * direction), 0)[0]
-    fd = (up - dn) / (2.0 * h)
-    dmu = fam.jet(t, x, mu, 1)[2]
-    analytic = fam.mixing(dmu, direction[:, :, None])[:, :, 0, :]
-    scale = max(1.0, float(np.max(np.abs(analytic))))
-    return float(np.max(np.abs(fd - analytic)) / scale)
-
-
 def _random_moment_family(rng):
     a, b, c = (float(v) for v in rng.uniform(0.3, 1.5, size=3))
 
@@ -151,7 +141,7 @@ def test_02_measure_derivative_fd_oracle(capsys):
             mu = EmpiricalMeasure(rng.normal(size=(N, 1)))
             x = rng.normal(size=(A, 1))
             direction = rng.normal(size=(N, 1))
-            worst[name] = max(worst[name], _fd_lions_gap(build(rng), x, mu, direction))
+            worst[name] = max(worst[name], fd_lions_gap(build(rng), x, mu, direction))
     elapsed = time.perf_counter() - t0
     ok = max(worst.values()) <= 1e-4 and elapsed <= 5.0
     detail = (

@@ -1,5 +1,8 @@
 """Backward value function by path sampling, and the forward pairing drift."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -333,6 +336,21 @@ def test_each_start_time_equals_its_solve_alone(bundle):
         alone = solve_backward_fk(cs, rp, terminal, axes, [t], M, 17)
         assert np.array_equal(sol.u[row], alone.u[0])
         assert np.array_equal(sol.stderr[row], alone.stderr[0])
+
+
+@pytest.mark.parametrize("bundle", [scalar_bundle, planar_bundle])
+def test_the_order_of_the_start_times_changes_no_bit(bundle):
+    # the solver walks its start times earliest first and answers in the
+    # caller's order
+    rp, cs, axes, M = bundle()
+    times = rp.grid.points[[5, 0, 8, 3]]
+    terminal = lambda x: np.sum(x**2, axis=1)
+    mixed = solve_backward_fk(cs, rp, terminal, axes, times, M, 17)
+    ordered = solve_backward_fk(cs, rp, terminal, axes, np.sort(times), M, 17)
+    rank = np.argsort(np.argsort(times))
+    assert np.array_equal(mixed.times, times)
+    assert np.array_equal(mixed.u, ordered.u[rank])
+    assert np.array_equal(mixed.stderr, ordered.stderr[rank])
 
 
 def constant_bundle(sigma):
@@ -789,6 +807,24 @@ def test_backward_csv_bytes_equal_per_row_reference(tmp_path, d, stamp):
     save_backward_csv(sol, str(new), stamp=stamp)
     ref_save_backward_csv(sol, str(ref), stamp=stamp)
     assert new.read_text(encoding="utf-8") == ref.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "field, key, value",
+    [
+        ("terminal_name", "terminal", "my square"),
+        ("terminal_name", "terminal", "tab\tname"),
+        ("driver_checksum", "driver", "a b"),
+    ],
+)
+def test_a_magic_value_with_whitespace_is_refused_before_saving(tmp_path, field, key, value):
+    # the loader splits the magic line at whitespace, so such a file could
+    # not load back; nothing is written
+    sol = dataclasses.replace(awkward_solution(1), **{field: value})
+    path = tmp_path / "u.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{key}={value!r} holds whitespace")):
+        save_backward_csv(sol, str(path))
+    assert not path.exists()
 
 
 def test_backward_csv_layout(tmp_path):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from roughmkv.cli import main
+from roughmkv.measures import EmpiricalMeasure, wasserstein2_exact_small
 from roughmkv.simulate import NumericalBlowup
 
 FAST_LIFT = """
@@ -349,6 +350,47 @@ rough = moment_sin 0.5 0.4
 [particles]
 count_list = 16 32 64
 """
+
+
+CHAOS_2D = """
+[scenario]
+name = chaos_2d
+experiment = chaos_scan
+dim = 2
+brownian_dim = 2
+driver_dim = 2
+[grid]
+cells = 8
+[driver]
+refinement = 4
+[coefficients]
+sigma = constant 0.5
+rough = linear_state 0.25
+[particles]
+count_list = 8 16 32
+"""
+
+
+def test_chaos_scan_in_two_dims_measures_each_count_by_exact_assignment(tmp_path, monkeypatch):
+    # one exact W2 call per count against the 32-particle reference, whose
+    # values chaos.csv holds; each equals the call on the scanned cloud with
+    # its atoms repeated by hand
+    calls = []
+
+    def recorded(mu, nu):
+        calls.append((mu, nu, wasserstein2_exact_small(mu, nu)))
+        return calls[-1][2]
+
+    monkeypatch.setattr("roughmkv.experiments.wasserstein2_exact_small", recorded)
+    code, out = run_cli(tmp_path, CHAOS_2D, "chaos2d", "--no-timestamp")
+    assert code == 0
+    assert [(mu.size, nu.size) for mu, nu, _ in calls] == [(8, 32), (16, 32), (32, 32)]
+    rows = (out / "chaos.csv").read_text(encoding="utf-8").splitlines()
+    assert rows == ["particles,w2_to_ref"] + [f"{mu.size},{w2!r}" for mu, _, w2 in calls]
+    for mu, nu, w2 in calls:
+        square = EmpiricalMeasure(np.repeat(mu.points, nu.size // mu.size, axis=0))
+        assert wasserstein2_exact_small(square, nu) == w2 > 0.0
+    assert read_summary(out)["reference_particles"] == 32
 
 
 def test_thread_count_does_not_change_results(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     TIME_CONTROL,
+    fd_lions_gap,
     gauss_kernel_family,
     linear_signal_family,
     mean_coupled_sin_family,
@@ -21,7 +22,6 @@ from roughmkv.coefficients import (
     coefficient_set,
     constant_rough,
     diffusion_square,
-    lions_fd_check,
     linear_state_family,
     measure_free_family,
     moment_family,
@@ -264,7 +264,7 @@ def test_measure_free_family_has_zero_measure_response():
     x = np.array([[0.4]])
     assert fam.mixing is None and fam.jet(0.0, x, mu, 1)[2] is None
     assert fam.measure_free
-    assert lions_fd_check(fam, 0.0, x, mu, np.ones((12, 1))) == 0.0
+    assert fd_lions_gap(fam, x, mu, np.ones((12, 1)), t=0.0) == 0.0
 
 
 def test_finite_difference_agreement_both_families():
@@ -273,7 +273,7 @@ def test_finite_difference_agreement_both_families():
     x = rng.standard_normal((2, 1))
     direction = rng.standard_normal((16, 1))
     for fam in (gauss_kernel_family(1.3, 0.9), mean_coupled_sin_family(0.5, 0.4)):
-        err = lions_fd_check(fam, 0.0, x, mu, direction, h=1e-4)
+        err = fd_lions_gap(fam, x, mu, direction, h=1e-4, t=0.0)
         assert err <= 1e-4
 
 
@@ -284,7 +284,7 @@ def test_finite_difference_catches_wrong_derivative():
 
     fam = moment_family(1, 1, jet_with_wrong_dm)
     mu = cloud(1, 8)
-    err = lions_fd_check(fam, 0.0, np.array([[0.1]]), mu, np.ones((8, 1)))
+    err = fd_lions_gap(fam, np.array([[0.1]]), mu, np.ones((8, 1)), t=0.0)
     assert err > 1e-2
 
 
@@ -310,8 +310,8 @@ def test_finite_difference_reads_the_mixing_the_scheme_runs():
     mu = cloud(4, 8)
     x = np.array([[0.1], [-0.7]])
     direction = np.random.default_rng(6).standard_normal((8, 1))
-    assert lions_fd_check(family(1.0), 0.0, x, mu, direction) <= 1e-4
-    assert lions_fd_check(family(2.0), 0.0, x, mu, direction) > 1e-2
+    assert fd_lions_gap(family(1.0), x, mu, direction, t=0.0) <= 1e-4
+    assert fd_lions_gap(family(2.0), x, mu, direction, t=0.0) > 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,6 @@ UNREAD_EXPORTS = {
     "load_flow_csv": "loads flow.csv back",
     "load_backward_csv": "loads backward.csv back",
     # oracles the tests compare against
-    "lions_fd_check": "finite-difference oracle of the measure derivative",
     "pairing": "particle-average oracle for <mu, phi>",
     "wasserstein2_bruteforce": "all-permutations W2 oracle",
     "gradient_consistency": "finite-difference oracle of the probe derivatives",

@@ -1,5 +1,7 @@
 """Empirical measures, transport distances, and flow diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,26 @@ def test_sorted_quantile_equals_assignment_on_random_pairs():
         mu = EmpiricalMeasure(rng.standard_normal((n, 1)))
         nu = EmpiricalMeasure(rng.standard_normal((n, 1)) + rng.uniform(-1, 1))
         assert abs(wasserstein2_1d(mu, nu) - wasserstein2_exact_small(mu, nu)) <= 1e-12
+
+
+def test_assignment_repeats_the_smaller_clouds_atoms():
+    # repeating each atom leaves the empirical measure as it is, and the
+    # repetition is the function's own, bit for bit
+    rng = np.random.default_rng(11)
+    big = EmpiricalMeasure(rng.standard_normal((24, 2)))
+    for n in (1, 3, 8, 12, 24):
+        small = rng.standard_normal((n, 2))
+        by_hand = EmpiricalMeasure(np.repeat(small, 24 // n, axis=0))
+        assert wasserstein2_exact_small(EmpiricalMeasure(small), big) == wasserstein2_exact_small(
+            by_hand, big
+        )
+
+
+@pytest.mark.parametrize("sizes", [(5, 24), (24, 8), (7, 8)])
+def test_assignment_refuses_sizes_that_do_not_divide(sizes):
+    a, b = (EmpiricalMeasure(np.zeros((n, 2))) for n in sizes)
+    with pytest.raises(ValueError, match=f"cloud size {sizes[0]} does not divide {sizes[1]}"):
+        wasserstein2_exact_small(a, b)
 
 
 def test_assignment_matches_bruteforce_in_two_dims():
@@ -243,6 +265,13 @@ def test_cloud_refuses_non_finite_points_it_would_keep():
         EmpiricalMeasure(pts)
 
 
+@pytest.mark.parametrize("points", [np.arange(4.0), np.zeros((0, 1)), np.zeros((2, 2, 1))])
+def test_cloud_refuses_anything_but_a_non_empty_n_by_d_array(points):
+    # a 1-d array is no batch of points in d = 1
+    with pytest.raises(ValueError, match=re.escape("points must be a non-empty (N, d) array")):
+        EmpiricalMeasure(points)
+
+
 def test_flow_regularity_quotients_are_finite_and_scale():
     flow = little_flow()
     q = flow_w2_holder(flow, 0.45)
@@ -369,6 +398,17 @@ def test_flow_csv_round_trip(tmp_path):
     assert np.array_equal(back.states, flow.states)
     assert np.array_equal(back.grid.points, flow.grid.points)
     assert back.driver_checksum == "test"
+
+
+@pytest.mark.parametrize("checksum", ["my driver", "tab\tsum", "line\n"])
+def test_flow_csv_refuses_a_driver_checksum_with_whitespace(tmp_path, checksum):
+    # the loader splits the magic line at whitespace, so the save is refused
+    # before the file opens
+    flow = little_flow(seed=4, cells=3, n=5)
+    path = tmp_path / "flow.csv"
+    with pytest.raises(ValueError, match=re.escape(f"driver={checksum!r} holds whitespace")):
+        save_flow_csv(MeasureFlow(flow.grid, flow.states, driver_checksum=checksum), str(path))
+    assert not path.exists()
 
 
 def test_flow_csv_without_driver_token_loads(tmp_path):

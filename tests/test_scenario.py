@@ -283,6 +283,26 @@ def test_chaos_sizes_must_increase(counts):
         )
 
 
+@pytest.mark.parametrize(
+    "counts, reason",
+    [
+        ("8 16 1024", "for dim > 1 the exact coupling caps sizes at 512"),
+        ("8 12 32", "for dim > 1 every size must divide the largest"),
+    ],
+)
+def test_chaos_sizes_in_two_dims_fit_the_exact_coupling(counts, reason):
+    def chaos(dim):
+        return parse_scenario_text(
+            f"[scenario]\nname = c\nexperiment = chaos_scan\ndim = {dim}\n"
+            f"[particles]\ncount_list = {counts}\n"
+        )
+
+    with pytest.raises(ScenarioError, match=r"\[particles\] count_list: " + re.escape(reason)):
+        chaos(2)
+    # d = 1 couples by quantiles, with no cap and no divisibility
+    assert chaos(1).dim == 1
+
+
 def test_duplicate_keys_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario_text(MINIMAL + "\n[grid]\ncells = 4\ncells = 8\n")
