@@ -86,9 +86,10 @@ class RunContext:
     seed_override: int | None = None
 
 
-def _driver(sc: Scenario, grid: TimeGrid, seed: int) -> GridRoughPath:
-    """The scenario's signal on ``grid``, its seed mixed with the run seed."""
-    return build_driver(sc, grid, driver_seed=derive_seed(seed, sc.driver_seed))
+def _grid_and_signal(sc: Scenario, seed: int, cells: int) -> tuple[TimeGrid, GridRoughPath]:
+    """A uniform grid of ``cells`` cells and the signal on it, seeded from ``seed``."""
+    grid = TimeGrid.uniform(sc.horizon, cells)
+    return grid, build_driver(sc, grid, driver_seed=derive_seed(seed, sc.driver_seed))
 
 
 class _Report:
@@ -106,6 +107,12 @@ class _Report:
         self.invariants: dict[str, dict] = {}
         self.artifacts: list[str] = []
         self.extra: dict[str, object] = {}
+
+    def signal(self) -> tuple[TimeGrid, GridRoughPath]:
+        """The run's grid and signal on the scenario's cells; records the checksum."""
+        grid, rp = _grid_and_signal(self.sc, self.seed, self.sc.cells)
+        self.driver_checksum = roughpath_checksum(rp)
+        return grid, rp
 
     def check(self, name: str, value: float, tolerance: float, larger_ok: bool = False) -> bool:
         passed = value >= tolerance if larger_ok else value <= tolerance
@@ -161,9 +168,7 @@ class _Report:
 
 
 def _run_lift_checks(sc: Scenario, rep: _Report) -> None:
-    grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = _driver(sc, grid, rep.seed)
-    rep.driver_checksum = roughpath_checksum(rp)
+    grid, rp = rep.signal()
 
     # deterministic triple sample across the grid
     rng = substream(rep.seed, TAG_CHECKS)
@@ -219,9 +224,7 @@ def _coupled_runs(sc: Scenario, seed: int):
     increments are drawn once at the finest resolution and pair-summed, so
     coarse runs see exactly the coarse-graining of the fine randomness.
     """
-    finest_factor = 2 ** (sc.levels - 1)
-    fine_grid = TimeGrid.uniform(sc.horizon, sc.cells * finest_factor)
-    fine_rp = _driver(sc, fine_grid, seed)
+    fine_grid, fine_rp = _grid_and_signal(sc, seed, sc.cells * 2 ** (sc.levels - 1))
     coeffs = build_coefficients(sc)
     fine_incs = idiosyncratic_increments(
         seed, sc.particles, fine_grid, sc.brownian_dim
@@ -267,9 +270,7 @@ def _run_residual_scan(sc: Scenario, rep: _Report) -> None:
 
 
 def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
-    grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = _driver(sc, grid, rep.seed)
-    rep.driver_checksum = roughpath_checksum(rp)
+    grid, rp = rep.signal()
     coeffs = build_coefficients(sc)
 
     def horizon_cloud(count: int, copy: int) -> EmpiricalMeasure:
@@ -304,9 +305,7 @@ def _run_chaos_scan(sc: Scenario, rep: _Report) -> None:
 
 
 def _run_duality(sc: Scenario, rep: _Report) -> None:
-    grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = _driver(sc, grid, rep.seed)
-    rep.driver_checksum = roughpath_checksum(rp)
+    grid, rp = rep.signal()
     coeffs = build_coefficients(sc)
     config = build_simulation_config(sc, grid, rep.seed, sc.particles)
     flow, _ = simulate(config, coeffs, rp)
@@ -342,9 +341,7 @@ def _run_duality(sc: Scenario, rep: _Report) -> None:
 
 
 def _run_diagnostics(sc: Scenario, rep: _Report) -> None:
-    grid = TimeGrid.uniform(sc.horizon, sc.cells)
-    rp = _driver(sc, grid, rep.seed)
-    rep.driver_checksum = roughpath_checksum(rp)
+    grid, rp = rep.signal()
     coeffs = build_coefficients(sc)
     config = build_simulation_config(sc, grid, rep.seed, sc.particles)
     steps: list[StepReport] = []

@@ -341,10 +341,11 @@ def controlled_diagnostics(
     # no O(K^2 N) pass.
     check_signal(rp, flow.grid, coeffs.driver_dim)
     X = flow.states                                 # (K+1, N, d)
+    K, N = X.shape[0] - 1, X.shape[1]
     pts = flow.grid.points
     xbar = symmetric_mean(X, axis=1)                # (K+1, d)
-    fbar = np.empty((pts.size, coeffs.dim, coeffs.driver_dim))
-    for k in range(pts.size):
+    fbar = np.empty((K, coeffs.dim, coeffs.driver_dim))  # spans start at nodes < K
+    for k in range(K):
         mu = None if coeffs.measure_free else flow.measure(k)
         fbar[k] = symmetric_mean(coeffs.rough.jet(float(pts[k]), X[k], mu, 0)[0], axis=0)
 
@@ -354,7 +355,6 @@ def controlled_diagnostics(
     # slices, which measured several times faster than reducing a (J, N, d)
     # array over its short last axis.
     # Buffers sized for the longest span; start node i uses the first J rows.
-    K, N = X.shape[0] - 1, X.shape[1]
     sq_buf, tmp_buf = np.empty((2, K, N))
 
     def rows():

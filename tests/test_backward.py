@@ -112,6 +112,24 @@ def test_constant_terminal_is_exact_and_pairs_flat():
     assert rep.drift == 0.0
 
 
+@pytest.mark.parametrize("x0", [(0.5,), (0.5, -1.25)], ids=["d1", "d2"])
+def test_a_flow_held_at_one_point_gets_a_lattice_padded_by_one_unit(x0):
+    # no diffusion, zero drift and signal, and a point initial law: every
+    # state is x0, so the quantile envelope and the std both vanish
+    d = len(x0)
+    grid, rp = grid_and_driver(cells=4, dim=d)
+    cfg = SimulationConfig(
+        16, grid, 3, d, d, d, initial_sampler=lambda rng, k: np.full((k, d), x0)
+    )
+    flow, _ = simulate(cfg, coefficient_set(d, d, d), rp)
+    assert np.all(flow.states == np.array(x0))
+    axes = lattice_from_flow(flow, 9)
+    assert len(axes) == d
+    for ax, x in zip(axes, x0):
+        assert ax.size == 9 and np.all(np.diff(ax) > 0.0)
+        assert (ax[0], ax[-1]) == (x - 1.0, x + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # error estimates
 

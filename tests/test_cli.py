@@ -13,8 +13,12 @@ import numpy as np
 import pytest
 
 from roughmkv.cli import main
+from roughmkv.grids import TimeGrid
 from roughmkv.measures import EmpiricalMeasure, wasserstein2_exact_small
+from roughmkv.roughpath import roughpath_checksum
+from roughmkv.scenario import build_driver, parse_scenario_text
 from roughmkv.simulate import NumericalBlowup
+from roughmkv.streams import derive_seed
 
 FAST_LIFT = """
 [scenario]
@@ -350,6 +354,19 @@ rough = moment_sin 0.5 0.4
 [particles]
 count_list = 16 32 64
 """
+
+
+@pytest.mark.parametrize("seed", [21, 77])
+@pytest.mark.parametrize(
+    "text", [FAST_LIFT, FAST_CHAOS, FAST_DUALITY, FAST_DIAG],
+    ids=["lift_checks", "chaos_scan", "duality", "diagnostics"],
+)
+def test_a_single_grid_run_reports_the_checksum_of_its_seeded_signal(tmp_path, text, seed):
+    sc = parse_scenario_text(text)
+    grid = TimeGrid.uniform(sc.horizon, sc.cells)
+    rp = build_driver(sc, grid, driver_seed=derive_seed(seed, sc.driver_seed))
+    _, out = run_cli(tmp_path, text, "run", "--no-timestamp", "--seed-override", str(seed))
+    assert read_summary(out)["driver_checksum"] == roughpath_checksum(rp)
 
 
 CHAOS_2D = """

@@ -795,6 +795,18 @@ def test_controlled_quotients_track_moments():
     assert rep.increment_quotient_p4 >= rep.increment_quotient_p2  # moment monotonicity
 
 
+def test_controlled_diagnostics_evaluate_the_signal_coefficient_at_span_starts():
+    calls = []
+    cs = coefficient_set(1, 1, 1, rough=mean_coupled_sin_family(0.5, 0.4, calls))
+    cfg = make_config(n=20, cells=7, seed=3)
+    rp = brownian_lift(2, 1, cfg.grid, 4)
+    flow, _ = simulate(cfg, cs, rp)
+    calls.clear()
+    controlled_diagnostics(flow, rp, cs)
+    # spans start at nodes 0..K-1, so the last node's coefficient is unread
+    assert calls == [20] * 7
+
+
 def ref_controlled_diagnostics(flow, rp, coeffs, p=2):
     """The one-power diagnostics the shared span loop replaced; a reference."""
     X = flow.states
